@@ -6,8 +6,9 @@ package provides:
 
 - ``model``: configuration/state types and the per-slot update laws;
 - ``simulate``: a seeded slot-level engine with paired channel randomness;
-- ``forp``: the always-fresh randomized sampling policy, its closed-form
-  analysis, and its grid optimizer;
+- ``forp``: the always-fresh randomized sampling policy (simulated as a
+  special case of ``ofrp``), its closed-form analysis, and its grid
+  optimizer;
 - ``ofrp``: the fresh-or-old randomized policy (may resend the cached
   packet), its Markov-chain analysis, and its grid optimizer;
 - ``dpp``: the drift-plus-penalty scheduler with an O(K) decision rule;
@@ -19,7 +20,7 @@ package provides:
 from . import dpp, forp, markov, ofrp
 from .dpp import DppPolicy, DppWeights
 from .experiments import ExperimentSpec, SpecError, load_spec, run_experiment
-from .forp import ForpParams, ForpPolicy
+from .forp import ForpParams
 from .markov import ChainModel, SolveReport, solve_stationary
 from .model import (ActionVector, InfeasibleError, SlotOutcome, SystemConfig,
                     UserState, aoi_step, initial_states, slot_cost, step_users,
@@ -33,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionVector", "ChainModel", "CheckResult", "DppPolicy", "DppWeights",
-    "ExperimentSpec", "ForpParams", "ForpPolicy", "IdlePolicy",
+    "ExperimentSpec", "ForpParams", "IdlePolicy",
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
     "Policy", "ReplicaSummary", "SimStats", "SlotOutcome", "SolveReport",
     "SpecError", "SystemConfig", "UserState", "aoi_step", "channel_uniforms",

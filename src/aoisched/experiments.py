@@ -26,7 +26,7 @@ from pathlib import Path
 import yaml
 
 from . import dpp, forp, ofrp
-from .model import InfeasibleError, SystemConfig
+from .model import InfeasibleError, SystemConfig, grid_intervals
 from .simulate import SimStats, run, run_replicas
 
 SCHEMA_VERSION = 1
@@ -180,6 +180,10 @@ def load_spec(source) -> ExperimentSpec:
     if replicas < 1:
         raise SpecError("replicas: must be at least 1")
     grid_step = _get(doc, "grid_step", float, "", default=0.01, required=False)
+    try:
+        grid_intervals(grid_step)
+    except ValueError as exc:
+        raise SpecError(f"grid_step: {exc}") from exc
     out_dir = _get(doc, "output", str, "", default=None, required=False)
 
     spec = ExperimentSpec(
@@ -297,42 +301,49 @@ def _hist_header(num_users: int) -> list[str]:
 
 
 def _make_policy(token: str, cfg: SystemConfig, grid_step: float):
-    """Instantiate the simulated policy for a token (optimizing as needed)."""
+    """Instantiate the simulated policy for a token (optimizing as needed).
+
+    The fresh-only policy is simulated as its fresh-or-old equivalent.
+    """
     if token == "dpp":
         return dpp.DppPolicy()
     if token == "ofrp":
         return ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step))
     if token == "forp":
-        return forp.ForpPolicy(forp.optimize(cfg, grid_step))
+        return ofrp.OfrpPolicy(forp.optimize(cfg, grid_step).as_ofrp())
     raise ValueError(f"{token!r} is not a simulated policy token")
+
+
+def _forp_user(params: forp.ForpParams, cfg: SystemConfig,
+               i: int) -> tuple[float, float]:
+    """Closed-form (average age, cost rate) of user ``i`` under fresh-only."""
+    alpha = params.alpha[i]
+    phi = params.sample_prob[i]
+    delta = forp.delivery_rate(alpha, phi, cfg.success_prob[i])
+    return (forp.avg_aoi_closed_form(delta, cfg.aoi_cap),
+            forp.user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost))
 
 
 def _analytic_row_tail(token: str, cfg: SystemConfig, grid_step: float):
     """(avg_cost, per-user columns) predicted by the chain analysis."""
     users = []
+    total = 0.0
     if token == "ofrp-analytic":
         params = ofrp.optimize(cfg, grid_step)
-        total = 0.0
         for i, user in enumerate(params.users):
-            chain = ofrp.build_chain(user, cfg.success_prob[i], cfg.aoi_cap)
-            if chain.context["aoi1_reachable"]:
-                m = ofrp.metrics(chain, user, cfg.sample_cost, cfg.transmit_cost)
-                aoi, theta, cost = m.avg_aoi, m.empty_fraction, m.avg_cost
-            else:  # degenerate optimum: never samples, age pinned at the cap
-                aoi, theta, cost = float(cfg.aoi_cap), 1.0, 0.0
-            total += cost
+            m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
+                             cfg.sample_cost, cfg.transmit_cost)
+            theta = m.empty_fraction
+            total += m.avg_cost
             sample_freq = (theta * user.alpha * user.sample_empty
                            + (1.0 - theta) * user.alpha * user.sample_occupied)
             resend_freq = (1.0 - theta) * user.alpha * user.retransmit_old
-            users.append([aoi, "", theta, sample_freq, resend_freq, ""])
+            users.append([m.avg_aoi, "", theta, sample_freq, resend_freq, ""])
         return total, users
     if token == "forp-analytic":
         params = forp.optimize(cfg, grid_step)
-        total = 0.0
         for i, (alpha, phi) in enumerate(zip(params.alpha, params.sample_prob)):
-            delta = forp.delivery_rate(alpha, phi, cfg.success_prob[i])
-            aoi = forp.avg_aoi_closed_form(delta, cfg.aoi_cap)
-            cost = forp.user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost)
+            aoi, cost = _forp_user(params, cfg, i)
             total += cost
             users.append([aoi, "", "", alpha * phi, 0.0, ""])
         return total, users
@@ -454,7 +465,7 @@ def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
                     policy = ofrp.OfrpPolicy(params)
                 else:
                     params = forp.optimize(cfg, spec.grid_step)
-                    policy = forp.ForpPolicy(params)
+                    policy = ofrp.OfrpPolicy(params.as_ofrp())
             except InfeasibleError as exc:
                 rows.append(base_cells + [exc.user, f"infeasible: {exc}"]
                             + [""] * 10)
@@ -463,25 +474,14 @@ def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
             for i in range(cfg.num_users):
                 if token == "ofrp":
                     user = params.users[i]
-                    chain = ofrp.build_chain(
-                        user, cfg.success_prob[i], cfg.aoi_cap)
-                    if chain.context["aoi1_reachable"]:
-                        m = ofrp.metrics(chain, user, cfg.sample_cost,
-                                         cfg.transmit_cost)
-                        aoi, cost = m.avg_aoi, m.avg_cost
-                    else:
-                        aoi, cost = float(cfg.aoi_cap), 0.0
+                    m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
+                                     cfg.sample_cost, cfg.transmit_cost)
                     cells = [user.alpha, user.sample_occupied,
                              user.retransmit_old, user.sample_empty, "",
-                             aoi, cost]
+                             m.avg_aoi, m.avg_cost]
                 else:
-                    alpha = params.alpha[i]
-                    phi = params.sample_prob[i]
-                    delta = forp.delivery_rate(alpha, phi, cfg.success_prob[i])
-                    cells = [alpha, "", "", "", phi,
-                             forp.avg_aoi_closed_form(delta, cfg.aoi_cap),
-                             forp.user_cost(alpha, phi, cfg.sample_cost,
-                                            cfg.transmit_cost)]
+                    cells = [params.alpha[i], "", "", "",
+                             params.sample_prob[i], *_forp_user(params, cfg, i)]
                 rows.append(base_cells + [i, "ok"] + cells
                             + [stats.avg_aoi[i], stats.avg_cost,
                                stats.empty_fraction[i]])

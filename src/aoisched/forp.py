@@ -7,6 +7,9 @@ delta = alpha * sample_prob * success_prob, whose stationary law is a
 truncated geometric distribution with an atom at the cap.  Everything here is
 closed form; the explicit one-dimensional chain is kept alongside as a
 cross-check, and the parameter search walks the probability grid exactly.
+The policy is simulated as the fresh-or-old policy that samples with the
+same probability whatever the cache holds and never resends (``as_ofrp``),
+so the closed forms here also serve as its analytic oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .markov import ChainModel
 from .model import InfeasibleError, SystemConfig, probability_grid
-from .simulate import Policy
+from .ofrp import OfrpParams, OfrpUserParams
 
 
 def delivery_rate(alpha: float, sample_prob: float, success_prob: float) -> float:
@@ -62,8 +65,7 @@ def matrix_chain(delta: float, cap: int) -> ChainModel:
     for i in range(cap - 1):
         p[i, i + 1] = 1.0 - delta
     p[cap - 1, cap - 1] += 1.0 - delta
-    return ChainModel(states=tuple(range(1, cap + 1)), matrix=p,
-                      context={"delivery_rate": delta})
+    return ChainModel(states=tuple(range(1, cap + 1)), matrix=p)
 
 
 def user_cost(alpha: float, sample_prob: float, sample_cost: float,
@@ -87,6 +89,13 @@ class ForpParams:
                 raise ValueError(f"probabilities must lie in [0, 1], got {a}")
         if abs(sum(self.alpha) - 1.0) > 1e-9:
             raise ValueError("scheduling probabilities must sum to 1")
+
+    def as_ofrp(self) -> OfrpParams:
+        """The same policy as a fresh-or-old point: sample with sample_prob
+        whether or not a packet is cached, never resend."""
+        return OfrpParams(tuple(
+            OfrpUserParams(a, phi, 0.0, phi)
+            for a, phi in zip(self.alpha, self.sample_prob)))
 
 
 def total_cost(params: ForpParams, cfg: SystemConfig) -> float:
@@ -137,47 +146,3 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> ForpParams:
                 f"the smallest feasible value ({best_phi} vs {first_feasible})")
         chosen.append(best_phi)
     return ForpParams(alpha=(alpha,) * k, sample_prob=tuple(chosen))
-
-
-class ForpPolicy(Policy):
-    """Simulates the fresh-only policy: schedule by alpha, sample by sample_prob."""
-
-    name = "forp"
-
-    def __init__(self, params: ForpParams):
-        self.params = params
-        self._cum_alpha: list[float] = []
-        self._buf: list[float] = []
-        self._pos = 0
-        self._rng: np.random.Generator | None = None
-
-    def reset(self, cfg: SystemConfig, rng: np.random.Generator) -> None:
-        if len(self.params.alpha) != cfg.num_users:
-            raise ValueError("params sized for a different number of users")
-        acc = 0.0
-        self._cum_alpha = []
-        for a in self.params.alpha:
-            acc += a
-            self._cum_alpha.append(acc)
-        self._rng = rng
-        self._buf = []
-        self._pos = 0
-
-    def _uniform(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(8192).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-    def decide(self, t, aoi, waiting, occupied, vqueue):
-        u_sched = self._uniform()
-        u_act = self._uniform()
-        user = 0
-        last = len(self._cum_alpha) - 1
-        while user < last and self._cum_alpha[user] <= u_sched:
-            user += 1
-        if u_act < self.params.sample_prob[user]:
-            return user, None
-        return None, None

@@ -10,7 +10,7 @@ front via a strongly-connected-component scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,14 +30,12 @@ class SolveReport:
     iterations: int      # 0 for the direct solve
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChainModel:
-    """A finite chain: state labels, row-stochastic matrix, cached solution."""
+    """A finite chain: state labels and a row-stochastic matrix."""
 
     states: tuple
     matrix: np.ndarray
-    pi: np.ndarray | None = None
-    context: dict = field(default_factory=dict)
 
 
 def validate_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -279,11 +279,18 @@ def initial_states(cfg: SystemConfig) -> list[UserState]:
     return [UserState(aoi=1) for _ in range(cfg.num_users)]
 
 
-def probability_grid(step: float) -> list[float]:
-    """Evenly spaced probabilities 0, step, ..., 1 (step must divide 1)."""
+def grid_intervals(step: float) -> int:
+    """The number n = 1/step of grid intervals; step must lie in (0, 1]
+    and divide 1 evenly."""
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step must divide 1 evenly, got {step}")
+    return n
+
+
+def probability_grid(step: float) -> list[float]:
+    """Evenly spaced probabilities 0, step, ..., 1 (step must divide 1)."""
+    n = grid_intervals(step)
     return [i / n for i in range(n + 1)]

@@ -159,50 +159,35 @@ def build_chain(user: OfrpUserParams, success_prob: float, cap: int) -> ChainMod
         # No event maps one source to the same target twice, so fancy-index
         # addition is safe; overlaps *between* events accumulate across passes.
         matrix[rows, cols] += c
-    return ChainModel(
-        states=states, matrix=matrix,
-        context={
-            "cap": cap,
-            "success_prob": success_prob,
-            "user": user,
-            "aoi1_reachable": user.alpha * user.sample_empty * success_prob > 0.0,
-        })
+    return ChainModel(states=states, matrix=matrix)
 
 
 # ──────────────────────────────────────────────────────────────────────────
 #  stationary metrics
 # ──────────────────────────────────────────────────────────────────────────
 
-def stationary(chain: ChainModel, tol: float = 1e-12) -> np.ndarray:
-    """Stationary distribution of a built chain (cached on the model).
+def stationary(chain: ChainModel, user: OfrpUserParams, success_prob: float,
+               tol: float = 1e-12) -> np.ndarray:
+    """Stationary distribution of ``build_chain(user, success_prob, cap)``.
 
     Refuses degenerate parameter choices under which fresh deliveries never
     happen (alpha * sample_empty * success_prob = 0): the age-1 state is then
     unreachable and the chain drains into the saturated empty state, so no
     informative stationary analysis exists.
     """
-    if chain.pi is not None:
-        return chain.pi
-    if not chain.context.get("aoi1_reachable", True):
+    if user.alpha * user.sample_empty * success_prob == 0.0:
         raise ValueError(
             "degenerate parameters: fresh deliveries have probability 0 "
             "(alpha * sample_empty * success_prob = 0), the age-1 state is "
             "unreachable and the age saturates at the cap")
-    pi, report = solve_stationary(chain.matrix, tol)
-    chain.pi = pi
-    chain.context["solve_report"] = report
+    pi, _ = solve_stationary(chain.matrix, tol)
     return pi
 
 
-def aoi_marginal(chain: ChainModel, pi: np.ndarray | None = None) -> np.ndarray:
+def aoi_marginal(pi: np.ndarray, cap: int) -> np.ndarray:
     """Stationary mass per age value 1..cap, summed over cache states."""
-    if pi is None:
-        pi = stationary(chain)
-    cap = chain.context["cap"]
-    out = np.zeros(cap)
-    for prob, state in zip(pi, chain.states):
-        out[state[-1] - 1] += prob
-    return out
+    _, _, aoi_vec, _, _ = _layout(cap)
+    return np.bincount(aoi_vec.astype(np.intp) - 1, weights=pi, minlength=cap)
 
 
 @dataclass(frozen=True)
@@ -221,12 +206,29 @@ def _cost_rate(user: OfrpUserParams, empty_fraction: float,
                + user.sample_occupied * sample_price))
 
 
-def metrics(chain: ChainModel, user: OfrpUserParams, sample_cost: float,
-            transmit_cost: float) -> OfrpMetrics:
-    """Stationary average age, empty-cache fraction, and cost rate."""
-    pi = stationary(chain)
-    _, _, aoi_vec, empty_vec, _ = _layout(chain.context["cap"])
-    avg_aoi = float(pi @ aoi_vec)
+def metrics(user: OfrpUserParams, success_prob: float, cap: int,
+            sample_cost: float, transmit_cost: float) -> OfrpMetrics:
+    """Stationary average age, empty-cache fraction, and cost rate of one user.
+
+    Builds and solves the user's chain.  The two degenerate cases, in which
+    nothing fresh is ever delivered, have closed answers for the age:
+
+    - alpha * sample_empty = 0 (never scheduled, or never samples when
+      empty): the cache drains for good, the age saturates at the cap and
+      neither cost term survives, so the result is (cap, 1, 0);
+    - success_prob = 0: the age saturates at the cap, but the futile
+      attempts still cost, at the rate the solved chain gives.
+    """
+    if user.alpha * user.sample_empty == 0.0:
+        return OfrpMetrics(float(cap), 1.0, 0.0)
+    _, _, aoi_vec, empty_vec, _ = _layout(cap)
+    chain = build_chain(user, success_prob, cap)
+    if success_prob == 0.0:
+        pi, _ = solve_stationary(chain.matrix)
+        avg_aoi = float(cap)
+    else:
+        pi = stationary(chain, user, success_prob)
+        avg_aoi = float(pi @ aoi_vec)
     theta = float(pi @ empty_vec)
     return OfrpMetrics(
         avg_aoi=avg_aoi,
@@ -335,8 +337,7 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
 
     # Confirm through the scalar path; batched and scalar arithmetic agree to
     # rounding, and anything beyond that indicates assembly drift.
-    chosen = OfrpUserParams(alpha, *best)
-    m = metrics(build_chain(chosen, success_prob, cap), chosen,
+    m = metrics(OfrpUserParams(alpha, *best), success_prob, cap,
                 sample_cost, transmit_cost)
     if abs(m.avg_cost - best_cost) > 1e-9:
         raise RuntimeError(
@@ -368,24 +369,10 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
 
 def total_cost(params: OfrpParams, cfg: SystemConfig) -> float:
     """Analytic cost rate summed over users (solves each user's chain)."""
-    total = 0.0
-    for i, user in enumerate(params.users):
-        if user.alpha * user.sample_empty == 0.0:
-            # Never scheduled, or never samples when empty: the cache drains
-            # for good and neither cost term survives in steady state.
-            continue
-        chain = build_chain(user, cfg.success_prob[i], cfg.aoi_cap)
-        if chain.context["aoi1_reachable"]:
-            total += metrics(chain, user, cfg.sample_cost,
-                             cfg.transmit_cost).avg_cost
-        else:
-            # success_prob == 0: the age analysis upstream refuses this chain,
-            # but the cost rate is still well defined — solve it directly.
-            pi, _ = solve_stationary(chain.matrix)
-            _, _, _, empty_vec, _ = _layout(cfg.aoi_cap)
-            total += _cost_rate(user, float(pi @ empty_vec),
-                                cfg.sample_cost, cfg.transmit_cost)
-    return total
+    return sum(
+        metrics(user, cfg.success_prob[i], cfg.aoi_cap, cfg.sample_cost,
+                cfg.transmit_cost).avg_cost
+        for i, user in enumerate(params.users))
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ActionVector, SystemConfig, UserState
+from .model import SystemConfig
 
 _CHANNEL_BLOCK = 1 << 16
 _TRACE_POINTS = 100
@@ -51,17 +51,6 @@ class Policy(abc.ABC):
                occupied: list[bool], vqueue: list[float],
                ) -> tuple[int | None, int | None]:
         ...
-
-    def decide_action(self, states: list[UserState], cfg: SystemConfig,
-                      t: int = 0) -> ActionVector:
-        """Convenience wrapper returning a full ActionVector."""
-        sampler, resender = self.decide(
-            t,
-            [s.aoi for s in states],
-            [s.waiting_time for s in states],
-            [s.cache_occupied for s in states],
-            [s.vqueue for s in states])
-        return ActionVector.from_pair(cfg.num_users, sampler, resender)
 
 
 class IdlePolicy(Policy):

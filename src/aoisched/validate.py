@@ -114,7 +114,7 @@ def check_fresh_only_montecarlo(threads: int = 1, tolerance: float = 0.01,
             num_users=1, success_prob=p, sample_cost=1.0, transmit_cost=5.0,
             aoi_cap=10, aoi_limit=5.0, horizon=horizon, seed=9102)
         params = forp.ForpParams(alpha=(1.0,), sample_prob=(phi,))
-        stats = run(forp.ForpPolicy(params), cfg)
+        stats = run(ofrp.OfrpPolicy(params.as_ofrp()), cfg)
         aoi_ref = forp.avg_aoi_closed_form(delta, cfg.aoi_cap)
         cost_ref = forp.total_cost(params, cfg)
         worst = max(worst,
@@ -149,8 +149,8 @@ def check_fresh_or_old_montecarlo(threads: int = 1, tolerance: float = 0.02,
         cfg = SystemConfig(
             num_users=1, success_prob=p, sample_cost=1.0, transmit_cost=5.0,
             aoi_cap=10, aoi_limit=5.0, horizon=horizon, seed=4501)
-        chain = ofrp.build_chain(user, p, cfg.aoi_cap)
-        pred = ofrp.metrics(chain, user, cfg.sample_cost, cfg.transmit_cost)
+        pred = ofrp.metrics(user, p, cfg.aoi_cap, cfg.sample_cost,
+                            cfg.transmit_cost)
         stats = run(ofrp.OfrpPolicy(ofrp.OfrpParams(users=(user,))), cfg)
         worst = max(worst,
                     abs(stats.avg_aoi[0] - pred.avg_aoi) / pred.avg_aoi,
@@ -205,7 +205,7 @@ def check_policy_cost_ordering(threads: int = 1, slack: float = 2.0,
                 ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step)),
                 cfg, replicas, threads)
             _, s_f = run_replicas(
-                forp.ForpPolicy(forp.optimize(cfg, grid_step)),
+                ofrp.OfrpPolicy(forp.optimize(cfg, grid_step).as_ofrp()),
                 cfg, replicas, threads)
             pairs = ((s_dpp, s_of, "dpp vs fresh-or-old"),
                      (s_of, s_f, "fresh-or-old vs fresh-only"))
@@ -273,7 +273,8 @@ def check_old_packet_advantage(threads: int = 1, slack: float = 2.0,
     _, s_of = run_replicas(
         ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step)), cfg, replicas, threads)
     _, s_f = run_replicas(
-        forp.ForpPolicy(forp.optimize(cfg, grid_step)), cfg, replicas, threads)
+        ofrp.OfrpPolicy(forp.optimize(cfg, grid_step).as_ofrp()),
+        cfg, replicas, threads)
     se = _se_diff(s_of.stderr_cost, s_f.stderr_cost)
     sigma = (s_f.mean_cost - s_of.mean_cost) / se if se > 0 else math.inf
     passed = sigma > slack

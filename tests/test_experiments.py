@@ -81,6 +81,8 @@ def test_axis_aliases():
     (lambda d: d.update(replicas=0), "replicas"),
     (lambda d: d["config"].update(success_prob=1.4), "config"),
     (lambda d: d["sweep"].update(values=[1.5]), "rejected"),
+    (lambda d: d.update(grid_step=0.03), "grid_step"),
+    (lambda d: d.update(grid_step=-0.5), "grid_step"),
 ])
 def test_spec_errors_name_the_field(mutate, fragment):
     doc = tiny_doc()

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from aoisched import forp
+from aoisched import forp, ofrp
+from aoisched.experiments import _make_policy
 from aoisched.markov import solve_stationary
 from aoisched.model import InfeasibleError, SystemConfig
-from aoisched.simulate import run
+from aoisched.simulate import policy_rng, run
 
 
 def make_config(**overrides):
@@ -145,10 +146,34 @@ def test_optimize_infeasible_raises_with_user():
     assert "1.2" in str(err.value)
 
 
+def simulated(params):
+    """The fresh-only policy as the engine simulates it."""
+    return ofrp.OfrpPolicy(params.as_ofrp())
+
+
+def test_token_policy_is_the_literal_fresh_only_rule():
+    """Whatever the cache holds, the forp token's policy schedules user 0
+    iff the slot's first uniform is below alpha_0 and samples iff the second
+    is below that user's sample_prob; it never resends."""
+    cfg = make_config(num_users=2, success_prob=[0.6, 0.9], seed=77)
+    phi = forp.optimize(cfg).sample_prob
+    assert phi[0] != phi[1]
+    policy = _make_policy("forp", cfg, 0.01)
+    policy.reset(cfg, policy_rng(cfg))
+    slots = 20_000                        # spans several refills of its buffer
+    draws = policy_rng(cfg).random(2 * slots).reshape(slots, 2)
+    occupied = np.random.default_rng(5).random((slots, 2)) < 0.5
+    for t, ((u_sched, u_act), occ) in enumerate(zip(draws, occupied)):
+        user = 0 if u_sched < 0.5 else 1
+        expected = (user if u_act < phi[user] else None, None)
+        assert policy.decide(t, [3, 3], [1, 1], occ.tolist(),
+                             [0.0, 0.0]) == expected
+
+
 def test_simulation_tracks_closed_form():
     phi = 0.5
     cfg = make_config(horizon=200_000, seed=912)
-    stats = run(forp.ForpPolicy(forp.ForpParams((1.0,), (phi,))), cfg)
+    stats = run(simulated(forp.ForpParams((1.0,), (phi,))), cfg)
     delta = forp.delivery_rate(1.0, phi, 0.8)
     assert stats.avg_aoi[0] == pytest.approx(
         forp.avg_aoi_closed_form(delta, 10), rel=0.02)
@@ -159,7 +184,7 @@ def test_simulation_tracks_closed_form():
 def test_policy_splits_schedule_between_users():
     cfg = make_config(num_users=2, success_prob=1.0, horizon=40_000, seed=55)
     params = forp.ForpParams(alpha=(0.5, 0.5), sample_prob=(1.0, 1.0))
-    stats = run(forp.ForpPolicy(params), cfg)
+    stats = run(simulated(params), cfg)
     for k in range(2):
         assert stats.sample_freq[k] == pytest.approx(0.5, abs=0.02)
     assert stats.sample_freq[0] + stats.sample_freq[1] == 1.0
@@ -168,4 +193,4 @@ def test_policy_splits_schedule_between_users():
 def test_policy_requires_matching_user_count():
     params = forp.ForpParams(alpha=(1.0,), sample_prob=(0.5,))
     with pytest.raises(ValueError):
-        run(forp.ForpPolicy(params), make_config(num_users=2))
+        run(simulated(params), make_config(num_users=2))

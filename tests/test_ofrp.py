@@ -1,5 +1,7 @@
 """Tests for the fresh-or-old policy: chain encoding, metrics, grid search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -124,57 +126,60 @@ def test_collapses_to_fresh_only_without_retransmissions():
     for phi, p in ((0.3, 0.9), (0.8, 0.5)):
         user = ofrp.OfrpUserParams(1.0, phi, 0.0, phi)
         chain = ofrp.build_chain(user, p, 10)
-        marginal = ofrp.aoi_marginal(chain)
+        marginal = ofrp.aoi_marginal(ofrp.stationary(chain, user, p), 10)
         reference = forp.stationary_closed_form(phi * p, 10)
         assert np.max(np.abs(marginal - reference)) < 1e-10
 
 
 def test_perfect_channel_never_caches():
     user = ofrp.OfrpUserParams(1.0, 0.9, 0.1, 0.5)
-    chain = ofrp.build_chain(user, 1.0, 10)
-    m = ofrp.metrics(chain, user, 1.0, 5.0)
+    m = ofrp.metrics(user, 1.0, 10, 1.0, 5.0)
     assert m.empty_fraction == pytest.approx(1.0, abs=1e-12)
     assert m.avg_cost == pytest.approx(0.5 * 6.0, abs=1e-12)
     assert m.avg_aoi == pytest.approx(forp.avg_aoi_closed_form(0.5, 10), abs=1e-10)
 
 
-def test_stationary_is_cached_on_the_model():
+def test_chain_is_immutable():
     chain = ofrp.build_chain(LITERAL, 0.8, 10)
-    pi1 = ofrp.stationary(chain)
-    assert chain.pi is pi1
-    assert ofrp.stationary(chain) is pi1
-    assert "solve_report" in chain.context
-    assert pi1.sum() == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.matrix = np.eye(len(chain.states))
 
 
 def test_degenerate_parameters_are_refused():
     dead = ofrp.OfrpUserParams(1.0, 0.5, 0.5, 0.0)
-    chain = ofrp.build_chain(dead, 0.8, 10)
-    assert not chain.context["aoi1_reachable"]
     with pytest.raises(ValueError, match="degenerate"):
-        ofrp.stationary(chain)
+        ofrp.stationary(ofrp.build_chain(dead, 0.8, 10), dead, 0.8)
+    with pytest.raises(ValueError, match="degenerate"):
+        ofrp.stationary(ofrp.build_chain(LITERAL, 0.0, 10), LITERAL, 0.0)
 
 
 def test_total_cost_skips_users_that_never_sample():
+    # alpha * sample_empty = 0: the cache drains and the age sits at the cap
     active = ofrp.OfrpUserParams(0.5, 0.4, 0.2, 0.6)
     silent = ofrp.OfrpUserParams(0.5, 0.9, 0.1, 0.0)
+    assert ofrp.metrics(silent, 0.8, 10, 1.0, 5.0) == \
+        ofrp.OfrpMetrics(avg_aoi=10.0, empty_fraction=1.0, avg_cost=0.0)
     cfg = make_config(num_users=2)
     total = ofrp.total_cost(ofrp.OfrpParams((active, silent)), cfg)
-    m = ofrp.metrics(ofrp.build_chain(active, 0.8, 10), active, 1.0, 5.0)
+    m = ofrp.metrics(active, 0.8, 10, 1.0, 5.0)
     assert total == pytest.approx(m.avg_cost)
 
 
 def test_total_cost_on_dead_channel():
-    # p = 0: no stationary age analysis, but the cost rate is well defined
+    # p = 0: the age sits at the cap, but the cost rate is well defined
     user = ofrp.OfrpUserParams(1.0, 0.3, 0.2, 0.5)
-    cfg = make_config(success_prob=0.0)
-    total = ofrp.total_cost(ofrp.OfrpParams((user,)), cfg)
     chain = ofrp.build_chain(user, 0.0, 10)
     pi, _ = solve_stationary(chain.matrix)
     theta = sum(prob for prob, s in zip(pi, chain.states) if s[0] == "empty")
     expected = theta * 0.5 * 6.0 + (1 - theta) * (0.2 * 5.0 + 0.3 * 6.0)
-    assert total == pytest.approx(expected, abs=1e-12)
-    assert total > 0.0
+    m = ofrp.metrics(user, 0.0, 10, 1.0, 5.0)
+    assert m.avg_aoi == 10.0
+    assert m.empty_fraction == pytest.approx(theta, abs=1e-12)
+    assert m.avg_cost == pytest.approx(expected, abs=1e-12)
+    assert m.avg_cost > 0.0
+    total = ofrp.total_cost(ofrp.OfrpParams((user,)),
+                            make_config(success_prob=0.0))
+    assert total == m.avg_cost
 
 
 # ── simulation agreement ──────────────────────────────────────────────────
@@ -183,8 +188,7 @@ def test_simulation_tracks_chain_metrics():
     cfg = make_config(num_users=2, success_prob=0.5, horizon=150_000, seed=61)
     params = ofrp.OfrpParams((LITERAL, LITERAL))
     stats = run(ofrp.OfrpPolicy(params), cfg)
-    chain = ofrp.build_chain(LITERAL, 0.5, 10)
-    pred = ofrp.metrics(chain, LITERAL, 1.0, 5.0)
+    pred = ofrp.metrics(LITERAL, 0.5, 10, 1.0, 5.0)
     for k in range(2):
         assert stats.avg_aoi[k] == pytest.approx(pred.avg_aoi, rel=0.03)
         assert stats.empty_fraction[k] == pytest.approx(
@@ -198,7 +202,8 @@ def test_state_frequencies_track_stationary_distribution():
     stats = run(ofrp.OfrpPolicy(ofrp.OfrpParams((user,))), cfg,
                 track_states=True)
     chain = ofrp.build_chain(user, 0.6, 10)
-    pi = ofrp.stationary(chain)
+    pi = ofrp.stationary(chain, user, 0.6)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     sim = {}
     for (occ, wait, aoi), count in stats.state_freq[0].items():
         key = ("cached", wait, aoi) if occ else ("empty", aoi)
@@ -238,7 +243,7 @@ def test_optimize_reference_instance():
     u = params.users[0]
     assert (u.sample_occupied, u.retransmit_old, u.sample_empty) == \
         (0.51, 0.0, 0.18)
-    m = ofrp.metrics(ofrp.build_chain(u, 0.8, 10), u, 1.0, 5.0)
+    m = ofrp.metrics(u, 0.8, 10, 1.0, 5.0)
     assert m.avg_aoi == pytest.approx(4.995312190552322, abs=1e-9)
     assert m.avg_cost == pytest.approx(1.2140401421091083, abs=1e-9)
 
