@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 DIRECT_SOLVE_MAX_STATES = 2500
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """How a stationary distribution was obtained."""
 
@@ -67,21 +67,23 @@ def recurrent_class_count(matrix: np.ndarray) -> int:
     return int(n_comp - np.count_nonzero(leaves))
 
 
-def _finalize(pi: np.ndarray) -> np.ndarray:
-    """Clamp solver noise below zero and renormalize to a distribution."""
+def finalize(pi: np.ndarray) -> np.ndarray:
+    """Clamp solver noise below zero and renormalize each distribution
+    along the last axis."""
     pi = np.where(pi < 0.0, 0.0, pi)
-    return pi / pi.sum()
+    return pi / pi.sum(axis=-1, keepdims=True)
 
 
 def direct_stationary(matrix: np.ndarray) -> np.ndarray:
-    """Solve the balance equations with the last one replaced by normalization."""
+    """Solve the balance equations with the last one replaced by normalization,
+    for one (n, n) chain or each chain of a stack (..., n, n)."""
     p = np.asarray(matrix, dtype=float)
-    n = p.shape[0]
-    a = p.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    return np.linalg.solve(a, b)
+    n = p.shape[-1]
+    a = np.swapaxes(p, -1, -2) - np.eye(n)
+    a[..., -1, :] = 1.0
+    b = np.zeros(p.shape[:-1] + (1,))
+    b[..., -1, 0] = 1.0
+    return np.linalg.solve(a, b)[..., 0]
 
 
 def power_stationary(matrix: np.ndarray, tol: float = 1e-12,
@@ -120,13 +122,13 @@ def solve_stationary(matrix: np.ndarray, tol: float = 1e-12,
         return np.ones(1), SolveReport("direct", 0.0, 0)
     if n <= DIRECT_SOLVE_MAX_STATES:
         try:
-            pi = _finalize(direct_stationary(p))
+            pi = finalize(direct_stationary(p))
             residual = float(np.max(np.abs(pi @ p - pi)))
             if residual < tol:
                 return pi, SolveReport("direct", residual, 0)
         except np.linalg.LinAlgError:
             pass
     pi, iterations = power_stationary(p, tol, max_iterations)
-    pi = _finalize(pi)
+    pi = finalize(pi)
     residual = float(np.max(np.abs(pi @ p - pi)))
     return pi, SolveReport("power", residual, iterations)

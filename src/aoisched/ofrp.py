@@ -8,12 +8,14 @@ time, age): empty states are tracked per age value, and cached states only
 exist while the cached copy could still strictly improve the age.
 
 The module builds that chain explicitly, solves it for stationary metrics
-(average age, empty-cache fraction, cost rate), and scans the probability
-grid for the cheapest parameters meeting an average-age limit.  The grid
-scan assembles whole batches of transition matrices from seven fixed 0/1
+(average age, empty-cache fraction, cost rate), and searches the probability
+grid for the cheapest parameters meeting an average-age limit.
+``grid_table`` solves every grid point's chain once per (alpha,
+success_prob, cap, step), assembling stacks of matrices from seven fixed 0/1
 templates (the transition law is linear in seven action-probability
-coefficients) and solves them with one stacked LAPACK call; the chosen point
-is re-evaluated through the scalar path as a consistency check.
+coefficients) for stacked LAPACK solves.  ``_scan_user`` prices that table,
+takes the first cheapest point meeting the limit, and re-evaluates it
+through the scalar path, which shares every formula, as a consistency check.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .markov import ChainModel, solve_stationary
-from .model import InfeasibleError, SystemConfig, probability_grid
+from .markov import ChainModel, direct_stationary, finalize, solve_stationary
+from .model import InfeasibleError, SystemConfig, grid_intervals
 from .simulate import Policy
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -127,22 +129,31 @@ def _layout(cap: int):
     return states, index, aoi_vec, empty_vec, packed
 
 
-def _coefficients(user: OfrpUserParams, success_prob: float) -> tuple[float, ...]:
-    """Per-event probabilities, in the event order used by the layout."""
-    a = user.alpha
-    u = user.sample_occupied
-    q = user.retransmit_old
-    ue = user.sample_empty
-    p = success_prob
+def _coefficients(alpha, u, q, ue, p) -> tuple:
+    """Per-event probabilities, in the event order used by the layout;
+    elementwise, so (u, q, ue) may be scalars or equal-length arrays."""
     return (
-        a * ue * p,            # 0: empty, fresh sample delivered
-        a * ue * (1.0 - p),    # 1: empty, fresh sample lost
-        1.0 - a * ue,          # 2: empty, no transmission
-        a * u * p,             # 3: cached, fresh sample delivered
-        a * u * (1.0 - p),     # 4: cached, fresh sample lost
-        a * q * p,             # 5: cached copy delivered
-        1.0 - a * u - a * q * p,  # 6: cached copy kept (incl. failed resend)
+        alpha * ue * p,            # 0: empty, fresh sample delivered
+        alpha * ue * (1.0 - p),    # 1: empty, fresh sample lost
+        1.0 - alpha * ue,          # 2: empty, no transmission
+        alpha * u * p,             # 3: cached, fresh sample delivered
+        alpha * u * (1.0 - p),     # 4: cached, fresh sample lost
+        alpha * q * p,             # 5: cached copy delivered
+        1.0 - alpha * u - alpha * q * p,  # 6: cached copy kept (incl. failed resend)
     )
+
+
+def _assemble(coeff: tuple, cap: int) -> np.ndarray:
+    """Transition matrices (m, s, s) from ``_coefficients`` output, whose
+    entries are scalars (m = 1) or (m,) arrays."""
+    states, _, _, _, events = _layout(cap)
+    coeff = np.column_stack(coeff)
+    mats = np.zeros((len(coeff), len(states), len(states)))
+    for ev, (rows, cols) in enumerate(events):
+        # No event maps one source to the same target twice, so fancy-index
+        # addition is safe; overlaps *between* events accumulate across passes.
+        mats[:, rows, cols] += coeff[:, ev:ev + 1]
+    return mats
 
 
 def build_chain(user: OfrpUserParams, success_prob: float, cap: int) -> ChainModel:
@@ -151,15 +162,9 @@ def build_chain(user: OfrpUserParams, success_prob: float, cap: int) -> ChainMod
         raise ValueError(f"success_prob must lie in [0, 1], got {success_prob}")
     if cap < 2:
         raise ValueError("cap must be at least 2")
-    states, _, _, _, events = _layout(cap)
-    coeff = _coefficients(user, success_prob)
-    n = len(states)
-    matrix = np.zeros((n, n))
-    for c, (rows, cols) in zip(coeff, events):
-        # No event maps one source to the same target twice, so fancy-index
-        # addition is safe; overlaps *between* events accumulate across passes.
-        matrix[rows, cols] += c
-    return ChainModel(states=states, matrix=matrix)
+    coeff = _coefficients(user.alpha, user.sample_occupied, user.retransmit_old,
+                          user.sample_empty, success_prob)
+    return ChainModel(states=_layout(cap)[0], matrix=_assemble(coeff, cap)[0])
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -197,13 +202,12 @@ class OfrpMetrics:
     avg_cost: float
 
 
-def _cost_rate(user: OfrpUserParams, empty_fraction: float,
-               sample_cost: float, transmit_cost: float) -> float:
+def _cost_rate(alpha, u, q, ue, theta, sample_cost: float,
+               transmit_cost: float):
+    """Cost per slot given the empty-cache fraction ``theta``; elementwise."""
     sample_price = sample_cost + transmit_cost
-    return (empty_fraction * user.alpha * user.sample_empty * sample_price
-            + (1.0 - empty_fraction) * user.alpha
-            * (user.retransmit_old * transmit_cost
-               + user.sample_occupied * sample_price))
+    return (theta * alpha * ue * sample_price
+            + (1.0 - theta) * alpha * (q * transmit_cost + u * sample_price))
 
 
 def metrics(user: OfrpUserParams, success_prob: float, cap: int,
@@ -233,18 +237,57 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
     return OfrpMetrics(
         avg_aoi=avg_aoi,
         empty_fraction=theta,
-        avg_cost=_cost_rate(user, theta, sample_cost, transmit_cost))
+        avg_cost=_cost_rate(user.alpha, user.sample_occupied,
+                            user.retransmit_old, user.sample_empty, theta,
+                            sample_cost, transmit_cost))
 
 
 # ──────────────────────────────────────────────────────────────────────────
 #  grid search
 # ──────────────────────────────────────────────────────────────────────────
 
-_scan_cache: dict[tuple, tuple[float, float, float, float, float]] = {}
-
 # Cap on doubles per stacked matrix batch (~64 MB); chunks shrink as the
 # state space grows.
 _BATCH_BUDGET = 8_000_000
+
+
+def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sample_occupied, retransmit_old, sample_empty) over the grid, in scan
+    order: sample_occupied major, then retransmit_old (with u + q <= 1),
+    then sample_empty > 0."""
+    n = grid_intervals(step)
+    pairs = [(iu, iq) for iu in range(n + 1) for iq in range(n + 1 - iu)]
+    iu = np.repeat([a for a, _ in pairs], n)
+    iq = np.repeat([b for _, b in pairs], n)
+    iue = np.tile(np.arange(1, n + 1), len(pairs))
+    return iu / n, iq / n, iue / n
+
+
+@lru_cache(maxsize=2)
+def grid_table(alpha: float, success_prob: float, cap: int,
+               step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary (avg_aoi, empty_fraction) at every grid point, in scan order.
+
+    The chains depend on neither the age limit nor the prices, so one table
+    serves a whole a_max or cost sweep.  The arrays are read-only because
+    every caller shares them.  A preset sweep value meets at most two chains
+    (one per user), hence two tables: at step 0.01 (515,100 points) each
+    holds 2 * 8 * 515,100 bytes = 8.2 MB, 16.5 MB for both, whatever the cap.
+    """
+    u, q, ue = _grid_points(step)
+    states, _, aoi_vec, empty_vec, _ = _layout(cap)
+    chunk = max(1, min(4096, _BATCH_BUDGET // (len(states) ** 2)))
+    avg_aoi = np.empty(len(u))
+    empty_fraction = np.empty(len(u))
+    for lo in range(0, len(u), chunk):
+        at = slice(lo, lo + chunk)
+        coeff = _coefficients(alpha, u[at], q[at], ue[at], success_prob)
+        pi = finalize(direct_stationary(_assemble(coeff, cap)))
+        avg_aoi[at] = pi @ aoi_vec
+        empty_fraction[at] = pi @ empty_vec
+    avg_aoi.flags.writeable = False
+    empty_fraction.flags.writeable = False
+    return avg_aoi, empty_fraction
 
 
 def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
@@ -252,22 +295,16 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
                user_index: int) -> tuple[float, float, float, float, float]:
     """Cheapest (sample_occupied, retransmit_old, sample_empty) for one user.
 
-    Returns (u, q, ue, avg_aoi, avg_cost).  Scan order is sample_occupied
-    major, then retransmit_old, then sample_empty, keeping only strict cost
-    improvements — so ties resolve to the lexicographically smallest triple.
+    Returns (u, q, ue, avg_aoi, avg_cost).  Prices the ``grid_table`` points
+    and takes the first least-cost point meeting the limit in scan order, so
+    ties resolve to the lexicographically smallest triple.
     """
-    key = (alpha, success_prob, cap, limit, sample_cost, transmit_cost, step)
-    if key in _scan_cache:
-        return _scan_cache[key]
-
     # sample_empty = 0 never delivers anything fresh: the age saturates at the
     # cap, the cache stays empty in steady state, and the cost rate is 0.
     # Those points are feasible exactly when the limit admits the cap, in
     # which case the all-zero triple is the scan's first (and cheapest) hit.
     if limit >= cap:
-        result = (0.0, 0.0, 0.0, float(cap), 0.0)
-        _scan_cache[key] = result
-        return result
+        return (0.0, 0.0, 0.0, float(cap), 0.0)
     if alpha * success_prob == 0.0:
         raise InfeasibleError(
             f"user {user_index}: deliveries are impossible "
@@ -275,86 +312,37 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
             f"average-age limit {limit:g} is below the cap {cap}",
             user=user_index)
 
-    grid = probability_grid(step)
-    n = len(grid) - 1
-    pairs = [(iu, iq) for iu in range(n + 1) for iq in range(n + 1 - iu)]
-    iu_arr = np.repeat([a for a, _ in pairs], n)
-    iq_arr = np.repeat([b for _, b in pairs], n)
-    iue_arr = np.tile(np.arange(1, n + 1), len(pairs))
-    u_all = iu_arr / n
-    q_all = iq_arr / n
-    ue_all = iue_arr / n
-
-    states, _, aoi_vec, empty_vec, events = _layout(cap)
-    s = len(states)
-    chunk = max(1, min(4096, _BATCH_BUDGET // (s * s)))
-    eye = np.eye(s)
-    sample_price = sample_cost + transmit_cost
-
-    best_cost = np.inf
-    best: tuple[float, float, float] | None = None
-    total = len(u_all)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        u = u_all[lo:hi]
-        q = q_all[lo:hi]
-        ue = ue_all[lo:hi]
-        m = hi - lo
-        coeff = np.column_stack([
-            alpha * ue * success_prob,
-            alpha * ue * (1.0 - success_prob),
-            1.0 - alpha * ue,
-            alpha * u * success_prob,
-            alpha * u * (1.0 - success_prob),
-            alpha * q * success_prob,
-            1.0 - alpha * u - alpha * q * success_prob,
-        ])
-        mats = np.zeros((m, s, s))
-        for ev, (rows, cols) in enumerate(events):
-            mats[:, rows, cols] += coeff[:, ev:ev + 1]
-        lhs = mats.transpose(0, 2, 1) - eye
-        lhs[:, -1, :] = 1.0
-        rhs = np.zeros((m, s, 1))
-        rhs[:, -1, 0] = 1.0
-        pi = np.linalg.solve(lhs, rhs)[:, :, 0]
-        np.clip(pi, 0.0, None, out=pi)
-        pi /= pi.sum(axis=1, keepdims=True)
-        aoi = pi @ aoi_vec
-        theta = pi @ empty_vec
-        cost = (theta * alpha * ue * sample_price
-                + (1.0 - theta) * alpha * (q * transmit_cost + u * sample_price))
-        ok = (aoi <= limit) & (cost < best_cost)
-        if np.any(ok):
-            cand = np.where(ok, cost, np.inf)
-            at = int(np.argmin(cand))
-            best_cost = float(cost[at])
-            best = (float(u[at]), float(q[at]), float(ue[at]))
-    if best is None:
+    u, q, ue = _grid_points(step)
+    avg_aoi, theta = grid_table(alpha, success_prob, cap, step)
+    cost = _cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
+    cost = np.where(avg_aoi <= limit, cost, np.inf)
+    at = int(np.argmin(cost))
+    if not cost[at] < np.inf:
         raise InfeasibleError(
             f"user {user_index}: no grid point (step {step:g}) meets the "
             f"average-age limit {limit:g} at success_prob {success_prob:g}",
             user=user_index)
+    best = (float(u[at]), float(q[at]), float(ue[at]))
 
     # Confirm through the scalar path; batched and scalar arithmetic agree to
     # rounding, and anything beyond that indicates assembly drift.
     m = metrics(OfrpUserParams(alpha, *best), success_prob, cap,
                 sample_cost, transmit_cost)
-    if abs(m.avg_cost - best_cost) > 1e-9:
+    if abs(m.avg_cost - cost[at]) > 1e-9:
         raise RuntimeError(
-            f"grid scan inconsistency: batched cost {best_cost!r} vs scalar "
-            f"cost {m.avg_cost!r} at {best}")
-    result = (*best, m.avg_aoi, m.avg_cost)
-    _scan_cache[key] = result
-    return result
+            f"grid scan inconsistency: batched cost {float(cost[at])!r} vs "
+            f"scalar cost {m.avg_cost!r} at {best}")
+    return (*best, m.avg_aoi, m.avg_cost)
 
 
 def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
     """Cheapest per-user probabilities meeting every average-age limit.
 
-    Scheduling is uniform (alpha = 1/K).  Each user's triple is found by an
-    exhaustive scan of the probability grid; identical users share one scan.
-    Raises InfeasibleError naming the first user whose limit no grid point
-    can meet.
+    Scheduling is uniform (alpha = 1/K).  Each user's triple is the first
+    least-cost grid point in scan order that meets the user's limit, priced
+    from ``grid_table``, which users on one channel and calls differing only
+    in limit or prices share.  Raises InfeasibleError naming the first user
+    whose limit no grid point can meet.
     """
     k = cfg.num_users
     alpha = 1.0 / k

@@ -90,6 +90,12 @@ def test_direct_and_power_agree():
             b, _ = power_stationary(p, tol=1e-13)
             assert np.max(np.abs(a - b)) < 1e-10
             assert np.max(np.abs(a @ p - a)) < 1e-12
+        # a stack is solved matrix by matrix, bit for bit
+        stack = np.stack([random_stochastic(rng, n) for _ in range(3)])
+        solved = direct_stationary(stack)
+        assert solved.shape == (3, n)
+        for row, p in zip(solved, stack):
+            assert np.array_equal(row, direct_stationary(p))
 
 
 def test_power_iteration_count_reported():

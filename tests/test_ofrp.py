@@ -285,6 +285,33 @@ def test_optimize_free_actions_pick_smallest_triple():
         (0.0, 0.0, 0.5)
 
 
+def test_grid_table_is_shared_across_limits_and_costs():
+    """One chain solved once serves every limit and price pair; each answer
+    is the cheapest feasible point of a brute-force scalar scan."""
+    ofrp.grid_table.cache_clear()
+    grid = [i / 10 for i in range(11)]
+    points = [(u, q, ue) for u in grid for q in grid if u + q <= 1.0 + 1e-12
+              for ue in grid]
+    for sample_cost, transmit_cost in ((1.0, 5.0), (3.0, 1.0)):
+        scored = [ofrp.metrics(ofrp.OfrpUserParams(1.0, *pt), 0.9, 5,
+                               sample_cost, transmit_cost) for pt in points]
+        for limit in (2.0, 2.5, 4.0):
+            cfg = make_config(success_prob=0.9, aoi_cap=5, aoi_limit=limit,
+                              sample_cost=sample_cost,
+                              transmit_cost=transmit_cost)
+            params = ofrp.optimize(cfg, step=0.1)
+            best = min(b.avg_cost for b in scored if b.avg_aoi <= limit)
+            m = ofrp.metrics(params.users[0], 0.9, 5, sample_cost,
+                             transmit_cost)
+            assert m.avg_aoi <= limit
+            assert m.avg_cost == pytest.approx(best, abs=1e-9)
+    info = ofrp.grid_table.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    for table in ofrp.grid_table(1.0, 0.9, 5, 0.1):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
 def test_policy_requires_matching_user_count():
     with pytest.raises(ValueError):
         run(ofrp.OfrpPolicy(ofrp.OfrpParams((LITERAL, LITERAL))), make_config())
