@@ -18,7 +18,7 @@ package provides:
 """
 
 from . import dpp, forp, markov, ofrp
-from .dpp import DppPolicy, DppWeights
+from .dpp import DppPolicy
 from .experiments import ExperimentSpec, SpecError, load_spec, run_experiment
 from .forp import ForpParams
 from .markov import ChainModel, SolveReport, solve_stationary
@@ -33,7 +33,7 @@ from .validate import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionVector", "ChainModel", "CheckResult", "DppPolicy", "DppWeights",
+    "ActionVector", "ChainModel", "CheckResult", "DppPolicy",
     "ExperimentSpec", "ForpParams", "IdlePolicy",
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
     "Policy", "ReplicaSummary", "SimStats", "SlotOutcome", "SolveReport",

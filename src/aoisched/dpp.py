@@ -10,28 +10,10 @@ an O(K) decision that provably equals brute force over the action set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .model import ActionVector, SystemConfig, UserState, slot_cost
 from .simulate import Policy
-
-
-@dataclass(frozen=True)
-class DppWeights:
-    """The penalty weight and the constant drift bound of the analysis.
-
-    ``drift_const`` bounds the quadratic drift term and enters performance
-    guarantees only; decisions depend on ``v_weight`` alone.
-    """
-
-    v_weight: float
-    drift_const: float
-
-    @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "DppWeights":
-        b = sum((cfg.aoi_cap ** 2 + a ** 2) / 2.0 for a in cfg.aoi_limit)
-        return cls(v_weight=cfg.v_weight, drift_const=b)
 
 
 def feasible_actions(occupied: Sequence[bool],

@@ -76,7 +76,7 @@ def _read_source(source) -> tuple[dict, str]:
     text: str | None = None
     origin = str(source)
     path = Path(source)
-    if path.suffix in (".yaml", ".yml") or path.exists():
+    if path.suffix in (".yaml", ".yml") or path.is_file():
         try:
             text = path.read_text()
         except OSError as exc:

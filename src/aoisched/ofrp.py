@@ -27,7 +27,7 @@ import numpy as np
 
 from .markov import ChainModel, direct_stationary, finalize, solve_stationary
 from .model import InfeasibleError, SystemConfig, grid_intervals
-from .simulate import Policy
+from .simulate import Policy, uniform_stream
 
 # ──────────────────────────────────────────────────────────────────────────
 #  parameters
@@ -375,9 +375,11 @@ class OfrpPolicy(Policy):
     def __init__(self, params: OfrpParams):
         self.params = params
         self._cum_alpha: list[float] = []
-        self._buf: list[float] = []
-        self._pos = 0
-        self._rng: np.random.Generator | None = None
+
+    def __reduce__(self):
+        # the draw stream is a generator, which cannot be pickled; ``reset``
+        # rebuilds it at the start of every run
+        return type(self), (self.params,)
 
     def reset(self, cfg: SystemConfig, rng: np.random.Generator) -> None:
         if len(self.params.users) != cfg.num_users:
@@ -387,21 +389,11 @@ class OfrpPolicy(Policy):
         for user in self.params.users:
             acc += user.alpha
             self._cum_alpha.append(acc)
-        self._rng = rng
-        self._buf = []
-        self._pos = 0
-
-    def _uniform(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(8192).tolist()
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+        self._draws = uniform_stream(rng)
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
-        u_sched = self._uniform()
-        u_act = self._uniform()
+        u_sched = next(self._draws)
+        u_act = next(self._draws)
         user = 0
         last = len(self._cum_alpha) - 1
         while user < last and self._cum_alpha[user] <= u_sched:

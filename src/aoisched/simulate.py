@@ -16,15 +16,17 @@ state of the induced chain.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .model import SystemConfig
 
-_CHANNEL_BLOCK = 1 << 16
+_DRAW_BLOCK = 8192
 _TRACE_POINTS = 100
 
 
@@ -37,8 +39,10 @@ class Policy(abc.ABC):
 
     Either slot of the returned pair may be None (nobody samples / nobody
     retransmits).  ``reset`` is called once per run before the first slot and
-    receives the run's private random generator; a policy instance may
-    therefore be reused across sequential runs.
+    receives the run's private random generator, so an instance that has
+    already run may be reused for sequential runs and pickled to
+    ``run_replicas`` worker processes; its state must survive pickling or be
+    rebuilt by ``reset``.
     """
 
     name = "policy"
@@ -101,6 +105,30 @@ class SimStats:
     state_freq: tuple[dict, ...] | None = None
 
 
+# ──────────────────────────────────────────────────────────────────────────
+#  randomness
+# ──────────────────────────────────────────────────────────────────────────
+
+def _generators(cfg: SystemConfig, replica: int) -> list[np.random.Generator]:
+    """``[policy generator, channel generator of user 0, 1, ...]`` for a run.
+
+    The only seeding recipe in the package: every run of the same (seed,
+    replica) gets the same per-user channel streams, whatever the policy.
+    """
+    root = np.random.SeedSequence(cfg.seed, spawn_key=(replica,))
+    return [np.random.default_rng(s) for s in root.spawn(1 + cfg.num_users)]
+
+
+def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
+    """Endless uniform doubles from ``rng``, drawn ``_DRAW_BLOCK`` at a time.
+
+    PCG64 doubles do not depend on how the draws are chunked, so the first n
+    values equal ``rng.random(n)``.
+    """
+    return itertools.chain.from_iterable(
+        rng.random(_DRAW_BLOCK).tolist() for _ in itertools.repeat(None))
+
+
 def channel_uniforms(cfg: SystemConfig, replica: int = 0,
                      horizon: int | None = None) -> np.ndarray:
     """The (num_users, horizon) channel draws run() will consume.
@@ -109,17 +137,12 @@ def channel_uniforms(cfg: SystemConfig, replica: int = 0,
     reference stepper.
     """
     horizon = cfg.horizon if horizon is None else horizon
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(replica,))
-    children = root.spawn(1 + cfg.num_users)
-    return np.vstack([
-        np.random.default_rng(children[1 + k]).random(horizon)
-        for k in range(cfg.num_users)])
+    return np.vstack([g.random(horizon) for g in _generators(cfg, replica)[1:]])
 
 
 def policy_rng(cfg: SystemConfig, replica: int = 0) -> np.random.Generator:
     """The private generator handed to the policy for this run."""
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(replica,))
-    return np.random.default_rng(root.spawn(1)[0])
+    return _generators(cfg, replica)[0]
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -127,13 +150,13 @@ def policy_rng(cfg: SystemConfig, replica: int = 0) -> np.random.Generator:
 # ──────────────────────────────────────────────────────────────────────────
 
 def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
-        track_states: bool = False, check_actions: bool = True) -> SimStats:
+        track_states: bool = False) -> SimStats:
     """Simulate ``cfg.horizon`` slots and return aggregate statistics.
 
     The loop mirrors ``model.step_users`` exactly but inlines the update laws
-    for speed; test suites cross-check the two slot by slot.  With
-    ``check_actions`` on, any policy output that violates the scheduling
-    constraints raises ValueError naming the slot.
+    for speed; test suites cross-check the two slot by slot.  Every action is
+    checked: a policy output that violates the scheduling constraints raises
+    ValueError naming the slot.
     """
     n = cfg.num_users
     cap = cfg.aoi_cap
@@ -145,10 +168,8 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     act_cost_resend = cfg.transmit_cost
     single = cfg.single_transmitter_mode
 
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(replica,))
-    children = root.spawn(1 + n)
-    policy.reset(cfg, np.random.default_rng(children[0]))
-    chan_rng = [np.random.default_rng(children[1 + k]) for k in range(n)]
+    policy_gen, *channel_gens = _generators(cfg, replica)
+    policy.reset(cfg, policy_gen)
 
     aoi = [1] * n
     wait = [0] * n
@@ -156,47 +177,34 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     vq = [0.0] * n
 
     cost_sum = 0.0
-    aoi_sum = [0] * n
     vq_sum = [0.0] * n
     empty_cnt = [0] * n
     s_cnt = [0] * n
     r_cnt = [0] * n
-    attempts = [0] * n
     delivered_cnt = [0] * n
     hist = [[0] * cap for _ in range(n)]
     freq: list[dict] | None = [dict() for _ in range(n)] if track_states else None
     trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     trace_every = max(1, horizon // _TRACE_POINTS)
 
-    blocks: list[list[float]] = [[] for _ in range(n)]
-    block_end = 0
-    block_start = 0
-
-    for t in range(horizon):
-        if t >= block_end:
-            size = min(_CHANNEL_BLOCK, horizon - t)
-            blocks = [chan_rng[k].random(size).tolist() for k in range(n)]
-            block_start = t
-            block_end = t + size
-        ti = t - block_start
-
+    draws = zip(*map(uniform_stream, channel_gens))
+    for t, draw in zip(range(horizon), draws):
         sampler, resender = policy.decide(t, aoi, wait, occ, vq)
 
-        if check_actions:
-            if sampler is not None and not 0 <= sampler < n:
-                raise ValueError(f"slot {t}: sampler index {sampler} out of range")
-            if resender is not None:
-                if not 0 <= resender < n:
-                    raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
-                if not occ[resender]:
-                    raise ValueError(
-                        f"slot {t}: user {resender} has no cached packet to retransmit")
-                if resender == sampler:
-                    raise ValueError(
-                        f"slot {t}: user {resender} cannot sample and retransmit at once")
-            if single and sampler is not None and resender is not None:
+        if sampler is not None and not 0 <= sampler < n:
+            raise ValueError(f"slot {t}: sampler index {sampler} out of range")
+        if resender is not None:
+            if not 0 <= resender < n:
+                raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
+            if not occ[resender]:
                 raise ValueError(
-                    f"slot {t}: single-transmitter mode allows one acting user")
+                    f"slot {t}: user {resender} has no cached packet to retransmit")
+            if resender == sampler:
+                raise ValueError(
+                    f"slot {t}: user {resender} cannot sample and retransmit at once")
+        if single and sampler is not None and resender is not None:
+            raise ValueError(
+                f"slot {t}: single-transmitter mode allows one acting user")
 
         rec = t >= burn
         for k in range(n):
@@ -205,11 +213,9 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
             if rec and not occ[k]:
                 empty_cnt[k] += 1
             if acting:
-                hit = blocks[k][ti] < p[k]
-                if rec:
-                    attempts[k] += 1
-                    if hit:
-                        delivered_cnt[k] += 1
+                hit = draw[k] < p[k]
+                if rec and hit:
+                    delivered_cnt[k] += 1
             else:
                 hit = False
             if hit:
@@ -237,7 +243,6 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
             served = vq[k] - limit[k]
             vq[k] = (served if served > 0.0 else 0.0) + a_next
             if rec:
-                aoi_sum[k] += a_next
                 vq_sum[k] += vq[k]
                 hist[k][a_next - 1] += 1
                 if freq is not None:
@@ -252,9 +257,7 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
                 r_cnt[resender] += 1
         if (t + 1) % trace_every == 0 or t + 1 == horizon:
             for k in range(n):
-                tr = trace[k]
-                if not tr or tr[-1][0] != t + 1:
-                    tr.append((t + 1, vq[k] / (t + 1)))
+                trace[k].append((t + 1, vq[k] / (t + 1)))
 
     recorded = horizon - burn
     return SimStats(
@@ -264,13 +267,14 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
         seed=cfg.seed,
         replica=replica,
         avg_cost=cost_sum / recorded,
-        avg_aoi=tuple(s / recorded for s in aoi_sum),
+        avg_aoi=tuple(sum(a * c for a, c in enumerate(h, 1)) / recorded
+                      for h in hist),
         avg_vqueue=tuple(s / recorded for s in vq_sum),
         final_vqueue_over_t=tuple(x / horizon for x in vq),
         empty_fraction=tuple(c / recorded for c in empty_cnt),
         sample_freq=tuple(c / recorded for c in s_cnt),
         retransmit_freq=tuple(c / recorded for c in r_cnt),
-        delivery_attempts=tuple(attempts),
+        delivery_attempts=tuple(s + r for s, r in zip(s_cnt, r_cnt)),
         deliveries=tuple(delivered_cnt),
         aoi_histogram=tuple(tuple(h) for h in hist),
         vqueue_trace=tuple(tuple(tr) for tr in trace),

@@ -50,13 +50,6 @@ def test_score_rejects_infeasible_action():
         dpp.candidate_score([UserState(aoi=5)], ActionVector((0,), (1,)), cfg)
 
 
-def test_weights_from_config():
-    cfg = make_config(num_users=2, success_prob=0.8, aoi_limit=5.0, v_weight=800)
-    w = dpp.DppWeights.from_config(cfg)
-    assert w.v_weight == 800
-    assert w.drift_const == pytest.approx(2 * (100 + 25) / 2)
-
-
 # ── action enumeration ────────────────────────────────────────────────────
 
 def test_feasible_action_counts():

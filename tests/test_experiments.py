@@ -96,6 +96,13 @@ def test_unknown_source_lists_presets():
         load_spec("definitely-not-a-preset")
 
 
+def test_preset_name_wins_over_a_directory_of_that_name(tmp_path, monkeypatch):
+    # ``aoisched run --config fig5a --out fig5a`` leaves such a directory
+    (tmp_path / "fig5a").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert load_spec("fig5a").scenario == "fig5a"
+
+
 def test_packaged_presets_all_parse():
     names = available_presets()
     assert {"fig5a", "fig6", "fig7", "fig9", "vsweep"} <= set(names)

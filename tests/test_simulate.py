@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoisched import dpp, ofrp
 from aoisched.model import ActionVector, SystemConfig, initial_states, step_users
@@ -98,9 +100,12 @@ def _replay(policy, cfg, replica=0):
     n = cfg.num_users
     cost = 0.0
     aoi_sum = [0] * n
+    vq_sum = [0.0] * n
     empty = [0] * n
     hist = [[0] * cfg.aoi_cap for _ in range(n)]
     samples = [0] * n
+    resends = [0] * n
+    delivered = [0] * n
     for t in range(cfg.horizon):
         for k in range(n):
             if not states[k].cache_occupied:
@@ -114,37 +119,85 @@ def _replay(policy, cfg, replica=0):
         cost += outcome.cost
         for k in range(n):
             aoi_sum[k] += states[k].aoi
+            vq_sum[k] += states[k].vqueue
             hist[k][states[k].aoi - 1] += 1
             samples[k] += action.sample[k]
+            resends[k] += action.retransmit[k]
+            delivered[k] += outcome.delivered[k]
     return {
         "avg_cost": cost / cfg.horizon,
         "avg_aoi": tuple(s / cfg.horizon for s in aoi_sum),
+        "avg_vqueue": tuple(s / cfg.horizon for s in vq_sum),
         "empty_fraction": tuple(e / cfg.horizon for e in empty),
         "hist": tuple(tuple(h) for h in hist),
         "sample_freq": tuple(s / cfg.horizon for s in samples),
+        "retransmit_freq": tuple(r / cfg.horizon for r in resends),
+        "attempts": tuple(s + r for s, r in zip(samples, resends)),
+        "deliveries": tuple(delivered),
         "final_vqueue": tuple(s.vqueue for s in states),
     }
 
 
+@st.composite
+def engine_cases(draw):
+    """A random configuration (burn-in 0, so the replay records every slot)
+    with a random randomized-policy point sized to it."""
+    k = draw(st.integers(1, 5))
+    cap = draw(st.integers(3, 12))
+    unit = st.floats(0.0, 1.0)
+    cfg = SystemConfig(
+        num_users=k, success_prob=draw(st.lists(unit, min_size=k, max_size=k)),
+        sample_cost=draw(st.floats(0.0, 10.0)),
+        transmit_cost=draw(st.floats(0.0, 10.0)), aoi_cap=cap,
+        aoi_limit=draw(st.lists(st.floats(1.0, cap), min_size=k, max_size=k)),
+        horizon=draw(st.integers(1, 300)), seed=draw(st.integers(0, 2**32 - 1)),
+        v_weight=draw(st.floats(0.0, 1000.0)),
+        single_transmitter_mode=draw(st.booleans()))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    users = []
+    for w in weights:
+        occupied, resend_share, empty = draw(st.tuples(unit, unit, unit))
+        users.append(ofrp.OfrpUserParams(
+            w / sum(weights), occupied, resend_share * (1.0 - occupied), empty))
+    return cfg, ofrp.OfrpParams(users=tuple(users)), draw(st.integers(0, 3))
+
+
+# Both streams cross draw-block boundaries: the channel's at slots 8192 and
+# 16384, the policy's (two draws per slot) every 4096 slots.
+_LONG_CASE = (
+    make_config(num_users=2, success_prob=[0.6, 0.9], aoi_cap=6,
+                aoi_limit=[3.0, 4.5], horizon=2 * 8192 + 17, v_weight=40.0,
+                seed=97),
+    ofrp.OfrpParams(users=(ofrp.OfrpUserParams(0.5, 0.4, 0.3, 0.6),
+                           ofrp.OfrpUserParams(0.5, 0.2, 0.5, 0.9))),
+    1)
+
+
 @pytest.mark.parametrize("policy_factory", [
-    dpp.DppPolicy,
-    lambda: ofrp.OfrpPolicy(ofrp.OfrpParams(users=(
-        ofrp.OfrpUserParams(0.5, 0.4, 0.3, 0.6),
-        ofrp.OfrpUserParams(0.5, 0.2, 0.5, 0.9)))),
+    pytest.param(lambda params: dpp.DppPolicy(), id="DppPolicy"),
+    pytest.param(ofrp.OfrpPolicy, id="OfrpPolicy"),
 ])
-def test_engine_matches_reference_stepper(policy_factory):
+@settings(max_examples=30, deadline=None)
+@example(case=_LONG_CASE)
+@given(case=engine_cases())
+def test_engine_matches_reference_stepper(policy_factory, case):
     """The inlined hot loop and the literal composition of update laws must
     produce identical sample paths, statistics included."""
-    cfg = make_config(num_users=2, success_prob=[0.6, 0.9], aoi_cap=6,
-                      aoi_limit=[3.0, 4.5], horizon=400, v_weight=40.0, seed=97)
-    stats = run(policy_factory(), cfg, replica=1)
-    ref = _replay(policy_factory(), cfg, replica=1)
-    assert stats.avg_cost == ref["avg_cost"]
+    cfg, params, replica = case
+    stats = run(policy_factory(params), cfg, replica=replica)
+    ref = _replay(policy_factory(params), cfg, replica=replica)
+    # the engine adds a slot's sample and resend costs one at a time, the
+    # stepper adds their sum, so float prices may round differently
+    assert stats.avg_cost == pytest.approx(ref["avg_cost"], rel=1e-12, abs=0)
     assert stats.avg_aoi == ref["avg_aoi"]
+    assert stats.avg_vqueue == ref["avg_vqueue"]
     assert stats.empty_fraction == ref["empty_fraction"]
     assert stats.aoi_histogram == ref["hist"]
     assert stats.sample_freq == ref["sample_freq"]
-    for k in range(2):
+    assert stats.retransmit_freq == ref["retransmit_freq"]
+    assert stats.delivery_attempts == ref["attempts"]
+    assert stats.deliveries == ref["deliveries"]
+    for k in range(cfg.num_users):
         assert stats.final_vqueue_over_t[k] * cfg.horizon == pytest.approx(
             ref["final_vqueue"][k], abs=1e-9)
 
@@ -192,13 +245,6 @@ def test_single_transmitter_mode_enforced():
     assert stats.sample_freq == (0.1, 0.1)
     assert stats.retransmit_freq == (0.0, 0.1)
     assert stats.avg_cost == pytest.approx((6 + 6 + 5) / 10)
-
-
-def test_check_actions_can_be_disabled():
-    cfg = make_config(success_prob=0.0, horizon=5)
-    script = [(None, None), (None, None), (1, None), (0, 1)]
-    stats = run(ScriptedPolicy(script), cfg, check_actions=False)
-    assert stats.horizon == 5
 
 
 # ── recording windows and aggregates ──────────────────────────────────────
@@ -249,6 +295,16 @@ def test_run_replicas_threaded_matches_sequential():
     par_stats, par_sum = run_replicas(dpp.DppPolicy(), cfg, 3, threads=3)
     assert seq_stats == par_stats
     assert seq_sum == par_sum
+
+
+def test_used_policy_ships_to_replica_workers():
+    """A policy that has already run holds a live draw stream; it must still
+    pickle to worker processes and give the sequential results there."""
+    cfg = make_config(horizon=1500)
+    policy = ofrp.OfrpPolicy(_LONG_CASE[1])
+    run(policy, cfg)
+    par = run_replicas(policy, cfg, 3, threads=2)
+    assert par == run_replicas(policy, cfg, 3, threads=1)
 
 
 def test_summarize_deterministic_policy_has_zero_spread():
