@@ -11,7 +11,8 @@ package provides:
   optimizer;
 - ``ofrp``: the fresh-or-old randomized policy (may resend the cached
   packet), its Markov-chain analysis, and its grid optimizer;
-- ``dpp``: the drift-plus-penalty scheduler with an O(K) decision rule;
+- ``dpp``: the drift-plus-penalty scheduler, whose decision rule is O(K) in
+  single-transmitter mode and O(K²) otherwise;
 - ``markov``: stationary-distribution solvers shared by the analyses;
 - ``experiments`` / ``cli``: YAML-driven sweeps emitting deterministic CSVs;
 - ``validate``: the end-to-end acceptance checks.

@@ -5,7 +5,9 @@ long-run age limit; the scheduler minimizes, slot by slot, a weighted sum of
 expected queue growth and transmission cost over the feasible actions.  The
 per-slot objective is separable across users, so the exhaustive minimization
 reduces to comparing one delta score per candidate action against idling —
-an O(K) decision that provably equals brute force over the action set.
+a decision that is O(K) in single-transmitter mode and O(K²) otherwise (it
+tries every sampler/resender pair) and provably equals brute force over the
+action set.
 """
 
 from __future__ import annotations

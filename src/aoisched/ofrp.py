@@ -210,12 +210,16 @@ def _cost_rate(alpha, u, q, ue, theta, sample_cost: float,
             + (1.0 - theta) * alpha * (q * transmit_cost + u * sample_price))
 
 
+@lru_cache(maxsize=256)
 def metrics(user: OfrpUserParams, success_prob: float, cap: int,
             sample_cost: float, transmit_cost: float) -> OfrpMetrics:
     """Stationary average age, empty-cache fraction, and cost rate of one user.
 
-    Builds and solves the user's chain.  The two degenerate cases, in which
-    nothing fresh is ever delivered, have closed answers for the age:
+    Builds and solves the user's chain.  The result is frozen and kept for
+    the last 256 distinct calls (a few hundred bytes each), so the reports
+    that follow ``optimize`` reuse the solves its confirmations made.  The
+    two degenerate cases, in which nothing fresh is ever delivered, have
+    closed answers for the age:
 
     - alpha * sample_empty = 0 (never scheduled, or never samples when
       empty): the cache drains for good, the age saturates at the cap and
@@ -368,7 +372,13 @@ def total_cost(params: OfrpParams, cfg: SystemConfig) -> float:
 # ──────────────────────────────────────────────────────────────────────────
 
 class OfrpPolicy(Policy):
-    """Simulates the randomized policy through the generic slot engine."""
+    """Simulates the randomized policy; ``run`` table-walks it through
+    ``plan``, and ``decide`` is the same rule slot by slot.
+
+    Each slot takes two uniforms, the scheduling draw first: the scheduled
+    user is the first whose cumulative alpha exceeds it (the last user if
+    none does), and the second draw picks that user's action.
+    """
 
     name = "ofrp"
 
@@ -389,7 +399,26 @@ class OfrpPolicy(Policy):
         for user in self.params.users:
             acc += user.alpha
             self._cum_alpha.append(acc)
+        self._rng = rng
         self._draws = uniform_stream(rng)
+
+    def plan(self, n_slots):
+        users = self.params.users
+        u_sched, u_act = self._rng.random(2 * n_slots).reshape(n_slots, 2).T
+        user = np.minimum(
+            np.searchsorted(self._cum_alpha, u_sched, side="right"),
+            len(users) - 1)
+        sample_empty = np.array([u.sample_empty for u in users])[user]
+        sample_occupied = np.array([u.sample_occupied for u in users])[user]
+        sample_or_resend = np.array(
+            [u.sample_occupied + u.retransmit_old for u in users])[user]
+        slots = np.arange(n_slots)
+        if_empty = np.zeros((len(users), n_slots), dtype=np.int8)
+        if_occupied = np.zeros_like(if_empty)
+        if_empty[user, slots] = u_act < sample_empty
+        if_occupied[user, slots] = np.where(
+            u_act < sample_occupied, 1, np.where(u_act < sample_or_resend, 2, 0))
+        return if_empty, if_occupied
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
         u_sched = next(self._draws)

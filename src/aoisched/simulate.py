@@ -11,20 +11,29 @@ cached packet with a fresh one (waiting time 0); the acting transmissions
 resolve as Bernoulli trials; ages and caches update; virtual queues update.
 Statistics record the post-update age, so histograms match the stationary
 state of the induced chain.
+
+A run takes one of two paths with the same results.  A policy that sees the
+state only through each user's cache flag declares its actions ahead through
+``Policy.plan`` and is table-walked: each user steps through a per-cap
+(state, event) -> state table built from the ``model`` update laws, a block
+of slots at a time, and the integer statistics are numpy counts.  Every
+other policy runs slot by slot through a loop that inlines those laws.  Both
+paths check every realized action.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import SystemConfig, aoi_step, waiting_time_step
 
 _DRAW_BLOCK = 8192
 _TRACE_POINTS = 100
@@ -43,6 +52,10 @@ class Policy(abc.ABC):
     already run may be reused for sequential runs and pickled to
     ``run_replicas`` worker processes; its state must survive pickling or be
     rebuilt by ``reset``.
+
+    A policy whose action depends on the state only through each user's
+    cache flag may also implement ``plan``; ``run`` then table-walks it and
+    never calls ``decide``.
     """
 
     name = "policy"
@@ -56,14 +69,34 @@ class Policy(abc.ABC):
                ) -> tuple[int | None, int | None]:
         ...
 
+    def plan(self, n_slots: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The actions of the run's next ``n_slots`` slots, or None (the
+        default) to be asked slot by slot through ``decide``.
+
+        The plan is ``(if_empty, if_occupied)``: two ``(num_users,
+        n_slots)`` int8 arrays holding each user's action in each slot when
+        its cache is empty or occupied, coded 0 idle, 1 sample, 2 resend.
+        Successive calls cover successive slots.  A plan must take the
+        run's generator in the order ``decide`` does, so that both give the
+        same actions; a run uses one or the other, never both.
+        """
+        return None
+
 
 class IdlePolicy(Policy):
     """Never acts; ages drift to the cap."""
 
     name = "idle"
 
+    def reset(self, cfg, rng):
+        self._users = cfg.num_users
+
     def decide(self, t, aoi, waiting, occupied, vqueue):
         return None, None
+
+    def plan(self, n_slots):
+        idle = np.zeros((self._users, n_slots), dtype=np.int8)
+        return idle, idle
 
 
 class AlwaysSamplePolicy(Policy):
@@ -74,8 +107,18 @@ class AlwaysSamplePolicy(Policy):
     def __init__(self, user: int = 0):
         self.user = user
 
+    def reset(self, cfg, rng):
+        self._users = cfg.num_users
+
     def decide(self, t, aoi, waiting, occupied, vqueue):
         return self.user, None
+
+    def plan(self, n_slots):
+        if not 0 <= self.user < self._users:
+            return None     # the slot loop reports the bad index
+        sample = np.zeros((self._users, n_slots), dtype=np.int8)
+        sample[self.user] = 1
+        return sample, sample
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -149,15 +192,74 @@ def policy_rng(cfg: SystemConfig, replica: int = 0) -> np.random.Generator:
 #  the engine
 # ──────────────────────────────────────────────────────────────────────────
 
+class _Totals(NamedTuple):
+    """What either path accumulates over a run; ``_stats`` turns it into
+    a ``SimStats``."""
+
+    cost_sum: float
+    vq_sum: list[float]
+    vq: list[float]
+    empty: list[int]
+    samples: list[int]
+    resends: list[int]
+    delivered: list[int]
+    hist: list[list[int]]
+    trace: list[list[tuple[int, float]]]
+    freq: list[dict] | None
+
+
 def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
         track_states: bool = False) -> SimStats:
     """Simulate ``cfg.horizon`` slots and return aggregate statistics.
 
-    The loop mirrors ``model.step_users`` exactly but inlines the update laws
-    for speed; test suites cross-check the two slot by slot.  Every action is
-    checked: a policy output that violates the scheduling constraints raises
-    ValueError naming the slot.
+    A policy whose ``plan`` returns actions is table-walked (``_walk``);
+    every other policy, and any policy at a cap above ``_WALK_MAX_CAP``,
+    runs slot by slot (``_slot_loop``), whose loop inlines the update laws
+    of ``model.step_users``; test suites cross-check the two paths and the
+    stepper.  On both paths every action is checked: one that violates the
+    scheduling constraints raises ValueError naming the slot.
     """
+    policy_gen, *channel_gens = _generators(cfg, replica)
+    policy.reset(cfg, policy_gen)
+    plan = (policy.plan(min(_DRAW_BLOCK, cfg.horizon))
+            if cfg.aoi_cap <= _WALK_MAX_CAP else None)
+    if plan is None:
+        totals = _slot_loop(policy, cfg, channel_gens, track_states)
+    else:
+        totals = _walk(policy, plan, cfg, channel_gens, track_states)
+    return _stats(policy.name, cfg, replica, totals)
+
+
+def _stats(name: str, cfg: SystemConfig, replica: int,
+           totals: _Totals) -> SimStats:
+    recorded = cfg.horizon - cfg.burn_in
+    return SimStats(
+        policy=name,
+        horizon=cfg.horizon,
+        burn_in=cfg.burn_in,
+        seed=cfg.seed,
+        replica=replica,
+        avg_cost=totals.cost_sum / recorded,
+        avg_aoi=tuple(sum(a * c for a, c in enumerate(h, 1)) / recorded
+                      for h in totals.hist),
+        avg_vqueue=tuple(s / recorded for s in totals.vq_sum),
+        final_vqueue_over_t=tuple(x / cfg.horizon for x in totals.vq),
+        empty_fraction=tuple(c / recorded for c in totals.empty),
+        sample_freq=tuple(c / recorded for c in totals.samples),
+        retransmit_freq=tuple(c / recorded for c in totals.resends),
+        delivery_attempts=tuple(
+            s + r for s, r in zip(totals.samples, totals.resends)),
+        deliveries=tuple(totals.delivered),
+        aoi_histogram=tuple(tuple(h) for h in totals.hist),
+        vqueue_trace=tuple(tuple(tr) for tr in totals.trace),
+        state_freq=tuple(totals.freq) if totals.freq is not None else None,
+    )
+
+
+def _slot_loop(policy: Policy, cfg: SystemConfig,
+               channel_gens: list[np.random.Generator],
+               track_states: bool) -> _Totals:
+    """Ask the policy slot by slot; the slow twin of ``_walk``."""
     n = cfg.num_users
     cap = cfg.aoi_cap
     horizon = cfg.horizon
@@ -167,9 +269,6 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     act_cost_sample = cfg.sample_cost + cfg.transmit_cost
     act_cost_resend = cfg.transmit_cost
     single = cfg.single_transmitter_mode
-
-    policy_gen, *channel_gens = _generators(cfg, replica)
-    policy.reset(cfg, policy_gen)
 
     aoi = [1] * n
     wait = [0] * n
@@ -259,27 +358,174 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
             for k in range(n):
                 trace[k].append((t + 1, vq[k] / (t + 1)))
 
-    recorded = horizon - burn
-    return SimStats(
-        policy=policy.name,
-        horizon=horizon,
-        burn_in=burn,
-        seed=cfg.seed,
-        replica=replica,
-        avg_cost=cost_sum / recorded,
-        avg_aoi=tuple(sum(a * c for a, c in enumerate(h, 1)) / recorded
-                      for h in hist),
-        avg_vqueue=tuple(s / recorded for s in vq_sum),
-        final_vqueue_over_t=tuple(x / horizon for x in vq),
-        empty_fraction=tuple(c / recorded for c in empty_cnt),
-        sample_freq=tuple(c / recorded for c in s_cnt),
-        retransmit_freq=tuple(c / recorded for c in r_cnt),
-        delivery_attempts=tuple(s + r for s, r in zip(s_cnt, r_cnt)),
-        deliveries=tuple(delivered_cnt),
-        aoi_histogram=tuple(tuple(h) for h in hist),
-        vqueue_trace=tuple(tuple(tr) for tr in trace),
-        state_freq=tuple(freq) if freq is not None else None,
-    )
+    return _Totals(cost_sum, vq_sum, vq, empty_cnt, s_cnt, r_cnt,
+                   delivered_cnt, hist, trace, freq)
+
+
+# Walk events: (action if the cache is empty, action if occupied, channel
+# hit), coded (3 * if_empty + if_occupied) * 2 + hit.
+_EVENTS = 18
+# Tables are built for caps up to this one (2,017 states, 36,306 entries);
+# larger caps run slot by slot.
+_WALK_MAX_CAP = 64
+
+
+@functools.lru_cache(maxsize=4)
+def _walk_table(cap: int) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
+    """``(states, successor, occupied, age)`` for the table walk at ``cap``.
+
+    ``states`` lists every reachable (occupied, waiting time, age) triple,
+    empty caches first, so the start state (False, 0, 1) is index 0.
+    ``successor[_EVENTS * s + e]`` is ``_EVENTS`` times the index of the
+    state that event ``e`` leads to from state ``s``, composed from
+    ``model.aoi_step`` and ``model.waiting_time_step``; ``occupied`` and
+    ``age`` are read-only per-state arrays.  Events that break an action
+    rule lead where the laws take them; the walk rejects them afterwards.
+    At most four caps are kept; at ``_WALK_MAX_CAP`` a table takes about
+    0.2 s to build and holds about 1.3 MB.
+    """
+    states = ([(False, 0, a) for a in range(1, cap + 1)]
+              + [(True, w, a) for w in range(1, cap - 1)
+                 for a in range(w + 2, cap + 1)])
+    index = {s: i for i, s in enumerate(states)}
+    successor = []
+    for occupied, wait, aoi in states:
+        for if_empty, if_occupied, hit in itertools.product(
+                range(3), range(3), (False, True)):
+            action = if_occupied if occupied else if_empty
+            sampled = action == 1
+            delivered = action != 0 and hit
+            next_aoi = aoi_step(aoi, 0 if sampled else wait, delivered, cap)
+            next_occupied, next_wait = waiting_time_step(
+                occupied, wait, sampled=sampled, delivered=delivered,
+                next_aoi=next_aoi, cap=cap)
+            successor.append(
+                _EVENTS * index[(next_occupied, next_wait, next_aoi)])
+    occupied_of = np.array([s[0] for s in states])
+    age_of = np.array([s[2] for s in states], dtype=np.intp)
+    occupied_of.flags.writeable = False
+    age_of.flags.writeable = False
+    return tuple(states), tuple(successor), occupied_of, age_of
+
+
+def _violation(t: int, sampling: np.ndarray, resending: np.ndarray,
+               occupied: np.ndarray) -> str:
+    """The error for slot ``t``'s realized actions, which break a rule; the
+    slot loop's text for the rules it can meet."""
+    if sampling.sum() > 1:
+        return f"slot {t}: at most one user may sample per slot"
+    if resending.sum() > 1:
+        return f"slot {t}: at most one user may retransmit per slot"
+    if (resending & ~occupied).any():
+        return (f"slot {t}: user {int(resending.argmax())} has no cached "
+                "packet to retransmit")
+    return f"slot {t}: single-transmitter mode allows one acting user"
+
+
+def _add_in_order(total: float, values) -> float:
+    """``total`` plus ``values`` added one at a time, left to right, as the
+    slot loop's ``+=`` does; ``sum`` and ``np.sum`` may round differently."""
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
+
+
+def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
+          cfg: SystemConfig,
+          channel_gens: list[np.random.Generator],
+          track_states: bool) -> _Totals:
+    """Walk each user through ``_walk_table`` one ``_DRAW_BLOCK`` at a time.
+
+    ``plan`` is the policy's first block.  Per block the Python loop does
+    one table lookup per user and slot, plus the virtual-queue recursion
+    and its sum in slot order with the slot loop's expression; the realized
+    actions are then checked, and the integer statistics are numpy counts.
+    The cost adds each recorded slot's sample price before its resend
+    price, in slot order, as the slot loop does.
+    """
+    n = cfg.num_users
+    cap = cfg.aoi_cap
+    horizon = cfg.horizon
+    burn = cfg.burn_in
+    limit = cfg.aoi_limit
+    single = cfg.single_transmitter_mode
+    success = np.array(cfg.success_prob)[:, None]
+    prices = np.array(
+        [cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost], dtype=float)
+    states, successor, occupied_of, age_of = _walk_table(cap)
+    trace_every = max(1, horizon // _TRACE_POINTS)
+
+    at = np.zeros(n, dtype=np.intp)        # state index; 0 is the start state
+    vq = [0.0] * n
+    cost_sum = 0.0
+    vq_sum = [0.0] * n
+    counts = np.zeros((4, n), dtype=np.int64)   # empty, sample, resend, delivered
+    hist = np.zeros((n, cap), dtype=np.int64)
+    freq: list[dict] | None = [dict() for _ in range(n)] if track_states else None
+    trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+
+    for b0 in range(0, horizon, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, horizon - b0)
+        rec = slice(max(0, burn - b0), m)       # this block's recorded slots
+        if b0:
+            plan = policy.plan(m)
+        codes = np.asarray(plan)
+        if codes.shape != (2, n, m) or codes.min() < 0 or codes.max() > 2:
+            raise ValueError(
+                f"slot {b0}: plan must be two ({n}, {m}) arrays of codes 0, 1, 2")
+        hit = np.vstack([g.random(m) for g in channel_gens]) < success
+        events = ((codes[0].astype(np.intp) * 3 + codes[1]) * 2 + hit).tolist()
+
+        post = np.empty((n, m), dtype=np.intp)
+        for k in range(n):
+            s = _EVENTS * int(at[k])
+            post[k] = [s := successor[s + e] for e in events[k]]
+        post //= _EVENTS
+        pre = np.concatenate((at[:, None], post[:, :-1]), axis=1)
+        at = post[:, -1]
+
+        occupied = occupied_of[pre]
+        action = np.where(occupied, codes[1], codes[0])
+        sampling = action == 1
+        resending = action == 2
+        bad = ((sampling.sum(0) > 1) | (resending.sum(0) > 1)
+               | (resending & ~occupied).any(0))
+        if single:
+            bad |= sampling.sum(0) + resending.sum(0) > 1
+        if bad.any():
+            t = int(bad.argmax())
+            raise ValueError(_violation(b0 + t, sampling[:, t], resending[:, t],
+                                        occupied[:, t]))
+
+        ages = age_of[post]
+        for k in range(n):
+            lim = limit[k]
+            v = vq[k]
+            vqs = [v := (served if (served := v - lim) > 0.0 else 0.0) + a
+                   for a in ages[k].tolist()]
+            vq[k] = v
+            vq_sum[k] = _add_in_order(vq_sum[k], vqs[rec])
+            marks = range(b0 // trace_every * trace_every + trace_every,
+                          b0 + m + 1, trace_every)
+            trace[k].extend((t1, vqs[t1 - 1 - b0] / t1) for t1 in marks)
+            if b0 + m == horizon and horizon % trace_every:
+                trace[k].append((horizon, v / horizon))
+
+        counts += [(~occupied[:, rec]).sum(1), sampling[:, rec].sum(1),
+                   resending[:, rec].sum(1), (hit & (action != 0))[:, rec].sum(1)]
+        acted = np.stack((sampling[:, rec].any(0), resending[:, rec].any(0)), 1)
+        cost_sum = _add_in_order(
+            cost_sum, np.broadcast_to(prices, acted.shape)[acted])
+        for k in range(n):
+            hist[k] += np.bincount(ages[k, rec] - 1, minlength=cap)
+            if freq is not None:
+                seen, first, count = np.unique(
+                    post[k, rec], return_index=True, return_counts=True)
+                for i in np.argsort(first):
+                    key = states[seen[i]]
+                    freq[k][key] = freq[k].get(key, 0) + int(count[i])
+
+    empty, samples, resends, delivered = counts.tolist()
+    return _Totals(cost_sum, vq_sum, vq, empty, samples, resends, delivered,
+                   hist.tolist(), trace, freq)
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -317,9 +317,10 @@ def _random_snapshot(rng: np.random.Generator):
 
 def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
                           seed: int = 3301) -> CheckResult:
-    """The O(K) decision rule must reproduce exhaustive minimization of the
-    slot objective on random snapshots, and be invariant to jointly scaling
-    all virtual queues and V by a power of two."""
+    """The decision rule (O(K) in single-transmitter mode, O(K²) otherwise)
+    must reproduce exhaustive minimization of the slot objective on random
+    snapshots, and be invariant to jointly scaling all virtual queues and V
+    by a power of two."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     scale_mismatches = 0

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from aoisched import cli, validate
+from aoisched import cli, markov, ofrp, validate
 from aoisched.experiments import (ExperimentSpec, SpecError, apply_axis,
                                   available_presets, config_hash, load_spec,
                                   optimize_experiment, resolve_out_dir,
@@ -223,6 +223,37 @@ def test_optimize_experiment_reports_parameters(tmp_path):
     for r in ofrp_rows:
         assert r["sample_prob"] == "" and r["sample_empty"] != ""
         assert float(r["sim_total_cost"]) > 0
+
+
+@pytest.mark.parametrize("token", ["ofrp", "ofrp-analytic"])
+def test_parameter_reports_reuse_the_optimizer_solves(tmp_path, monkeypatch,
+                                                      token):
+    """Reporting the optimized users' chain metrics solves no chain that
+    ofrp.optimize has not already solved."""
+    solves = []
+
+    def counting(matrix, *args, **kwargs):
+        solves.append(len(matrix))
+        return markov.solve_stationary(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(ofrp, "solve_stationary", counting)
+    doc = tiny_doc(policies=[token], replicas=1, grid_step=0.1,
+                   config={**tiny_doc()["config"], "success_prob": [0.7, 0.9],
+                           "horizon": 200},
+                   sweep={"axis": "a_max", "values": [4.0, 6.0]})
+    spec = load_spec(doc)
+    ofrp.metrics.cache_clear()
+    for value in spec.sweep_values:
+        ofrp.optimize(apply_axis(spec.base, "a_max", value), spec.grid_step)
+    optimizer_solves = len(solves)
+    assert optimizer_solves > 0
+    del solves[:]
+    ofrp.metrics.cache_clear()
+    if token == "ofrp":
+        optimize_experiment(spec, out_dir=tmp_path)
+    else:
+        run_experiment(spec, out_dir=tmp_path)
+    assert len(solves) == optimizer_solves
 
 
 def test_optimize_experiment_needs_a_randomized_policy():

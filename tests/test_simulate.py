@@ -1,5 +1,7 @@
 """Tests for the slot-level simulation engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -139,20 +141,22 @@ def _replay(policy, cfg, replica=0):
 
 
 @st.composite
-def engine_cases(draw):
-    """A random configuration (burn-in 0, so the replay records every slot)
-    with a random randomized-policy point sized to it."""
+def engine_cases(draw, min_cap=3, burn_in=False):
+    """A random configuration with a random randomized-policy point sized to
+    it; burn-in is 0 (so a replay records every slot) unless ``burn_in``."""
     k = draw(st.integers(1, 5))
-    cap = draw(st.integers(3, 12))
+    cap = draw(st.integers(min_cap, 12))
     unit = st.floats(0.0, 1.0)
+    horizon = draw(st.integers(1, 300))
     cfg = SystemConfig(
         num_users=k, success_prob=draw(st.lists(unit, min_size=k, max_size=k)),
         sample_cost=draw(st.floats(0.0, 10.0)),
         transmit_cost=draw(st.floats(0.0, 10.0)), aoi_cap=cap,
         aoi_limit=draw(st.lists(st.floats(1.0, cap), min_size=k, max_size=k)),
-        horizon=draw(st.integers(1, 300)), seed=draw(st.integers(0, 2**32 - 1)),
+        horizon=horizon, seed=draw(st.integers(0, 2**32 - 1)),
         v_weight=draw(st.floats(0.0, 1000.0)),
-        single_transmitter_mode=draw(st.booleans()))
+        single_transmitter_mode=draw(st.booleans()),
+        burn_in=draw(st.integers(0, horizon - 1)) if burn_in else 0)
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
     users = []
     for w in weights:
@@ -202,6 +206,125 @@ def test_engine_matches_reference_stepper(policy_factory, case):
             ref["final_vqueue"][k], abs=1e-9)
 
 
+class CodeScript(Policy):
+    """Plays one action code per slot and user (0 idle, 1 sample, 2 resend),
+    then idles: through ``plan``, or with ``planned=False`` through
+    ``decide``, which can voice at most one sampler and one resender per
+    slot.  With ``cached_only`` a resend code acts only while the user's
+    cache holds a packet."""
+
+    name = "code-script"
+
+    def __init__(self, script, planned=True, cached_only=False):
+        self.script = np.array(script, dtype=np.int8).T
+        self.planned = planned
+        self.cached_only = cached_only
+
+    def reset(self, cfg, rng):
+        self._next = 0
+
+    def plan(self, n_slots):
+        if not self.planned:
+            return None
+        codes = np.zeros((self.script.shape[0], n_slots), dtype=np.int8)
+        part = self.script[:, self._next:self._next + n_slots]
+        codes[:, :part.shape[1]] = part
+        self._next += n_slots
+        if_empty = np.where(codes == 2, 0, codes) if self.cached_only else codes
+        return if_empty, codes
+
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        row = list(self.script[:, t]) if t < self.script.shape[1] else []
+        sampler = row.index(1) if 1 in row else None
+        resender = row.index(2) if 2 in row else None
+        if self.cached_only and resender is not None and not occupied[resender]:
+            resender = None
+        return sampler, resender
+
+
+class SlotBySlot(ofrp.OfrpPolicy):
+    """The randomized policy with its plan withheld, so ``run`` asks it
+    slot by slot."""
+
+    def plan(self, n_slots):
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@example(case=(replace(_LONG_CASE[0], burn_in=5000), *_LONG_CASE[1:]),
+         track_states=True)
+@given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
+def test_table_walk_matches_slot_loop(case, track_states):
+    """The table walk and the slot loop give the same statistics, floats,
+    trace and state frequencies included, bit for bit."""
+    cfg, params, replica = case
+    walked = run(ofrp.OfrpPolicy(params), cfg, replica,
+                 track_states=track_states)
+    looped = run(SlotBySlot(params), cfg, replica, track_states=track_states)
+    assert walked == looped
+    assert repr(walked) == repr(looped)     # state_freq insertion order too
+
+
+@settings(max_examples=30, deadline=None)
+# On this long, nearly dead channel the two orders of a slot's prices give
+# sums that differ in the last bit.
+@example(case=(replace(_LONG_CASE[0], success_prob=(0.05, 0.05),
+                       sample_cost=0.1, transmit_cost=0.7, burn_in=100),
+               *_LONG_CASE[1:]),
+         script_seed=5)
+@given(case=engine_cases(min_cap=2, burn_in=True),
+       script_seed=st.integers(0, 2**32 - 1))
+def test_two_actor_plans_match_slot_loop(case, script_seed):
+    """A slot with a sampler and a resender adds the sampling price first on
+    both paths."""
+    cfg = replace(case[0], single_transmitter_mode=False)
+    rng = np.random.default_rng(script_seed)
+    script = np.zeros((cfg.horizon, cfg.num_users), dtype=np.int8)
+    for row, (sampler, resender) in zip(
+            script, rng.integers(-1, cfg.num_users, (cfg.horizon, 2))):
+        if resender >= 0:
+            row[resender] = 2
+        if sampler >= 0:
+            row[sampler] = 1
+    assert run(CodeScript(script, cached_only=True), cfg,
+               track_states=True) == \
+        run(CodeScript(script, planned=False, cached_only=True), cfg,
+            track_states=True)
+
+
+class NeverBySlot(ofrp.OfrpPolicy):
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        raise AssertionError("asked slot by slot")
+
+
+def test_planned_policy_is_walked_up_to_the_table_cap():
+    params = _LONG_CASE[1]
+    run(NeverBySlot(params), make_config(aoi_cap=64))
+    with pytest.raises(AssertionError, match="slot by slot"):
+        run(NeverBySlot(params), make_config(aoi_cap=65))
+
+
+class IdleBySlot(IdlePolicy):
+    def plan(self, n_slots):
+        return None
+
+
+class AlwaysSampleBySlot(AlwaysSamplePolicy):
+    def plan(self, n_slots):
+        return None
+
+
+@pytest.mark.parametrize("planned, by_slot", [
+    (IdlePolicy(), IdleBySlot()),
+    (AlwaysSamplePolicy(1), AlwaysSampleBySlot(1)),
+], ids=["idle", "always-sample"])
+def test_planned_fixed_policies_match_slot_loop(planned, by_slot):
+    for cfg in (make_config(horizon=20_000, burn_in=333, success_prob=0.3),
+                make_config(num_users=3, aoi_cap=2, horizon=50)):
+        assert repr(run(planned, cfg, track_states=True)) == \
+            repr(run(by_slot, cfg, track_states=True))
+
+
 def test_delivery_rate_tracks_channel_quality():
     cfg = make_config(num_users=1, success_prob=0.7, horizon=20000)
     stats = run(AlwaysSamplePolicy(0), cfg)
@@ -245,6 +368,41 @@ def test_single_transmitter_mode_enforced():
     assert stats.sample_freq == (0.1, 0.1)
     assert stats.retransmit_freq == (0.0, 0.1)
     assert stats.avg_cost == pytest.approx((6 + 6 + 5) / 10)
+
+
+# Each script runs idle until a few slots past the first draw block, then
+# breaks one action rule; on a dead channel a sample at age 3 or more stays
+# cached, and caches empty only at the discard limit.
+_LEAD = [(0, 0)] * 8190
+_VIOLATIONS = {
+    "resend-from-empty": (_LEAD + [(0, 0), (0, 0), (0, 2)], True),
+    "single-transmitter": (_LEAD + [(0, 1), (0, 0), (1, 2)], True),
+    "two-samplers": (_LEAD + [(0, 0), (0, 0), (1, 1)], False),
+    "two-resenders": (_LEAD + [(1, 0), (0, 1), (2, 2)], False),
+}
+
+
+@pytest.mark.parametrize("rule", _VIOLATIONS)
+def test_walk_rejects_the_slot_loops_first_violation(rule):
+    script, single = _VIOLATIONS[rule]
+    cfg = make_config(success_prob=0.0, horizon=8300,
+                      single_transmitter_mode=single)
+    with pytest.raises(ValueError) as walked:
+        run(CodeScript(script), cfg)
+    t = len(script) - 1
+    codes = script[-1]
+    if codes.count(1) < 2 and codes.count(2) < 2:
+        with pytest.raises(ValueError) as looped:
+            run(CodeScript(script, planned=False), cfg)
+        expected = str(looped.value)
+    else:   # the slot loop's (sampler, resender) pair cannot say this
+        action = ActionVector(tuple(int(c == 1) for c in codes),
+                              tuple(int(c == 2) for c in codes))
+        with pytest.raises(ValueError) as law:
+            action.validate([True] * len(codes), cfg)
+        expected = f"slot {t}: {law.value}"
+    assert str(walked.value) == expected
+    assert expected.startswith(f"slot {t}: ")
 
 
 # ── recording windows and aggregates ──────────────────────────────────────
