@@ -22,6 +22,17 @@ from .model import InfeasibleError
 from .validate import run_checks
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aoisched",
@@ -37,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--seeds", type=int, default=None,
                        help="override the scenario's replica count")
-    run_p.add_argument("--threads", type=int, default=1,
+    run_p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for replica simulation")
 
     opt_p = sub.add_parser(
@@ -51,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", help="run the built-in acceptance checks")
     val_p.add_argument("--only", default=None,
                        help="comma-separated substrings selecting checks")
-    val_p.add_argument("--threads", type=int, default=1,
+    val_p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for replica simulation")
     return parser
 

@@ -9,17 +9,28 @@ exist while the cached copy could still strictly improve the age.
 
 The module builds that chain explicitly, solves it for stationary metrics
 (average age, empty-cache fraction, cost rate), and searches the probability
-grid for the cheapest parameters meeting an average-age limit.
-``grid_table`` solves every grid point's chain once per (alpha,
-success_prob, cap, step), assembling stacks of matrices from seven fixed 0/1
-templates (the transition law is linear in seven action-probability
-coefficients) for stacked LAPACK solves.  ``_scan_user`` prices that table,
-takes the first cheapest point meeting the limit, and re-evaluates it
-through the scalar path, which shares every formula, as a consistency check.
+grid for the cheapest parameters meeting an average-age limit.  The
+transition law is linear in seven action-probability coefficients, so
+matrices are assembled in stacks from fixed 0/1 templates for stacked
+LAPACK solves.
+
+``metrics`` solves the full chain densely; it is the oracle, and every
+number that reaches a CSV comes from it.  ``grid_table`` solves every grid
+point once per (alpha, success_prob, cap, step), but on the chain censored
+on its 2 * cap - 2 boundary states (empty, or cached with waiting time 1):
+outside them the chain only walks the deterministic "copy kept" diagonal,
+whose geometric weights rebuild the full averages.  ``_select`` takes the
+first cheapest point meeting the limit and certifies it: every point whose
+feasibility or cost rank a table error of ``TAU`` could flip is solved
+densely, exactly as a dense table would, and the pick is made from those
+values, so it is the dense table's pick.  ``_scan_user`` re-evaluates the
+pick through ``metrics`` and raises if the table's age or cost disagree.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +39,8 @@ import numpy as np
 from .markov import ChainModel, direct_stationary, finalize, solve_stationary
 from .model import InfeasibleError, SystemConfig, grid_intervals
 from .simulate import Policy, uniform_stream
+
+log = logging.getLogger(__name__)
 
 # ──────────────────────────────────────────────────────────────────────────
 #  parameters
@@ -143,17 +156,22 @@ def _coefficients(alpha, u, q, ue, p) -> tuple:
     )
 
 
+def _fill(weights: np.ndarray, templates: tuple, size: int) -> np.ndarray:
+    """Matrices (m, size, size) whose arcs in ``templates[g]`` carry
+    ``weights[:, g]``."""
+    mats = np.zeros((len(weights), size, size))
+    for g, (rows, cols) in enumerate(templates):
+        # No template maps one source to the same target twice, so fancy-index
+        # addition is safe; overlaps *between* templates accumulate across passes.
+        mats[:, rows, cols] += weights[:, g:g + 1]
+    return mats
+
+
 def _assemble(coeff: tuple, cap: int) -> np.ndarray:
     """Transition matrices (m, s, s) from ``_coefficients`` output, whose
     entries are scalars (m = 1) or (m,) arrays."""
     states, _, _, _, events = _layout(cap)
-    coeff = np.column_stack(coeff)
-    mats = np.zeros((len(coeff), len(states), len(states)))
-    for ev, (rows, cols) in enumerate(events):
-        # No event maps one source to the same target twice, so fancy-index
-        # addition is safe; overlaps *between* events accumulate across passes.
-        mats[:, rows, cols] += coeff[:, ev:ev + 1]
-    return mats
+    return _fill(np.column_stack(coeff), events, len(states))
 
 
 def build_chain(user: OfrpUserParams, success_prob: float, cap: int) -> ChainModel:
@@ -254,6 +272,70 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
 # state space grows.
 _BATCH_BUDGET = 8_000_000
 
+# Asserted bound on |censored - dense| for a grid point's avg_aoi and
+# empty_fraction; the measured gap is below 1e-13.
+TAU = 1e-9
+
+
+def _chunk(size: int) -> int:
+    """Points per stacked batch for chains of ``size`` states."""
+    return max(1, min(4096, _BATCH_BUDGET // (size * size)))
+
+
+@lru_cache(maxsize=16)
+def _censored_layout(cap: int):
+    """The chain censored on its boundary set S, as index templates over S.
+
+    S holds the empty states and the wait-1 cached states, 2 * cap - 2 in
+    all.  Every other cached state is entered only by "copy kept" (event 6),
+    so a walk out of S is deterministic and its k-th step has weight r**k,
+    r = coefficient 6.  Following ``_layout``'s arcs from each S state until
+    they re-enter S gives the censored chain (its stochastic complement on S,
+    Meyer 1989): template g holds the arcs of event ``event[g]`` taken after
+    ``power[g]`` kept steps, each worth coefficient[event] * r**power.  Row
+    k of ``visits`` marks the S states whose walk is still on the diagonal
+    after k kept steps (row 0: every S state itself), and ``visit_aoi``
+    holds the age there; they weigh the solution on S back up to the full
+    chain's mass and average age.
+    """
+    states, _, aoi_vec, empty_vec, events = _layout(cap)
+    boundary = [i for i, s in enumerate(states)
+                if s[0] == "empty" or s[1] == 1]
+    where = {full: row for row, full in enumerate(boundary)}
+    arcs_from: list[list[tuple[int, int]]] = [[] for _ in states]
+    for ev, (rows, cols) in enumerate(events):
+        for src, dst in zip(rows.tolist(), cols.tolist()):
+            arcs_from[src].append((ev, dst))
+    arcs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    visited = []
+    for row, at in enumerate(boundary):
+        kept = 0
+        while at is not None:
+            visited.append((kept, row, aoi_vec[at]))
+            out = None
+            for ev, dst in arcs_from[at]:
+                if dst in where:
+                    rows, cols = arcs.setdefault((ev, kept), ([], []))
+                    rows.append(row)
+                    cols.append(where[dst])
+                else:
+                    # only "copy kept" leaves S, so the walk cannot branch
+                    assert ev == 6 and out is None
+                    out = dst
+            at, kept = out, kept + 1
+    keys = sorted(arcs)
+    event = np.array([ev for ev, _ in keys], dtype=np.intp)
+    power = np.array([k for _, k in keys], dtype=np.intp)
+    templates = tuple(
+        tuple(np.array(ix, dtype=np.intp) for ix in arcs[key]) for key in keys)
+    visits = np.zeros((1 + max(k for k, _, _ in visited), len(boundary)))
+    visit_aoi = np.zeros_like(visits)
+    for k, row, aoi in visited:
+        visits[k, row] = 1.0
+        visit_aoi[k, row] = aoi
+    return (len(boundary), event, power, templates, visits, visit_aoi,
+            empty_vec[boundary])
+
 
 def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sample_occupied, retransmit_old, sample_empty) over the grid, in scan
@@ -272,26 +354,125 @@ def grid_table(alpha: float, success_prob: float, cap: int,
                step: float) -> tuple[np.ndarray, np.ndarray]:
     """Stationary (avg_aoi, empty_fraction) at every grid point, in scan order.
 
+    Each point solves the chain censored on its 2 * cap - 2 boundary states
+    (``_censored_layout``) instead of the full chain, and rebuilds the full
+    chain's average age and empty-cache fraction from the boundary solution
+    through geometric sums over the kept-copy walks: exact in exact
+    arithmetic, and within ``TAU`` of the dense solve in floating point
+    (measured below 1e-13).  ``_select`` certifies its pick against the
+    dense solve, so the selection is the dense table's.
+
     The chains depend on neither the age limit nor the prices, so one table
     serves a whole a_max or cost sweep.  The arrays are read-only because
     every caller shares them.  A preset sweep value meets at most two chains
     (one per user), hence two tables: at step 0.01 (515,100 points) each
     holds 2 * 8 * 515,100 bytes = 8.2 MB, 16.5 MB for both, whatever the cap.
     """
+    started = time.perf_counter()
     u, q, ue = _grid_points(step)
-    states, _, aoi_vec, empty_vec, _ = _layout(cap)
-    chunk = max(1, min(4096, _BATCH_BUDGET // (len(states) ** 2)))
+    (size, event, power, templates, visits, visit_aoi,
+     empty_s) = _censored_layout(cap)
+    chunk = _chunk(size)
     avg_aoi = np.empty(len(u))
     empty_fraction = np.empty(len(u))
     for lo in range(0, len(u), chunk):
         at = slice(lo, lo + chunk)
-        coeff = _coefficients(alpha, u[at], q[at], ue[at], success_prob)
-        pi = finalize(direct_stationary(_assemble(coeff, cap)))
-        avg_aoi[at] = pi @ aoi_vec
-        empty_fraction[at] = pi @ empty_vec
+        coeff = np.column_stack(
+            _coefficients(alpha, u[at], q[at], ue[at], success_prob))
+        powers = coeff[:, 6:7] ** np.arange(len(visits))
+        mats = _fill(coeff[:, event] * powers[:, power], templates, size)
+        pi = finalize(direct_stationary(mats))
+        mass = np.sum(pi * (powers @ visits), axis=1)
+        avg_aoi[at] = np.sum(pi * (powers @ visit_aoi), axis=1) / mass
+        empty_fraction[at] = (pi @ empty_s) / mass
     avg_aoi.flags.writeable = False
     empty_fraction.flags.writeable = False
+    log.debug("grid_table cap=%d: %d points, %d of %d states solved per "
+              "point, %.3f s", cap, len(u), size, len(_layout(cap)[0]),
+              time.perf_counter() - started)
     return avg_aoi, empty_fraction
+
+
+def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
+                  at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense-chain (avg_aoi, empty_fraction) at the sorted grid indices
+    ``at``, bit for bit the values a whole-grid dense table has there.
+
+    That table solves the grid in consecutive ``_chunk`` batches through
+    ``_assemble``, ``direct_stationary`` and ``finalize``, all of which treat
+    each point alone.  BLAS rounds a row of a matrix-vector product
+    differently by its place in the batch, so each solved row is put back
+    at its place in a batch of its chunk's shape before the products.
+    """
+    u, q, ue = _grid_points(step)
+    states, _, aoi_vec, empty_vec, _ = _layout(cap)
+    chunk = _chunk(len(states))
+    avg_aoi = np.empty(len(at))
+    empty_fraction = np.empty(len(at))
+    for lo in range(0, len(u), chunk):
+        sel = np.flatnonzero((at >= lo) & (at < lo + chunk))
+        if not len(sel):
+            continue
+        idx = at[sel]
+        coeff = _coefficients(alpha, u[idx], q[idx], ue[idx], success_prob)
+        pi = np.zeros((min(chunk, len(u) - lo), len(states)))
+        pi[idx - lo] = finalize(direct_stationary(_assemble(coeff, cap)))
+        avg_aoi[sel] = (pi @ aoi_vec)[idx - lo]
+        empty_fraction[sel] = (pi @ empty_vec)[idx - lo]
+    return avg_aoi, empty_fraction
+
+
+def _cost_error(alpha, u, q, ue, sample_cost: float, transmit_cost: float):
+    """Bound on the cost change a table error of at most ``TAU`` in the
+    empty fraction can cause: |d cost / d theta| * TAU, plus TAU times the
+    price terms to cover rounding; 0 at zero prices, whose costs are exact."""
+    if_empty = _cost_rate(alpha, u, q, ue, 1.0, sample_cost, transmit_cost)
+    if_cached = _cost_rate(alpha, u, q, ue, 0.0, sample_cost, transmit_cost)
+    return TAU * (np.abs(if_empty - if_cached) + if_empty + if_cached)
+
+
+def _select(table: tuple[np.ndarray, np.ndarray], alpha: float,
+            success_prob: float, cap: int, limit: float, sample_cost: float,
+            transmit_cost: float, step: float) -> tuple[int | None, np.ndarray]:
+    """(index, resolved): the first least-cost grid point meeting the limit
+    in scan order (None if there is none) as the dense table would pick it,
+    and the grid indices solved densely to make sure of that.
+
+    ``table`` is ``grid_table(alpha, success_prob, cap, step)``, within
+    ``TAU`` of the dense table.  The points solved densely are those whose
+    feasibility (avg_aoi within TAU of the limit) or whose cost rank against
+    the best surely-feasible point (overlapping ``_cost_error`` intervals)
+    could differ in the dense table; the pick is the argmin over their dense
+    values.  When the censored pick is the only such point and surely
+    feasible, it stands without a dense solve.
+    """
+    u, q, ue = _grid_points(step)
+    avg_aoi, theta = table
+    cost = _cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
+    err = _cost_error(alpha, u, q, ue, sample_cost, transmit_cost)
+    near = np.abs(avg_aoi - limit) <= TAU
+    sure = (avg_aoi <= limit) & ~near
+    contenders = (avg_aoi <= limit) | near
+    if sure.any():
+        # the dense pick cannot rank behind the best surely-feasible point
+        high = np.where(sure, cost + err, np.inf)
+        best = int(np.argmin(high))
+        low = cost - err
+        contenders &= (low < high[best]) | (
+            (low == high[best]) & (np.arange(len(cost)) <= best))
+    resolved = np.flatnonzero(contenders)
+    if not len(resolved):
+        return None, resolved
+    if len(resolved) == 1 and sure[resolved[0]]:
+        return int(resolved[0]), resolved[:0]
+    dense_aoi, dense_theta = _dense_points(alpha, success_prob, cap, step,
+                                           resolved)
+    dense_cost = _cost_rate(alpha, u[resolved], q[resolved], ue[resolved],
+                            dense_theta, sample_cost, transmit_cost)
+    dense_cost = np.where(dense_aoi <= limit, dense_cost, np.inf)
+    if not dense_cost.min() < np.inf:
+        return None, resolved
+    return int(resolved[np.argmin(dense_cost)]), resolved
 
 
 def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
@@ -301,7 +482,7 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
 
     Returns (u, q, ue, avg_aoi, avg_cost).  Prices the ``grid_table`` points
     and takes the first least-cost point meeting the limit in scan order, so
-    ties resolve to the lexicographically smallest triple.
+    ties resolve to the lexicographically smallest triple (``_select``).
     """
     # sample_empty = 0 never delivers anything fresh: the age saturates at the
     # cap, the cache stays empty in steady state, and the cost rate is 0.
@@ -316,26 +497,29 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
             f"average-age limit {limit:g} is below the cap {cap}",
             user=user_index)
 
-    u, q, ue = _grid_points(step)
     avg_aoi, theta = grid_table(alpha, success_prob, cap, step)
-    cost = _cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
-    cost = np.where(avg_aoi <= limit, cost, np.inf)
-    at = int(np.argmin(cost))
-    if not cost[at] < np.inf:
+    at, resolved = _select((avg_aoi, theta), alpha, success_prob, cap, limit,
+                           sample_cost, transmit_cost, step)
+    log.debug("user %d: %d grid points re-solved densely", user_index,
+              len(resolved))
+    if at is None:
         raise InfeasibleError(
             f"user {user_index}: no grid point (step {step:g}) meets the "
             f"average-age limit {limit:g} at success_prob {success_prob:g}",
             user=user_index)
+    u, q, ue = _grid_points(step)
     best = (float(u[at]), float(q[at]), float(ue[at]))
 
-    # Confirm through the scalar path; batched and scalar arithmetic agree to
-    # rounding, and anything beyond that indicates assembly drift.
+    # Confirm through the scalar path; the table is within TAU of it, and
+    # anything beyond that indicates assembly drift.
     m = metrics(OfrpUserParams(alpha, *best), success_prob, cap,
                 sample_cost, transmit_cost)
-    if abs(m.avg_cost - cost[at]) > 1e-9:
+    cost = _cost_rate(alpha, *best, theta[at], sample_cost, transmit_cost)
+    if abs(m.avg_cost - cost) > 1e-9 or abs(m.avg_aoi - avg_aoi[at]) > TAU:
         raise RuntimeError(
-            f"grid scan inconsistency: batched cost {float(cost[at])!r} vs "
-            f"scalar cost {m.avg_cost!r} at {best}")
+            f"grid scan inconsistency at {best}: table (avg_aoi, cost) "
+            f"{(float(avg_aoi[at]), float(cost))!r} vs scalar "
+            f"{(m.avg_aoi, m.avg_cost)!r}")
     return (*best, m.avg_aoi, m.avg_cost)
 
 

@@ -283,6 +283,19 @@ def test_cli_rejects_bad_config(tmp_path):
     assert cli.main(["run", "--config", "no-such-preset"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "fig5a", "--threads", "0"],
+    ["run", "--config", "fig5a", "--threads", "-3"],
+    ["validate", "--threads", "0"],
+    ["validate", "--threads", "two"],
+])
+def test_cli_rejects_thread_counts_below_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_validate_subcommand(capsys):
     assert cli.main(["validate", "--only", "decision-oracle"]) == 0
     out = capsys.readouterr().out

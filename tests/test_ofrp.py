@@ -1,12 +1,15 @@
 """Tests for the fresh-or-old policy: chain encoding, metrics, grid search."""
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aoisched import forp, ofrp
-from aoisched.markov import solve_stationary
+from aoisched.markov import direct_stationary, finalize, solve_stationary
 from aoisched.model import InfeasibleError, SystemConfig
 from aoisched.simulate import run
 
@@ -248,6 +251,19 @@ def test_optimize_reference_instance():
     assert m.avg_cost == pytest.approx(1.2140401421091083, abs=1e-9)
 
 
+def test_reference_instance_needs_no_dense_resolve(caplog):
+    """No point of the reference table is near its limit or its best cost,
+    so the censored pick stands alone; a certification rule that re-solved
+    far more would show here (this reuses the table the test above built)."""
+    caplog.set_level(logging.DEBUG, logger="aoisched.ofrp")
+    ofrp.optimize(make_config(), step=0.01)
+    assert "user 0: 0 grid points re-solved densely" in caplog.messages
+    ofrp.grid_table.cache_clear()
+    ofrp.optimize(make_config(aoi_cap=5, aoi_limit=2.5), step=0.1)
+    assert any(m.startswith("grid_table cap=5: 660 points, 8 of 11 states")
+               for m in caplog.messages)
+
+
 def test_optimize_loose_limit_is_free():
     cfg = make_config(aoi_limit=10.0)
     params = ofrp.optimize(cfg, step=0.1)
@@ -310,6 +326,116 @@ def test_grid_table_is_shared_across_limits_and_costs():
     for table in ofrp.grid_table(1.0, 0.9, 5, 0.1):
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+# ── censored grid table and certified selection ───────────────────────────
+
+def dense_table(alpha, p, cap, step):
+    """The oracle: every grid point's full chain solved densely, in
+    consecutive batches, as ``grid_table`` did before the censored solve."""
+    u, q, ue = ofrp._grid_points(step)
+    states, _, aoi_vec, empty_vec, _ = ofrp._layout(cap)
+    chunk = max(1, min(4096, ofrp._BATCH_BUDGET // len(states) ** 2))
+    avg_aoi, theta = np.empty(len(u)), np.empty(len(u))
+    for lo in range(0, len(u), chunk):
+        at = slice(lo, lo + chunk)
+        coeff = ofrp._coefficients(alpha, u[at], q[at], ue[at], p)
+        pi = finalize(direct_stationary(ofrp._assemble(coeff, cap)))
+        avg_aoi[at] = pi @ aoi_vec
+        theta[at] = pi @ empty_vec
+    return avg_aoi, theta
+
+
+def dense_pick(table, alpha, cap, limit, sample_cost, transmit_cost, step):
+    """First least-cost feasible index of a whole table, or None."""
+    u, q, ue = ofrp._grid_points(step)
+    avg_aoi, theta = table
+    cost = ofrp._cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
+    cost = np.where(avg_aoi <= limit, cost, np.inf)
+    at = int(np.argmin(cost))
+    return at if cost[at] < np.inf else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True),
+       p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       cap=st.integers(2, 12),
+       step=st.sampled_from([0.5, 0.25, 0.2, 0.1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(alpha=1.0, p=0.8, cap=2, step=0.1, seed=0)      # no cached states
+@example(alpha=0.5, p=0.3, cap=3, step=0.1, seed=1)      # no state off S
+@example(alpha=0.5, p=0.8, cap=30, step=0.25, seed=2)
+def test_censored_table_matches_dense_oracle(alpha, p, cap, step, seed):
+    censored = ofrp.grid_table(alpha, p, cap, step)
+    dense = dense_table(alpha, p, cap, step)
+    for c, d in zip(censored, dense):
+        assert np.max(np.abs(c - d)) <= 1e-12
+    # a limit on a dense entry puts that point on the feasibility band
+    rng = np.random.default_rng(seed)
+    limit = float(dense[0][rng.integers(len(dense[0]))])
+    for prices in ((1.0, 5.0), (0.0, 0.0), (3.0, 1.0)):
+        at, resolved = ofrp._select(censored, alpha, p, cap, limit, *prices,
+                                    step)
+        assert at == dense_pick(dense, alpha, cap, limit, *prices, step)
+        for re_solved, full in zip(
+                ofrp._dense_points(alpha, p, cap, step, resolved), dense):
+            assert np.array_equal(re_solved, full[resolved])
+    # the dense re-solve keeps the table's bits at any index set
+    some = np.flatnonzero(rng.random(len(dense[0])) < 0.3)
+    for re_solved, full in zip(
+            ofrp._dense_points(alpha, p, cap, step, some), dense):
+        assert np.array_equal(re_solved, full[some])
+
+
+@pytest.mark.parametrize("case", [
+    # zero prices: every feasible point costs 0, the first one wins
+    dict(p=0.9, cap=5, limit=2.5, prices=(0.0, 0.0), step=0.1),
+    # p = 1: the cache is never used, so every (u, q) pair ties
+    dict(p=1.0, cap=10, limit=4.0, prices=(1.0, 5.0), step=0.1),
+    dict(p=1.0, cap=6, limit=3.0, prices=(0.0, 0.0), step=0.1),
+])
+def test_optimize_picks_the_dense_argmin(case):
+    alpha, (sample_cost, transmit_cost) = 1.0, case["prices"]
+    dense = dense_table(alpha, case["p"], case["cap"], case["step"])
+    expected = dense_pick(dense, alpha, case["cap"], case["limit"],
+                          sample_cost, transmit_cost, case["step"])
+    cfg = make_config(success_prob=case["p"], aoi_cap=case["cap"],
+                      aoi_limit=case["limit"], sample_cost=sample_cost,
+                      transmit_cost=transmit_cost)
+    user = ofrp.optimize(cfg, step=case["step"]).users[0]
+    u, q, ue = ofrp._grid_points(case["step"])
+    assert (user.sample_occupied, user.retransmit_old, user.sample_empty) == \
+        (u[expected], q[expected], ue[expected])
+
+
+def test_limit_on_a_dense_entry_is_resolved_densely():
+    """The dense winner's own age as the limit: the censored value may sit
+    an ulp either side of it, so the point must be re-solved, and the pick
+    must stay the dense one."""
+    alpha, p, cap, step = 1.0, 0.8, 8, 0.1
+    dense = dense_table(alpha, p, cap, step)
+    winner = dense_pick(dense, alpha, cap, 4.0, 1.0, 5.0, step)
+    limit = float(dense[0][winner])
+    at, resolved = ofrp._select(ofrp.grid_table(alpha, p, cap, step), alpha,
+                                p, cap, limit, 1.0, 5.0, step)
+    assert winner in resolved
+    assert at == winner == dense_pick(dense, alpha, cap, limit, 1.0, 5.0, step)
+    cfg = make_config(success_prob=p, aoi_cap=cap, aoi_limit=limit)
+    user = ofrp.optimize(cfg, step=step).users[0]
+    u, q, ue = ofrp._grid_points(step)
+    assert (user.sample_occupied, user.retransmit_old, user.sample_empty) == \
+        (u[winner], q[winner], ue[winner])
+
+
+def test_table_drift_is_caught_at_the_pick(monkeypatch):
+    """A censored age off by more than TAU at the pick raises instead of
+    silently moving the feasibility boundary."""
+    avg_aoi, theta = ofrp.grid_table(1.0, 0.9, 5, 0.1)
+    monkeypatch.setattr(ofrp, "grid_table",
+                        lambda *args: (avg_aoi + 1e-6, theta))
+    cfg = make_config(success_prob=0.9, aoi_cap=5, aoi_limit=2.5)
+    with pytest.raises(RuntimeError, match="inconsistency"):
+        ofrp.optimize(cfg, step=0.1)
 
 
 def test_policy_requires_matching_user_count():
