@@ -67,7 +67,11 @@ def _decide_core(aoi: Sequence[int], waiting: Sequence[int],
                  success_prob: Sequence[float], cap: int,
                  sample_penalty: float, resend_penalty: float,
                  single: bool) -> tuple[int | None, int | None]:
-    """Shared argmin over delta scores (candidate minus idle, per user)."""
+    """Shared argmin over delta scores (candidate minus idle, per user).
+
+    ``simulate._slot_loop`` scores ``DppPolicy`` runs with the same float
+    expressions and tie order; change both together.
+    """
     n = len(aoi)
     best = 0.0
     choice: tuple[int | None, int | None] = (None, None)
@@ -100,6 +104,12 @@ def _decide_core(aoi: Sequence[int], waiting: Sequence[int],
     return choice
 
 
+def _penalties(cfg: SystemConfig) -> tuple[float, float]:
+    """The V-weighted prices of a sample and of a resend."""
+    return (cfg.v_weight * (cfg.sample_cost + cfg.transmit_cost),
+            cfg.v_weight * cfg.transmit_cost)
+
+
 def decide(states: Sequence[UserState], cfg: SystemConfig) -> ActionVector:
     """Cost-drift-optimal action for the given slot state.
 
@@ -109,9 +119,7 @@ def decide(states: Sequence[UserState], cfg: SystemConfig) -> ActionVector:
     sampler, resender = _decide_core(
         [s.aoi for s in states], [s.waiting_time for s in states],
         [s.cache_occupied for s in states], [s.vqueue for s in states],
-        cfg.success_prob, cfg.aoi_cap,
-        cfg.v_weight * (cfg.sample_cost + cfg.transmit_cost),
-        cfg.v_weight * cfg.transmit_cost,
+        cfg.success_prob, cfg.aoi_cap, *_penalties(cfg),
         cfg.single_transmitter_mode)
     return ActionVector.from_pair(cfg.num_users, sampler, resender)
 
@@ -120,26 +128,21 @@ class DppPolicy(Policy):
     """Runs the per-slot minimization inside the simulation engine.
 
     Stateless apart from configuration: the virtual queues it weighs are part
-    of the engine's slot state, updated after every age transition.
+    of the engine's slot state, updated after every age transition.  ``run``
+    scores it itself from ``penalties``; ``decide`` is the same rule for
+    callers that step the state by hand.
     """
 
     name = "dpp"
 
-    def __init__(self):
-        self._p: tuple[float, ...] = ()
-        self._cap = 0
-        self._sample_penalty = 0.0
-        self._resend_penalty = 0.0
-        self._single = True
-
     def reset(self, cfg: SystemConfig, rng) -> None:
-        self._p = cfg.success_prob
-        self._cap = cfg.aoi_cap
-        self._sample_penalty = cfg.v_weight * (cfg.sample_cost + cfg.transmit_cost)
-        self._resend_penalty = cfg.v_weight * cfg.transmit_cost
-        self._single = cfg.single_transmitter_mode
+        self._cfg = cfg
+
+    def penalties(self):
+        return _penalties(self._cfg)
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
+        cfg = self._cfg
         return _decide_core(
-            aoi, waiting, occupied, vqueue, self._p, self._cap,
-            self._sample_penalty, self._resend_penalty, self._single)
+            aoi, waiting, occupied, vqueue, cfg.success_prob, cfg.aoi_cap,
+            *_penalties(cfg), cfg.single_transmitter_mode)

@@ -252,8 +252,8 @@ def step_users(states: Sequence[UserState], action: ActionVector,
 
     ``channel`` supplies one uniform draw per user; user k's transmission
     succeeds when it acts and ``channel[k] < success_prob[k]``.  This is the
-    slow, obviously-correct counterpart of the simulation engine's inlined
-    loop and is used to cross-check it.
+    slow, obviously-correct counterpart of the transition table both paths
+    of the simulation engine step through, and is used to cross-check it.
     """
     action.validate([st.cache_occupied for st in states], cfg)
     new_states: list[UserState] = []

@@ -12,13 +12,13 @@ resolve as Bernoulli trials; ages and caches update; virtual queues update.
 Statistics record the post-update age, so histograms match the stationary
 state of the induced chain.
 
-A run takes one of two paths with the same results.  A policy that sees the
-state only through each user's cache flag declares its actions ahead through
-``Policy.plan`` and is table-walked: each user steps through a per-cap
-(state, event) -> state table built from the ``model`` update laws, a block
-of slots at a time, and the integer statistics are numpy counts.  Every
-other policy runs slot by slot through a loop that inlines those laws.  Both
-paths check every realized action.
+Each user steps through one per-cap (state, event) -> state table built
+from the ``model`` update laws, and the integer statistics are numpy counts
+of the (state, event) pairs visited.  A policy that sees the state only
+through each user's cache flag declares its actions ahead through
+``Policy.plan`` and is walked a block of slots at a time; every other policy
+runs slot by slot, the drift-plus-penalty rule scored by the loop itself.
+Both paths check every realized action.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .model import SystemConfig, aoi_step, waiting_time_step
+from .model import ActionVector, SystemConfig, aoi_step, waiting_time_step
 
 _DRAW_BLOCK = 8192
 _TRACE_POINTS = 100
@@ -55,7 +55,9 @@ class Policy(abc.ABC):
 
     A policy whose action depends on the state only through each user's
     cache flag may also implement ``plan``; ``run`` then table-walks it and
-    never calls ``decide``.
+    never calls ``decide``.  A drift-plus-penalty policy may implement
+    ``penalties`` instead; ``run`` then scores it itself.  A run uses one of
+    ``plan``, ``penalties`` and ``decide``, never two.
     """
 
     name = "policy"
@@ -80,6 +82,13 @@ class Policy(abc.ABC):
         run's generator in the order ``decide`` does, so that both give the
         same actions; a run uses one or the other, never both.
         """
+        return None
+
+    def penalties(self) -> tuple[float, float] | None:
+        """``(sample_penalty, resend_penalty)``, or None (the default) to be
+        asked through ``decide``.  Asked once per run, after a plan of None;
+        a pair makes every slot take the action ``dpp._decide_core`` gives
+        for the slot state, the run's configuration and these penalties."""
         return None
 
 
@@ -192,197 +201,60 @@ def policy_rng(cfg: SystemConfig, replica: int = 0) -> np.random.Generator:
 #  the engine
 # ──────────────────────────────────────────────────────────────────────────
 
-class _Totals(NamedTuple):
-    """What either path accumulates over a run; ``_stats`` turns it into
-    a ``SimStats``."""
-
-    cost_sum: float
-    vq_sum: list[float]
-    vq: list[float]
-    empty: list[int]
-    samples: list[int]
-    resends: list[int]
-    delivered: list[int]
-    hist: list[list[int]]
-    trace: list[list[tuple[int, float]]]
-    freq: list[dict] | None
-
-
 def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
         track_states: bool = False) -> SimStats:
     """Simulate ``cfg.horizon`` slots and return aggregate statistics.
 
     A policy whose ``plan`` returns actions is table-walked (``_walk``);
-    every other policy, and any policy at a cap above ``_WALK_MAX_CAP``,
-    runs slot by slot (``_slot_loop``), whose loop inlines the update laws
-    of ``model.step_users``; test suites cross-check the two paths and the
-    stepper.  On both paths every action is checked: one that violates the
-    scheduling constraints raises ValueError naming the slot.
+    every other policy runs slot by slot (``_slot_loop``).  Both paths step
+    each user through one ``_walk_table``, built from the update laws of
+    ``model.step_users``, and feed one ``_Tally``; test suites cross-check
+    the two paths and the stepper.  On both paths every action is checked:
+    one that violates the scheduling constraints raises ValueError naming
+    the slot.
     """
     policy_gen, *channel_gens = _generators(cfg, replica)
     policy.reset(cfg, policy_gen)
-    plan = (policy.plan(min(_DRAW_BLOCK, cfg.horizon))
-            if cfg.aoi_cap <= _WALK_MAX_CAP else None)
+    plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))
+    tally = _Tally(cfg, _walk_table(cfg.aoi_cap), track_states)
     if plan is None:
-        totals = _slot_loop(policy, cfg, channel_gens, track_states)
+        _slot_loop(policy, cfg, channel_gens, tally)
     else:
-        totals = _walk(policy, plan, cfg, channel_gens, track_states)
-    return _stats(policy.name, cfg, replica, totals)
+        _walk(policy, plan, cfg, channel_gens, tally)
+    return tally.stats(policy.name, replica)
 
 
-def _stats(name: str, cfg: SystemConfig, replica: int,
-           totals: _Totals) -> SimStats:
-    recorded = cfg.horizon - cfg.burn_in
-    return SimStats(
-        policy=name,
-        horizon=cfg.horizon,
-        burn_in=cfg.burn_in,
-        seed=cfg.seed,
-        replica=replica,
-        avg_cost=totals.cost_sum / recorded,
-        avg_aoi=tuple(sum(a * c for a, c in enumerate(h, 1)) / recorded
-                      for h in totals.hist),
-        avg_vqueue=tuple(s / recorded for s in totals.vq_sum),
-        final_vqueue_over_t=tuple(x / cfg.horizon for x in totals.vq),
-        empty_fraction=tuple(c / recorded for c in totals.empty),
-        sample_freq=tuple(c / recorded for c in totals.samples),
-        retransmit_freq=tuple(c / recorded for c in totals.resends),
-        delivery_attempts=tuple(
-            s + r for s, r in zip(totals.samples, totals.resends)),
-        deliveries=tuple(totals.delivered),
-        aoi_histogram=tuple(tuple(h) for h in totals.hist),
-        vqueue_trace=tuple(tuple(tr) for tr in totals.trace),
-        state_freq=tuple(totals.freq) if totals.freq is not None else None,
-    )
-
-
-def _slot_loop(policy: Policy, cfg: SystemConfig,
-               channel_gens: list[np.random.Generator],
-               track_states: bool) -> _Totals:
-    """Ask the policy slot by slot; the slow twin of ``_walk``."""
-    n = cfg.num_users
-    cap = cfg.aoi_cap
-    horizon = cfg.horizon
-    burn = cfg.burn_in
-    p = list(cfg.success_prob)
-    limit = list(cfg.aoi_limit)
-    act_cost_sample = cfg.sample_cost + cfg.transmit_cost
-    act_cost_resend = cfg.transmit_cost
-    single = cfg.single_transmitter_mode
-
-    aoi = [1] * n
-    wait = [0] * n
-    occ = [False] * n
-    vq = [0.0] * n
-
-    cost_sum = 0.0
-    vq_sum = [0.0] * n
-    empty_cnt = [0] * n
-    s_cnt = [0] * n
-    r_cnt = [0] * n
-    delivered_cnt = [0] * n
-    hist = [[0] * cap for _ in range(n)]
-    freq: list[dict] | None = [dict() for _ in range(n)] if track_states else None
-    trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    trace_every = max(1, horizon // _TRACE_POINTS)
-
-    draws = zip(*map(uniform_stream, channel_gens))
-    for t, draw in zip(range(horizon), draws):
-        sampler, resender = policy.decide(t, aoi, wait, occ, vq)
-
-        if sampler is not None and not 0 <= sampler < n:
-            raise ValueError(f"slot {t}: sampler index {sampler} out of range")
-        if resender is not None:
-            if not 0 <= resender < n:
-                raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
-            if not occ[resender]:
-                raise ValueError(
-                    f"slot {t}: user {resender} has no cached packet to retransmit")
-            if resender == sampler:
-                raise ValueError(
-                    f"slot {t}: user {resender} cannot sample and retransmit at once")
-        if single and sampler is not None and resender is not None:
-            raise ValueError(
-                f"slot {t}: single-transmitter mode allows one acting user")
-
-        rec = t >= burn
-        for k in range(n):
-            sampled = k == sampler
-            acting = sampled or k == resender
-            if rec and not occ[k]:
-                empty_cnt[k] += 1
-            if acting:
-                hit = draw[k] < p[k]
-                if rec and hit:
-                    delivered_cnt[k] += 1
-            else:
-                hit = False
-            if hit:
-                a_next = 1 if sampled else wait[k] + 1
-                occ[k] = False
-                wait[k] = 0
-            else:
-                a = aoi[k]
-                a_next = a + 1 if a < cap else cap
-                if sampled:
-                    if cap <= 2 or 2 >= a_next:
-                        occ[k] = False
-                        wait[k] = 0
-                    else:
-                        occ[k] = True
-                        wait[k] = 1
-                elif occ[k]:
-                    w = wait[k] + 1
-                    if w >= cap - 1 or w + 1 >= a_next:
-                        occ[k] = False
-                        wait[k] = 0
-                    else:
-                        wait[k] = w
-            aoi[k] = a_next
-            served = vq[k] - limit[k]
-            vq[k] = (served if served > 0.0 else 0.0) + a_next
-            if rec:
-                vq_sum[k] += vq[k]
-                hist[k][a_next - 1] += 1
-                if freq is not None:
-                    key = (occ[k], wait[k], a_next)
-                    freq[k][key] = freq[k].get(key, 0) + 1
-        if rec:
-            if sampler is not None:
-                cost_sum += act_cost_sample
-                s_cnt[sampler] += 1
-            if resender is not None:
-                cost_sum += act_cost_resend
-                r_cnt[resender] += 1
-        if (t + 1) % trace_every == 0 or t + 1 == horizon:
-            for k in range(n):
-                trace[k].append((t + 1, vq[k] / (t + 1)))
-
-    return _Totals(cost_sum, vq_sum, vq, empty_cnt, s_cnt, r_cnt,
-                   delivered_cnt, hist, trace, freq)
-
-
-# Walk events: (action if the cache is empty, action if occupied, channel
-# hit), coded (3 * if_empty + if_occupied) * 2 + hit.
+# Events: (action if the cache is empty, action if occupied, channel hit),
+# coded (3 * if_empty + if_occupied) * 2 + hit.  The slot loop knows each
+# user's action, so it uses if_empty == if_occupied: 8 * action + hit.
 _EVENTS = 18
-# Tables are built for caps up to this one (2,017 states, 36,306 entries);
-# larger caps run slot by slot.
-_WALK_MAX_CAP = 64
+
+
+class _Table(NamedTuple):
+    """One cap's transition table; see ``_walk_table``."""
+
+    states: tuple               # (occupied, waiting time, age) per index
+    successor: tuple            # per pair, in offset form
+    kind: np.ndarray            # rows empty, sample, resend, delivered
+    next_state: np.ndarray      # per pair: index of the successor
+    age: np.ndarray             # per state
 
 
 @functools.lru_cache(maxsize=4)
-def _walk_table(cap: int) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
-    """``(states, successor, occupied, age)`` for the table walk at ``cap``.
+def _walk_table(cap: int) -> _Table:
+    """The (state, event) -> state table both engine paths use at ``cap``.
 
     ``states`` lists every reachable (occupied, waiting time, age) triple,
-    empty caches first, so the start state (False, 0, 1) is index 0.
-    ``successor[_EVENTS * s + e]`` is ``_EVENTS`` times the index of the
-    state that event ``e`` leads to from state ``s``, composed from
-    ``model.aoi_step`` and ``model.waiting_time_step``; ``occupied`` and
-    ``age`` are read-only per-state arrays.  Events that break an action
-    rule lead where the laws take them; the walk rejects them afterwards.
-    At most four caps are kept; at ``_WALK_MAX_CAP`` a table takes about
-    0.2 s to build and holds about 1.3 MB.
+    empty caches first, so the start state (False, 0, 1) is index 0.  A
+    user's state is held in offset form, ``_EVENTS`` times its index, so
+    ``s + e`` is the pair of event ``e`` at offset ``s``; ``successor[s +
+    e]``, composed from ``model.aoi_step`` and ``model.waiting_time_step``,
+    is the offset it leads to, and ``kind`` flags whether the pair starts
+    from an empty cache, samples, resends and delivers.  Events that break
+    an action rule lead where the laws take them; the engine rejects them.
+    At most four caps are kept.  Cap 64 (2,017 states) builds in about
+    0.03 s, cap 150 (11,176) in 0.15 s and cap 300 (44,851) in 0.6 s, where
+    the table holds about 41 MB.
     """
     states = ([(False, 0, a) for a in range(1, cap + 1)]
               + [(True, w, a) for w in range(1, cap - 1)
@@ -401,70 +273,220 @@ def _walk_table(cap: int) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
                 next_aoi=next_aoi, cap=cap)
             successor.append(
                 _EVENTS * index[(next_occupied, next_wait, next_aoi)])
-    occupied_of = np.array([s[0] for s in states])
-    age_of = np.array([s[2] for s in states], dtype=np.intp)
-    occupied_of.flags.writeable = False
-    age_of.flags.writeable = False
-    return tuple(states), tuple(successor), occupied_of, age_of
+    occupied = np.repeat([s[0] for s in states], _EVENTS)
+    event = np.tile(np.arange(_EVENTS), len(states))
+    action = np.where(occupied, event // 2 % 3, event // 6)
+    arrays = (np.stack((~occupied, action == 1, action == 2,
+                        (action != 0) & (event % 2 == 1))),
+              np.array(successor) // _EVENTS, np.array([s[2] for s in states]))
+    for a in arrays:
+        a.flags.writeable = False
+    return _Table(tuple(states), tuple(successor), *arrays)
 
 
-def _violation(t: int, sampling: np.ndarray, resending: np.ndarray,
-               occupied: np.ndarray) -> str:
-    """The error for slot ``t``'s realized actions, which break a rule; the
-    slot loop's text for the rules it can meet."""
-    if sampling.sum() > 1:
-        return f"slot {t}: at most one user may sample per slot"
-    if resending.sum() > 1:
-        return f"slot {t}: at most one user may retransmit per slot"
-    if (resending & ~occupied).any():
-        return (f"slot {t}: user {int(resending.argmax())} has no cached "
-                "packet to retransmit")
-    return f"slot {t}: single-transmitter mode allows one acting user"
+def _add_in_order(total, values: np.ndarray):
+    """``total`` plus the rows of ``values`` added one at a time, as a
+    running ``+=`` does; ``sum`` and ``np.sum`` may round differently."""
+    return np.add.accumulate(np.concatenate(([total], values)))[-1]
 
 
-def _add_in_order(total: float, values) -> float:
-    """``total`` plus ``values`` added one at a time, left to right, as the
-    slot loop's ``+=`` does; ``sum`` and ``np.sum`` may round differently."""
-    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
+def _rejected(t: int, action: ActionVector, occupied, cfg) -> ValueError:
+    """The error for slot ``t``, whose ``action`` breaks a scheduling rule."""
+    try:
+        action.validate(occupied, cfg)
+    except ValueError as err:
+        return ValueError(f"slot {t}: {err}")
+    raise AssertionError(f"slot {t}: {action} breaks no rule")
 
 
-def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
-          cfg: SystemConfig,
-          channel_gens: list[np.random.Generator],
-          track_states: bool) -> _Totals:
-    """Walk each user through ``_walk_table`` one ``_DRAW_BLOCK`` at a time.
+class _Tally:
+    """What both paths accumulate, fed a block of slots at a time.
 
-    ``plan`` is the policy's first block.  Per block the Python loop does
-    one table lookup per user and slot, plus the virtual-queue recursion
-    and its sum in slot order with the slot loop's expression; the realized
-    actions are then checked, and the integer statistics are numpy counts.
-    The cost adds each recorded slot's sample price before its resend
-    price, in slot order, as the slot loop does.
+    The integer statistics follow from per-user visit counts of the (state,
+    event) pairs of the recorded slots.  The float sums add the recorded
+    slots in slot order; the cost adds a sample's price before a resend's.
+    """
+
+    def __init__(self, cfg: SystemConfig, table: _Table, track_states: bool):
+        n = cfg.num_users
+        self.cfg = cfg
+        self.table = table
+        self.visits = np.zeros((n, len(table.successor)), dtype=np.int64)
+        self.prices = np.array(
+            [cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost])
+        self.cost_sum = 0.0
+        self.vq_sum = self.vq = np.zeros(n)
+        self.trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        self.freq = [dict() for _ in range(n)] if track_states else None
+
+    def add(self, b0: int, pairs: np.ndarray, vqs: np.ndarray) -> None:
+        """Record slots ``b0, b0 + 1, ...`` from each user's (state, event)
+        pairs and end-of-slot virtual queues, two (n, m) arrays."""
+        n, m = pairs.shape
+        horizon = self.cfg.horizon
+        every = max(1, horizon // _TRACE_POINTS)
+        rec = slice(max(0, self.cfg.burn_in - b0), m)
+        size = self.visits.shape[1]
+        self.visits += np.bincount(
+            (pairs[:, rec] + size * np.arange(n)[:, None]).ravel(),
+            minlength=n * size).reshape(n, size)
+        _, sampled, resent, _ = self.table.kind
+        acted = np.stack((sampled[pairs[:, rec]].any(0),
+                          resent[pairs[:, rec]].any(0)), 1)
+        self.cost_sum = _add_in_order(
+            self.cost_sum, np.tile(self.prices, (len(acted), 1))[acted])
+        self.vq_sum = _add_in_order(self.vq_sum, vqs[:, rec].T)
+        self.vq = vqs[:, -1]
+        marks = range(b0 // every * every + every, b0 + m + 1, every)
+        if b0 + m == horizon and horizon % every:
+            marks = [*marks, horizon]
+        at_marks = vqs[:, [t1 - 1 - b0 for t1 in marks]].tolist()
+        for trace, v in zip(self.trace, at_marks):
+            trace.extend((t1, x / t1) for t1, x in zip(marks, v))
+        for k, freq in enumerate(self.freq or ()):
+            seen, first, count = np.unique(
+                self.table.next_state[pairs[k, rec]],
+                return_index=True, return_counts=True)
+            for i in np.argsort(first):
+                key = self.table.states[seen[i]]
+                freq[key] = freq.get(key, 0) + int(count[i])
+
+    def stats(self, name: str, replica: int) -> SimStats:
+        cfg = self.cfg
+        recorded = cfg.horizon - cfg.burn_in
+        empty, samples, resends, delivered = (
+            self.visits @ self.table.kind.T).T.tolist()
+        # visits per age reached; as float weights they add exactly below 2**53
+        ages = self.table.age[self.table.next_state] - 1
+        hist = [np.bincount(ages, v, cfg.aoi_cap).astype(np.int64).tolist()
+                for v in self.visits]
+        return SimStats(
+            policy=name,
+            horizon=cfg.horizon,
+            burn_in=cfg.burn_in,
+            seed=cfg.seed,
+            replica=replica,
+            avg_cost=float(self.cost_sum) / recorded,
+            avg_aoi=tuple(sum(a * c for a, c in enumerate(h, 1)) / recorded
+                          for h in hist),
+            avg_vqueue=tuple(s / recorded for s in self.vq_sum.tolist()),
+            final_vqueue_over_t=tuple(
+                x / cfg.horizon for x in self.vq.tolist()),
+            empty_fraction=tuple(c / recorded for c in empty),
+            sample_freq=tuple(c / recorded for c in samples),
+            retransmit_freq=tuple(c / recorded for c in resends),
+            delivery_attempts=tuple(s + r for s, r in zip(samples, resends)),
+            deliveries=tuple(delivered),
+            aoi_histogram=tuple(tuple(h) for h in hist),
+            vqueue_trace=tuple(tuple(tr) for tr in self.trace),
+            state_freq=tuple(self.freq) if self.freq is not None else None,
+        )
+
+
+def _slot_loop(policy: Policy, cfg: SystemConfig,
+               channel_gens: list[np.random.Generator], tally: _Tally) -> None:
+    """Step each user through the table one slot at a time.
+
+    A policy whose ``penalties`` gives a pair is scored here from per-state
+    coefficients, with ``dpp._decide_core``'s expressions and tie order;
+    any other is asked through ``decide``.  Actions are checked, then applied.
     """
     n = cfg.num_users
     cap = cfg.aoi_cap
-    horizon = cfg.horizon
-    burn = cfg.burn_in
+    p = cfg.success_prob
     limit = cfg.aoi_limit
     single = cfg.single_transmitter_mode
+    successor = tally.table.successor
+    # Per state, stored at its offset: the cache flag, waiting time and age,
+    # and _decide_core's delta-score coefficients, with aged = min(age + 1,
+    # cap): 1 - aged to sample, wait + 1 - aged (< 0) to resend, 0 if empty.
+    pad = (0,) * (_EVENTS - 1)
+    occupied_at, wait_at, age_at, sample_coef, resend_coef = (
+        [x for v in column for x in (v, *pad)] for column in zip(*(
+            (o, w, a, 1 - min(a + 1, cap), w + 1 - min(a + 1, cap) if o else 0)
+            for o, w, a in tally.table.states)))
+    penalties = policy.penalties()
+    scored = penalties is not None
+    sample_penalty, resend_penalty = penalties or (0.0, 0.0)
+    pairs = [] if single or not scored else list(itertools.permutations(range(n), 2))
+
+    at = [0] * n            # offsets; 0 is the start state
+    aoi, wait, occ, vq = [1] * n, [0] * n, [False] * n, [0.0] * n
+    # scored choice for slot 0: with empty queues each score is sample_penalty
+    sampler, resender = 0 if sample_penalty < 0 else None, None
+    for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, cfg.horizon - b0)
+        hits = np.vstack([g.random(m) for g in channel_gens]) < np.array(p)[:, None]
+        codes, vqs = [], []
+        record, record_vq = codes.extend, vqs.extend
+        for t, hit in enumerate(zip(*hits.view(np.int8).tolist()), b0):
+            if not scored:
+                sampler, resender = policy.decide(t, aoi, wait, occ, vq)
+            events = list(hit)
+            if sampler is not None:
+                if not 0 <= sampler < n:
+                    raise ValueError(f"slot {t}: sampler index {sampler} out of range")
+                events[sampler] += 8
+            if resender is not None:
+                if not 0 <= resender < n:
+                    raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
+                if (resender == sampler or not occupied_at[at[resender]]
+                        or single and sampler is not None):
+                    raise _rejected(t, ActionVector.from_pair(n, sampler, resender),
+                                    [occupied_at[s] for s in at], cfg)
+                events[resender] += 16
+
+            # apply the action; a scored policy's next choice is made on
+            # the way, user by user in _decide_core's order
+            best = 0.0
+            sampler = resender = None
+            for k, e in enumerate(events):
+                events[k] = s = at[k] + e
+                at[k] = s = successor[s]
+                d = vq[k] - limit[k]
+                vq[k] = v = (d if d > 0.0 else 0.0) + age_at[s]
+                if scored:
+                    xp = v * p[k]
+                    d = xp * sample_coef[s] + sample_penalty
+                    if d < best:
+                        best, sampler, resender = d, k, None
+                    c = resend_coef[s]
+                    if c:
+                        d = xp * c + resend_penalty
+                        if d < best:
+                            best, sampler, resender = d, None, k
+                else:
+                    aoi[k], wait[k], occ[k] = age_at[s], wait_at[s], occupied_at[s]
+            for i, j in pairs:
+                c = resend_coef[at[j]]
+                if c:
+                    d = ((vq[i] * p[i] * sample_coef[at[i]] + sample_penalty)
+                         + (vq[j] * p[j] * c + resend_penalty))
+                    if d < best:
+                        best, sampler, resender = d, i, j
+            record(events)
+            record_vq(vq)
+        tally.add(b0, np.fromiter(codes, np.intp, m * n).reshape(m, n).T,
+                  np.fromiter(vqs, float, m * n).reshape(m, n).T)
+
+
+def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
+          cfg: SystemConfig, channel_gens: list[np.random.Generator],
+          tally: _Tally) -> None:
+    """Walk each user through the table one ``_DRAW_BLOCK`` at a time.
+
+    ``plan`` is the policy's first block.  Per block, Python does one table
+    lookup per user and slot and the virtual-queue recursion with the slot
+    loop's expression; the realized actions are checked afterwards.
+    """
+    n = cfg.num_users
     success = np.array(cfg.success_prob)[:, None]
-    prices = np.array(
-        [cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost], dtype=float)
-    states, successor, occupied_of, age_of = _walk_table(cap)
-    trace_every = max(1, horizon // _TRACE_POINTS)
-
-    at = np.zeros(n, dtype=np.intp)        # state index; 0 is the start state
+    table = tally.table
+    successor = table.successor
+    at = np.zeros(n, dtype=np.intp)        # offsets; 0 is the start state
     vq = [0.0] * n
-    cost_sum = 0.0
-    vq_sum = [0.0] * n
-    counts = np.zeros((4, n), dtype=np.int64)   # empty, sample, resend, delivered
-    hist = np.zeros((n, cap), dtype=np.int64)
-    freq: list[dict] | None = [dict() for _ in range(n)] if track_states else None
-    trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-
-    for b0 in range(0, horizon, _DRAW_BLOCK):
-        m = min(_DRAW_BLOCK, horizon - b0)
-        rec = slice(max(0, burn - b0), m)       # this block's recorded slots
+    for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, cfg.horizon - b0)
         if b0:
             plan = policy.plan(m)
         codes = np.asarray(plan)
@@ -472,60 +494,35 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
             raise ValueError(
                 f"slot {b0}: plan must be two ({n}, {m}) arrays of codes 0, 1, 2")
         hit = np.vstack([g.random(m) for g in channel_gens]) < success
-        events = ((codes[0].astype(np.intp) * 3 + codes[1]) * 2 + hit).tolist()
+        events = (codes[0].astype(np.intp) * 3 + codes[1]) * 2 + hit
 
         post = np.empty((n, m), dtype=np.intp)
-        for k in range(n):
-            s = _EVENTS * int(at[k])
-            post[k] = [s := successor[s + e] for e in events[k]]
-        post //= _EVENTS
-        pre = np.concatenate((at[:, None], post[:, :-1]), axis=1)
+        for k, row in enumerate(events.tolist()):
+            s = int(at[k])
+            post[k] = [s := successor[s + e] for e in row]
+        pairs = np.concatenate((at[:, None], post[:, :-1]), axis=1) + events
         at = post[:, -1]
 
-        occupied = occupied_of[pre]
-        action = np.where(occupied, codes[1], codes[0])
-        sampling = action == 1
-        resending = action == 2
+        empty, sampled, resent, _ = table.kind
+        occupied, sampling, resending = ~empty[pairs], sampled[pairs], resent[pairs]
         bad = ((sampling.sum(0) > 1) | (resending.sum(0) > 1)
                | (resending & ~occupied).any(0))
-        if single:
+        if cfg.single_transmitter_mode:
             bad |= sampling.sum(0) + resending.sum(0) > 1
         if bad.any():
             t = int(bad.argmax())
-            raise ValueError(_violation(b0 + t, sampling[:, t], resending[:, t],
-                                        occupied[:, t]))
+            raise _rejected(b0 + t, ActionVector(
+                tuple(sampling[:, t].tolist()), tuple(resending[:, t].tolist())),
+                occupied[:, t].tolist(), cfg)
 
-        ages = age_of[post]
-        for k in range(n):
-            lim = limit[k]
+        vqs = []
+        for k, ages in enumerate(table.age[post // _EVENTS].tolist()):
+            lim = cfg.aoi_limit[k]
             v = vq[k]
-            vqs = [v := (served if (served := v - lim) > 0.0 else 0.0) + a
-                   for a in ages[k].tolist()]
+            vqs.append([v := (served if (served := v - lim) > 0.0 else 0.0) + a
+                        for a in ages])
             vq[k] = v
-            vq_sum[k] = _add_in_order(vq_sum[k], vqs[rec])
-            marks = range(b0 // trace_every * trace_every + trace_every,
-                          b0 + m + 1, trace_every)
-            trace[k].extend((t1, vqs[t1 - 1 - b0] / t1) for t1 in marks)
-            if b0 + m == horizon and horizon % trace_every:
-                trace[k].append((horizon, v / horizon))
-
-        counts += [(~occupied[:, rec]).sum(1), sampling[:, rec].sum(1),
-                   resending[:, rec].sum(1), (hit & (action != 0))[:, rec].sum(1)]
-        acted = np.stack((sampling[:, rec].any(0), resending[:, rec].any(0)), 1)
-        cost_sum = _add_in_order(
-            cost_sum, np.broadcast_to(prices, acted.shape)[acted])
-        for k in range(n):
-            hist[k] += np.bincount(ages[k, rec] - 1, minlength=cap)
-            if freq is not None:
-                seen, first, count = np.unique(
-                    post[k, rec], return_index=True, return_counts=True)
-                for i in np.argsort(first):
-                    key = states[seen[i]]
-                    freq[k][key] = freq[k].get(key, 0) + int(count[i])
-
-    empty, samples, resends, delivered = counts.tolist()
-    return _Totals(cost_sum, vq_sum, vq, empty, samples, resends, delivered,
-                   hist.tolist(), trace, freq)
+        tally.add(b0, pairs, np.array(vqs))
 
 
 # ──────────────────────────────────────────────────────────────────────────

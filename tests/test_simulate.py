@@ -1,5 +1,6 @@
 """Tests for the slot-level simulation engine."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -95,11 +96,14 @@ def test_channel_uniforms_match_across_calls():
 # ── engine versus reference stepper ───────────────────────────────────────
 
 def _replay(policy, cfg, replica=0):
-    """Drive the reference stepper with the exact randomness run() uses."""
+    """Drive the reference stepper with the exact randomness run() uses,
+    recording the slots from ``cfg.burn_in`` on as run() does."""
     uniforms = channel_uniforms(cfg, replica)
     policy.reset(cfg, policy_rng(cfg, replica))
     states = initial_states(cfg)
     n = cfg.num_users
+    recorded = cfg.horizon - cfg.burn_in
+    every = max(1, cfg.horizon // 100)
     cost = 0.0
     aoi_sum = [0] * n
     vq_sum = [0.0] * n
@@ -108,9 +112,12 @@ def _replay(policy, cfg, replica=0):
     samples = [0] * n
     resends = [0] * n
     delivered = [0] * n
+    trace = [[] for _ in range(n)]
+    freq = [{} for _ in range(n)]
     for t in range(cfg.horizon):
+        rec = t >= cfg.burn_in
         for k in range(n):
-            if not states[k].cache_occupied:
+            if rec and not states[k].cache_occupied:
                 empty[k] += 1
         sampler, resender = policy.decide(
             t, [s.aoi for s in states], [s.waiting_time for s in states],
@@ -118,25 +125,34 @@ def _replay(policy, cfg, replica=0):
         action = ActionVector.from_pair(n, sampler, resender)
         states, outcome = step_users(
             states, action, uniforms[:, t].tolist(), cfg)
+        for k, st in enumerate(states):
+            if (t + 1) % every == 0 or t + 1 == cfg.horizon:
+                trace[k].append((t + 1, st.vqueue / (t + 1)))
+        if not rec:
+            continue
         cost += outcome.cost
-        for k in range(n):
-            aoi_sum[k] += states[k].aoi
-            vq_sum[k] += states[k].vqueue
-            hist[k][states[k].aoi - 1] += 1
+        for k, st in enumerate(states):
+            aoi_sum[k] += st.aoi
+            vq_sum[k] += st.vqueue
+            hist[k][st.aoi - 1] += 1
             samples[k] += action.sample[k]
             resends[k] += action.retransmit[k]
             delivered[k] += outcome.delivered[k]
+            key = (st.cache_occupied, st.waiting_time, st.aoi)
+            freq[k][key] = freq[k].get(key, 0) + 1
     return {
-        "avg_cost": cost / cfg.horizon,
-        "avg_aoi": tuple(s / cfg.horizon for s in aoi_sum),
-        "avg_vqueue": tuple(s / cfg.horizon for s in vq_sum),
-        "empty_fraction": tuple(e / cfg.horizon for e in empty),
+        "avg_cost": cost / recorded,
+        "avg_aoi": tuple(s / recorded for s in aoi_sum),
+        "avg_vqueue": tuple(s / recorded for s in vq_sum),
+        "empty_fraction": tuple(e / recorded for e in empty),
         "hist": tuple(tuple(h) for h in hist),
-        "sample_freq": tuple(s / cfg.horizon for s in samples),
-        "retransmit_freq": tuple(r / cfg.horizon for r in resends),
+        "sample_freq": tuple(s / recorded for s in samples),
+        "retransmit_freq": tuple(r / recorded for r in resends),
         "attempts": tuple(s + r for s, r in zip(samples, resends)),
         "deliveries": tuple(delivered),
         "final_vqueue": tuple(s.vqueue for s in states),
+        "trace": tuple(tuple(tr) for tr in trace),
+        "freq": tuple(freq),
     }
 
 
@@ -177,18 +193,36 @@ _LONG_CASE = (
     1)
 
 
+# Free actions and twin users: DPP's delta scores tie exactly (equal, or
+# -0.0 against idle's 0.0) and only the canonical order decides.
+_TIE_CASE = (
+    make_config(num_users=3, success_prob=[1.0, 1.0, 0.0], sample_cost=0.0,
+                transmit_cost=0.0, aoi_cap=6, aoi_limit=[2.0, 2.0, 3.0],
+                horizon=400, seed=3, single_transmitter_mode=False),
+    ofrp.OfrpParams(users=(ofrp.OfrpUserParams(0.4, 0.5, 0.3, 0.6),) * 2
+                    + (ofrp.OfrpUserParams(0.2, 0.1, 0.6, 0.2),)),
+    0)
+
+
 @pytest.mark.parametrize("policy_factory", [
     pytest.param(lambda params: dpp.DppPolicy(), id="DppPolicy"),
     pytest.param(ofrp.OfrpPolicy, id="OfrpPolicy"),
 ])
 @settings(max_examples=30, deadline=None)
-@example(case=_LONG_CASE)
-@given(case=engine_cases())
-def test_engine_matches_reference_stepper(policy_factory, case):
-    """The inlined hot loop and the literal composition of update laws must
-    produce identical sample paths, statistics included."""
+@example(case=_LONG_CASE, track_states=False)
+@example(case=_TIE_CASE, track_states=True)
+@example(case=(replace(_TIE_CASE[0], single_transmitter_mode=True),
+               *_TIE_CASE[1:]), track_states=False)
+@example(case=(replace(_LONG_CASE[0], burn_in=8191), *_LONG_CASE[1:]),
+         track_states=True)
+@given(case=engine_cases(burn_in=True), track_states=st.booleans())
+def test_engine_matches_reference_stepper(policy_factory, case, track_states):
+    """The engine and the literal composition of update laws must produce
+    identical sample paths, statistics, trace and state frequencies
+    included."""
     cfg, params, replica = case
-    stats = run(policy_factory(params), cfg, replica=replica)
+    stats = run(policy_factory(params), cfg, replica=replica,
+                track_states=track_states)
     ref = _replay(policy_factory(params), cfg, replica=replica)
     # the engine adds a slot's sample and resend costs one at a time, the
     # stepper adds their sum, so float prices may round differently
@@ -201,9 +235,91 @@ def test_engine_matches_reference_stepper(policy_factory, case):
     assert stats.retransmit_freq == ref["retransmit_freq"]
     assert stats.delivery_attempts == ref["attempts"]
     assert stats.deliveries == ref["deliveries"]
+    assert stats.vqueue_trace == ref["trace"]
     for k in range(cfg.num_users):
         assert stats.final_vqueue_over_t[k] * cfg.horizon == pytest.approx(
             ref["final_vqueue"][k], abs=1e-9)
+    if track_states:
+        assert repr(stats.state_freq) == repr(ref["freq"])   # order too
+    else:
+        assert stats.state_freq is None
+
+
+class NeverDecided(dpp.DppPolicy):
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        raise AssertionError("decide called")
+
+
+# sha256 of repr(SimStats) for DppPolicy runs at replica 1, recorded when
+# the engine still asked DppPolicy.decide every slot.  Any change in the
+# order of float operations (delta scores, virtual queues, their sums or the
+# cost sum) changes a digest.  All horizons cross the 8,192-slot block.
+_DPP_DIGESTS = {
+    "fig9-prices": (
+        dict(success_prob=0.7, horizon=20_000, seed=746004), False,
+        "50234743f019ec1c025d9c035993729334f48404cb0da8e33856f6c8a856fa52"),
+    "pairs-k3": (
+        dict(num_users=3, success_prob=[0.5, 0.8, 0.95], sample_cost=0.3,
+             transmit_cost=2.0, aoi_cap=12, aoi_limit=[4.5, 6.0, 3.5],
+             horizon=8193, seed=11, v_weight=40.0,
+             single_transmitter_mode=False), False,
+        "8c9e7ee8f444ae7790945b16ca775655952a6c1a94201648cba3a782adfcabef"),
+    "burn-in-states": (
+        dict(success_prob=[0.6, 0.9], aoi_limit=[4.0, 5.5],
+             horizon=3 * 8192 + 5, seed=5, burn_in=9000), True,
+        "56c0b9ef32cac37baea4b604c0801d5af0063558f078899cade630bf55ab0eda"),
+}
+
+
+@pytest.mark.parametrize("case", _DPP_DIGESTS)
+def test_dpp_runs_keep_their_recorded_digests(case):
+    overrides, track_states, digest = _DPP_DIGESTS[case]
+    stats = run(dpp.DppPolicy(), make_config(**overrides), 1,
+                track_states=track_states)
+    assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+
+
+def test_run_scores_dpp_without_calling_decide():
+    for overrides, track_states, digest in _DPP_DIGESTS.values():
+        stats = run(NeverDecided(), make_config(**overrides), 1,
+                    track_states=track_states)
+        assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+
+
+class FixedPrices(dpp.DppPolicy):
+    """The drift-plus-penalty rule at given penalties, negative ones too."""
+
+    def __init__(self, prices):
+        self.prices = prices
+
+    def reset(self, cfg, rng):
+        self.cfg = cfg
+
+    def penalties(self):
+        return self.prices
+
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        return dpp._decide_core(
+            aoi, waiting, occupied, vqueue, self.cfg.success_prob,
+            self.cfg.aoi_cap, *self.prices, self.cfg.single_transmitter_mode)
+
+
+@pytest.mark.parametrize("single", [True, False])
+@pytest.mark.parametrize("prices", [(-1.0, -1.0), (-2.0, 0.5), (0.0, -1.0),
+                                    (0.0, 0.0)])
+def test_scored_penalties_follow_decide_through_ties(prices, single):
+    """On a dead channel every delta score is a penalty, so candidates tie
+    exactly; the engine's own scoring still takes decide's choice, slot 0
+    included."""
+    cfg = replace(_TIE_CASE[0], success_prob=0.0,
+                  single_transmitter_mode=single)
+    stats = run(FixedPrices(prices), cfg, track_states=True)
+    ref = _replay(FixedPrices(prices), cfg)
+    assert (stats.sample_freq, stats.retransmit_freq, stats.aoi_histogram,
+            stats.avg_vqueue, stats.vqueue_trace) == \
+        (ref["sample_freq"], ref["retransmit_freq"], ref["hist"],
+         ref["avg_vqueue"], ref["trace"])
+    assert repr(stats.state_freq) == repr(ref["freq"])
 
 
 class CodeScript(Policy):
@@ -297,11 +413,35 @@ class NeverBySlot(ofrp.OfrpPolicy):
         raise AssertionError("asked slot by slot")
 
 
-def test_planned_policy_is_walked_up_to_the_table_cap():
+def test_planned_policy_is_walked_at_every_cap():
     params = _LONG_CASE[1]
-    run(NeverBySlot(params), make_config(aoi_cap=64))
-    with pytest.raises(AssertionError, match="slot by slot"):
-        run(NeverBySlot(params), make_config(aoi_cap=65))
+    for cap in (2, 64, 65, 80):
+        run(NeverBySlot(params), make_config(aoi_cap=cap))
+
+
+# Past any cap the other tests reach (2,017 states at cap 64, 3,161 at 80).
+_CAP80_CASE = (
+    make_config(num_users=2, success_prob=[0.3, 0.55], aoi_cap=80,
+                aoi_limit=[75.0, 12.5], horizon=8192 + 40, v_weight=800.0,
+                seed=80, burn_in=700),
+    ofrp.OfrpParams(users=(ofrp.OfrpUserParams(0.4, 0.5, 0.3, 0.6),
+                           ofrp.OfrpUserParams(0.6, 0.1, 0.6, 0.2))),
+    2)
+
+
+def test_cap_80_engine_matches_stepper_and_slot_loop():
+    cfg, params, replica = _CAP80_CASE
+    stats = run(dpp.DppPolicy(), cfg, replica, track_states=True)
+    ref = _replay(dpp.DppPolicy(), cfg, replica)
+    assert max(age for _, _, age in stats.state_freq[0]) > 64
+    assert (stats.aoi_histogram, stats.avg_vqueue, stats.vqueue_trace) == \
+        (ref["hist"], ref["avg_vqueue"], ref["trace"])
+    assert stats.avg_cost == pytest.approx(ref["avg_cost"], rel=1e-12, abs=0)
+    assert repr(stats.state_freq) == repr(ref["freq"])
+    walked = run(ofrp.OfrpPolicy(params), cfg, replica, track_states=True)
+    assert max(age for _, _, age in walked.state_freq[0]) > 64
+    assert repr(walked) == repr(
+        run(SlotBySlot(params), cfg, replica, track_states=True))
 
 
 class IdleBySlot(IdlePolicy):
