@@ -3,9 +3,12 @@
 Solves pi = pi P for row-stochastic P.  The default path replaces one balance
 equation with the normalization constraint and hands the dense system to
 LAPACK; a damped power iteration serves as fallback (and as the primary
-method for very large chains).  Chains whose structure admits more than one
-recurrent class have no unique stationary distribution and are rejected up
-front via a strongly-connected-component scan.
+method for very large chains).  Chains with no unique stationary
+distribution, those with more than one recurrent class, are rejected up
+front: an iterative Tarjan scan (Tarjan 1972, "Depth-first search and linear
+graph algorithms", SIAM J. Comput. 1(2)) finds the strongly connected
+components of the p > 0 graph in time linear in its edges, and the recurrent
+classes are the components that no edge leaves.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 # Above this state count the dense direct solve is skipped in favor of the
 # power iteration (cubic solve cost stops being worth it).
@@ -45,6 +46,8 @@ def validate_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"transition matrix must be square, got shape {p.shape}")
     if p.size == 0:
         raise ValueError("transition matrix must be non-empty")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("transition matrix has non-finite (NaN or inf) entries")
     if np.any(p < -1e-12):
         raise ValueError("transition matrix has negative entries")
     rowsum = p.sum(axis=1)
@@ -55,13 +58,57 @@ def validate_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def recurrent_class_count(matrix: np.ndarray) -> int:
-    """Number of recurrent communicating classes of the chain."""
+    """Number of recurrent communicating classes of the chain: the strongly
+    connected components of the p > 0 graph that no edge leaves."""
     p = np.asarray(matrix)
-    adj = csr_matrix(p > 0.0)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    n = p.shape[0]
+    rows, cols = np.nonzero(p > 0.0)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    targets = cols.tolist()
+    succ = [targets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    # Iterative Tarjan.  index[v] is v's discovery number and low[v] the
+    # smallest discovery number v's DFS subtree reaches by one edge into the
+    # stack; a discovered node is on the stack until its component is labelled.
+    index = [-1] * n
+    low = [0] * n
+    labels = [-1] * n
+    stack = []
+    found = 0
+    n_comp = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        path = [(root, iter(succ[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    path.append((w, iter(succ[w])))
+                    break
+                if labels[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = n_comp
+                        if w == v:
+                            break
+                    n_comp += 1
+
     # A class is recurrent iff no edge leaves it.
+    labels = np.array(labels)
     leaves = np.zeros(n_comp, dtype=bool)
-    rows, cols = adj.nonzero()
     cross = labels[rows] != labels[cols]
     leaves[labels[rows[cross]]] = True
     return int(n_comp - np.count_nonzero(leaves))

@@ -16,6 +16,7 @@ update laws exactly as the simulation engine does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,18 +81,19 @@ class SystemConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"success_prob must lie in [0, 1], got {p}")
         for a in self.aoi_limit:
-            if a < 1.0:
+            if not a >= 1.0:   # also rejects NaN; inf means no limit
                 raise ValueError(f"aoi_limit must be at least 1, got {a}")
-        if self.sample_cost < 0 or self.transmit_cost < 0:
-            raise ValueError("costs must be non-negative")
+        for name in ("sample_cost", "transmit_cost", "v_weight"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value}")
         if self.aoi_cap < 2:
             raise ValueError("aoi_cap must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
-        if self.v_weight < 0:
-            raise ValueError("v_weight must be non-negative")
 
 
 @dataclass(frozen=True)

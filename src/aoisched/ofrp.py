@@ -481,8 +481,11 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
     """Cheapest (sample_occupied, retransmit_old, sample_empty) for one user.
 
     Returns (u, q, ue, avg_aoi, avg_cost).  Prices the ``grid_table`` points
-    and takes the first least-cost point meeting the limit in scan order, so
-    ties resolve to the lexicographically smallest triple (``_select``).
+    and takes the first least-cost point meeting the limit in scan order, by
+    the certified values ``_select`` settles on.  Exact ties do not always
+    resolve to the smallest triple: at success_prob = 1 the cache is never
+    used, so every (u, q) pair with one sample_empty ties in exact arithmetic,
+    and rounding in the solved empty fraction decides between them.
     """
     # sample_empty = 0 never delivers anything fresh: the age saturates at the
     # cap, the cache stays empty in steady state, and the cost rate is 0.

@@ -27,7 +27,6 @@ import abc
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -591,6 +590,8 @@ def run_replicas(policy: Policy, cfg: SystemConfig, n_replicas: int,
     if n_replicas < 1:
         raise ValueError("n_replicas must be positive")
     if threads > 1 and n_replicas > 1:
+        # Imported here: single-process runs never load the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, n_replicas)) as pool:
             stats = list(pool.map(
                 _replica_task, [(policy, cfg, i) for i in range(n_replicas)]))

@@ -1,11 +1,16 @@
 """Tests for scenario loading, sweep execution, CSV output, and the CLI."""
 
 import csv
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import aoisched
 from aoisched import cli, markov, ofrp, validate
 from aoisched.experiments import (ExperimentSpec, SpecError, apply_axis,
                                   available_presets, config_hash, load_spec,
@@ -254,6 +259,36 @@ def test_parameter_reports_reuse_the_optimizer_solves(tmp_path, monkeypatch,
     else:
         run_experiment(spec, out_dir=tmp_path)
     assert len(solves) == optimizer_solves
+
+
+COLD_START = """
+import dataclasses, json, sys, tempfile
+from aoisched import ofrp
+from aoisched.experiments import load_spec, optimize_experiment, run_experiment
+spec = load_spec("fig5a")
+spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, horizon=300),
+                           replicas=1, grid_step=0.25)
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(spec, out_dir=out, threads=1)
+    optimize_experiment(spec, out_dir=out)
+print(json.dumps({
+    "chains_solved": ofrp.metrics.cache_info().misses,
+    "loaded": sorted(m for m in sys.modules if m.startswith("scipy")
+                     or m == "concurrent.futures.process")}))
+"""
+
+
+def test_single_process_runs_import_neither_scipy_nor_the_process_pool():
+    # A fresh interpreter, so modules other tests import do not count.
+    src = str(Path(aoisched.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["chains_solved"] > 0       # the recurrence scan ran
+    assert report["loaded"] == []
 
 
 def test_optimize_experiment_needs_a_randomized_policy():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aoisched.markov as markov
+from aoisched import ofrp
 from aoisched.markov import (direct_stationary, power_stationary,
                              recurrent_class_count, solve_stationary,
                              validate_stochastic)
@@ -65,6 +68,42 @@ def test_recurrent_class_count():
     assert recurrent_class_count(np.array([[1.0, 0.0], [0.5, 0.5]])) == 1
 
 
+def closed_class_count(matrix):
+    """Brute-force oracle: a state is recurrent when every state it reaches
+    reaches it back; its class is the set it reaches."""
+    reach = np.eye(len(matrix), dtype=bool) | (np.asarray(matrix) > 0.0)
+    for k in range(len(matrix)):                     # transitive closure
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    recurrent = np.all(~reach | reach.T, axis=1)
+    return len({tuple(np.flatnonzero(row)) for row in reach[recurrent]})
+
+
+@st.composite
+def sparse_nonnegative(draw):
+    n = draw(st.integers(1, 30))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.floats(0.0, 1.0)),
+                          max_size=3 * n))
+    m = np.zeros((n, n))
+    for i, j, value in cells:
+        m[i, j] = value
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=sparse_nonnegative())
+@example(matrix=np.eye(1))
+@example(matrix=np.eye(7))
+@example(matrix=np.array([[1.0, 0.0, 0.0],       # absorbing state 0,
+                          [0.5, 0.0, 0.5],       # transient 1 and 2
+                          [0.0, 0.7, 0.3]]))
+@example(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))           # period 2
+@example(matrix=ofrp.build_chain(ofrp.OfrpUserParams(0.5, 0.3, 0.4, 0.7),
+                                 0.6, 30).matrix)              # 436 states
+def test_recurrent_class_count_matches_reachability_oracle(matrix):
+    assert recurrent_class_count(matrix) == closed_class_count(matrix)
+
+
 @pytest.mark.parametrize("bad", [
     np.ones((2, 3)),                       # not square
     np.zeros((0, 0)),                      # empty
@@ -74,6 +113,15 @@ def test_recurrent_class_count():
 def test_validate_rejects_non_stochastic(bad):
     with pytest.raises(ValueError):
         validate_stochastic(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[np.nan, 1.0], [0.5, 0.5]]),
+    np.array([[0.5, 0.5], [np.inf, -np.inf]]),
+])
+def test_non_finite_entries_are_rejected_up_front(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_stationary(bad)
 
 
 def test_validate_tolerates_solver_noise():

@@ -136,6 +136,25 @@ def test_config_rejects_bad_values(overrides):
         make_config(**overrides)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("aoi_limit", float("nan")),
+    ("aoi_limit", [5.0, float("nan")]),
+    ("sample_cost", float("nan")),
+    ("sample_cost", float("inf")),
+    ("transmit_cost", float("nan")),
+    ("transmit_cost", float("inf")),
+    ("v_weight", float("nan")),
+    ("v_weight", float("inf")),
+])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_config(**{field: value})
+
+
+def test_config_accepts_an_infinite_aoi_limit():
+    assert make_config(aoi_limit=float("inf")).aoi_limit == (float("inf"),) * 2
+
+
 def test_state_validation():
     UserState(aoi=3, waiting_time=1, cache_occupied=True).validate(10)
     UserState(aoi=10).validate(10)
