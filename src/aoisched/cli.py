@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario YAML path or preset name "
                             f"(presets: {', '.join(available_presets())})")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--seeds", type=int, default=None,
+    run_p.add_argument("--seeds", type=_positive_int, default=None,
                        help="override the scenario's replica count")
     run_p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker processes for replica simulation")

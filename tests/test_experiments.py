@@ -323,12 +323,15 @@ def test_cli_rejects_bad_config(tmp_path):
     ["run", "--config", "fig5a", "--threads", "-3"],
     ["validate", "--threads", "0"],
     ["validate", "--threads", "two"],
+    ["run", "--config", "fig5a", "--seeds", "0"],
+    ["run", "--config", "fig5a", "--seeds", "-1"],
 ])
 def test_cli_rejects_thread_counts_below_one(argv, capsys):
+    """Thread and seed counts below one are usage errors naming the flag."""
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert f"argument {argv[-2]}:" in capsys.readouterr().err
 
 
 def test_cli_validate_subcommand(capsys):

@@ -1,6 +1,8 @@
 """Tests for the slot-level simulation engine."""
 
 import hashlib
+import logging
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -164,11 +166,13 @@ def engine_cases(draw, min_cap=3, burn_in=False):
     cap = draw(st.integers(min_cap, 12))
     unit = st.floats(0.0, 1.0)
     horizon = draw(st.integers(1, 300))
+    # quarter steps keep the walk's virtual queues on its prefix-sum form
+    limit = st.floats(1.0, cap) | st.integers(4, 4 * cap).map(lambda q: q / 4)
     cfg = SystemConfig(
         num_users=k, success_prob=draw(st.lists(unit, min_size=k, max_size=k)),
         sample_cost=draw(st.floats(0.0, 10.0)),
         transmit_cost=draw(st.floats(0.0, 10.0)), aoi_cap=cap,
-        aoi_limit=draw(st.lists(st.floats(1.0, cap), min_size=k, max_size=k)),
+        aoi_limit=draw(st.lists(limit, min_size=k, max_size=k)),
         horizon=horizon, seed=draw(st.integers(0, 2**32 - 1)),
         v_weight=draw(st.floats(0.0, 1000.0)),
         single_transmitter_mode=draw(st.booleans()),
@@ -215,6 +219,8 @@ _TIE_CASE = (
                *_TIE_CASE[1:]), track_states=False)
 @example(case=(replace(_LONG_CASE[0], burn_in=8191), *_LONG_CASE[1:]),
          track_states=True)
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(math.inf, 2.0)),
+               *_LONG_CASE[1:]), track_states=False)
 @given(case=engine_cases(burn_in=True), track_states=st.booleans())
 def test_engine_matches_reference_stepper(policy_factory, case, track_states):
     """The engine and the literal composition of update laws must produce
@@ -367,8 +373,20 @@ class SlotBySlot(ofrp.OfrpPolicy):
 
 
 @settings(max_examples=40, deadline=None)
+# The walk's prefix sums carry each queue across two block boundaries, and
+# stay exact with a 30-bit fraction in the limit.
 @example(case=(replace(_LONG_CASE[0], burn_in=5000), *_LONG_CASE[1:]),
          track_states=True)
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(1 + 2**-30, 4.5)),
+               *_LONG_CASE[1:]), track_states=False)
+# Limits the prefix sums cannot carry exactly: past the bound, non-dyadic
+# and infinite.  The walk keeps the slot loop's recursion for them.
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(1e300, 4.5)), *_LONG_CASE[1:]),
+         track_states=False)
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(4.3, 3.0)), *_LONG_CASE[1:]),
+         track_states=False)
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(math.inf, 2.0)),
+               *_LONG_CASE[1:]), track_states=False)
 @given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
 def test_table_walk_matches_slot_loop(case, track_states):
     """The table walk and the slot loop give the same statistics, floats,
@@ -406,6 +424,21 @@ def test_two_actor_plans_match_slot_loop(case, script_seed):
                track_states=True) == \
         run(CodeScript(script, planned=False, cached_only=True), cfg,
             track_states=True)
+
+
+@pytest.mark.parametrize("limits, inexact", [
+    ((3.0, 4.5), None), ((3.0, 4.3), "4.3"), ((1e300, 4.5), "1e+300"),
+    ((math.inf, 2.0), "inf"),
+])
+def test_walk_logs_its_virtual_queue_form(limits, inexact, caplog):
+    """One line per walked run names the queue form, and the limit that
+    kept the slot-by-slot one."""
+    caplog.set_level(logging.DEBUG, logger="aoisched.simulate")
+    run(ofrp.OfrpPolicy(_LONG_CASE[1]), replace(_LONG_CASE[0], aoi_limit=limits))
+    assert caplog.messages == [
+        "walk: virtual queues as exact prefix sums" if inexact is None else
+        f"walk: virtual queues slot by slot, aoi_limit {inexact} is not "
+        "exact in prefix sums"]
 
 
 class NeverBySlot(ofrp.OfrpPolicy):
