@@ -31,9 +31,12 @@ class InfeasibleError(RuntimeError):
 
 def _as_tuple(value, n: int, name: str) -> tuple[float, ...]:
     """Broadcast a scalar to ``n`` entries, or validate a length-``n`` sequence."""
-    if isinstance(value, (int, float)):
-        return (float(value),) * n
-    out = tuple(float(v) for v in value)
+    try:
+        if isinstance(value, (int, float)):
+            return (float(value),) * n
+        out = tuple(float(v) for v in value)
+    except OverflowError:
+        raise ValueError(f"{name}: integer too large for a float") from None
     if len(out) != n:
         raise ValueError(f"{name}: expected {n} entries, got {len(out)}")
     return out
@@ -85,7 +88,7 @@ class SystemConfig:
                 raise ValueError(f"aoi_limit must be at least 1, got {a}")
         for name in ("sample_cost", "transmit_cost", "v_weight"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
+            if not 0.0 <= value <= math.nextafter(math.inf, 0.0):  # max double
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value}")
         if self.aoi_cap < 2:

@@ -15,12 +15,12 @@ matrices are assembled in stacks from fixed 0/1 templates for stacked
 LAPACK solves.
 
 ``metrics`` solves the full chain densely; it is the oracle, and every
-number that reaches a CSV comes from it.  ``grid_table`` solves every grid
-point once per (alpha, success_prob, cap, step), but on the chain censored
-on its 2 * cap - 2 boundary states (empty, or cached with waiting time 1):
-outside them the chain only walks the deterministic "copy kept" diagonal,
-whose geometric weights rebuild the full averages.  ``_select`` takes the
-first cheapest point meeting the limit and certifies it: every point whose
+number that reaches a CSV comes from it.  ``grid_table`` evaluates every
+grid point once per (alpha, success_prob, cap, step) in closed form, with
+no matrix: off its boundary states (empty, or cached with waiting time 1)
+the chain only walks a deterministic "copy kept" diagonal, so the balance
+equations reduce to an O(cap) recursion.  ``_select`` takes the first
+cheapest point meeting the limit and certifies it: every point whose
 feasibility or cost rank a table error of ``TAU`` could flip is solved
 densely, exactly as a dense table would, and the pick is made from those
 values, so it is the dense table's pick.  ``_scan_user`` re-evaluates the
@@ -156,22 +156,17 @@ def _coefficients(alpha, u, q, ue, p) -> tuple:
     )
 
 
-def _fill(weights: np.ndarray, templates: tuple, size: int) -> np.ndarray:
-    """Matrices (m, size, size) whose arcs in ``templates[g]`` carry
-    ``weights[:, g]``."""
-    mats = np.zeros((len(weights), size, size))
-    for g, (rows, cols) in enumerate(templates):
-        # No template maps one source to the same target twice, so fancy-index
-        # addition is safe; overlaps *between* templates accumulate across passes.
-        mats[:, rows, cols] += weights[:, g:g + 1]
-    return mats
-
-
 def _assemble(coeff: tuple, cap: int) -> np.ndarray:
     """Transition matrices (m, s, s) from ``_coefficients`` output, whose
     entries are scalars (m = 1) or (m,) arrays."""
     states, _, _, _, events = _layout(cap)
-    return _fill(np.column_stack(coeff), events, len(states))
+    weights = np.column_stack(coeff)
+    mats = np.zeros((len(weights), len(states), len(states)))
+    for g, (rows, cols) in enumerate(events):
+        # No template maps one source to the same target twice, so fancy-index
+        # addition is safe; overlaps *between* templates accumulate across passes.
+        mats[:, rows, cols] += weights[:, g:g + 1]
+    return mats
 
 
 def build_chain(user: OfrpUserParams, success_prob: float, cap: int) -> ChainModel:
@@ -268,73 +263,17 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
 #  grid search
 # ──────────────────────────────────────────────────────────────────────────
 
-# Cap on doubles per stacked matrix batch (~64 MB); chunks shrink as the
-# state space grows.
+# Cap on doubles per stacked matrix batch of the dense re-solve (~64 MB);
+# chunks shrink as the state space grows.
 _BATCH_BUDGET = 8_000_000
 
-# Asserted bound on |censored - dense| for a grid point's avg_aoi and
-# empty_fraction; the measured gap is below 1e-13.
+# Doubles per (cap, points) work array of the boundary recursion (2 MB), so
+# a table's working memory stays bounded whatever its size.
+_BLOCK_BUDGET = 1 << 18
+
+# Asserted bound on |recursion - dense| for a grid point's avg_aoi and
+# empty_fraction; the measured gap is below 4e-13.
 TAU = 1e-9
-
-
-def _chunk(size: int) -> int:
-    """Points per stacked batch for chains of ``size`` states."""
-    return max(1, min(4096, _BATCH_BUDGET // (size * size)))
-
-
-@lru_cache(maxsize=16)
-def _censored_layout(cap: int):
-    """The chain censored on its boundary set S, as index templates over S.
-
-    S holds the empty states and the wait-1 cached states, 2 * cap - 2 in
-    all.  Every other cached state is entered only by "copy kept" (event 6),
-    so a walk out of S is deterministic and its k-th step has weight r**k,
-    r = coefficient 6.  Following ``_layout``'s arcs from each S state until
-    they re-enter S gives the censored chain (its stochastic complement on S,
-    Meyer 1989): template g holds the arcs of event ``event[g]`` taken after
-    ``power[g]`` kept steps, each worth coefficient[event] * r**power.  Row
-    k of ``visits`` marks the S states whose walk is still on the diagonal
-    after k kept steps (row 0: every S state itself), and ``visit_aoi``
-    holds the age there; they weigh the solution on S back up to the full
-    chain's mass and average age.
-    """
-    states, _, aoi_vec, empty_vec, events = _layout(cap)
-    boundary = [i for i, s in enumerate(states)
-                if s[0] == "empty" or s[1] == 1]
-    where = {full: row for row, full in enumerate(boundary)}
-    arcs_from: list[list[tuple[int, int]]] = [[] for _ in states]
-    for ev, (rows, cols) in enumerate(events):
-        for src, dst in zip(rows.tolist(), cols.tolist()):
-            arcs_from[src].append((ev, dst))
-    arcs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    visited = []
-    for row, at in enumerate(boundary):
-        kept = 0
-        while at is not None:
-            visited.append((kept, row, aoi_vec[at]))
-            out = None
-            for ev, dst in arcs_from[at]:
-                if dst in where:
-                    rows, cols = arcs.setdefault((ev, kept), ([], []))
-                    rows.append(row)
-                    cols.append(where[dst])
-                else:
-                    # only "copy kept" leaves S, so the walk cannot branch
-                    assert ev == 6 and out is None
-                    out = dst
-            at, kept = out, kept + 1
-    keys = sorted(arcs)
-    event = np.array([ev for ev, _ in keys], dtype=np.intp)
-    power = np.array([k for _, k in keys], dtype=np.intp)
-    templates = tuple(
-        tuple(np.array(ix, dtype=np.intp) for ix in arcs[key]) for key in keys)
-    visits = np.zeros((1 + max(k for k, _, _ in visited), len(boundary)))
-    visit_aoi = np.zeros_like(visits)
-    for k, row, aoi in visited:
-        visits[k, row] = 1.0
-        visit_aoi[k, row] = aoi
-    return (len(boundary), event, power, templates, visits, visit_aoi,
-            empty_vec[boundary])
 
 
 def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,18 +288,84 @@ def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu / n, iq / n, iue / n
 
 
+def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary (avg_aoi, empty_fraction) of a block of chains, one per
+    entry of the ``_coefficients`` arrays c0..c6, in O(cap) array steps.
+
+    The balance equations are solved on the boundary states: empty(a), mass
+    x_a, and the wait-1 cached states (1, j), 3 <= j <= cap, mass y_j.  By
+    ``_layout``'s arcs, event 0 leads to empty(1), event 2 ages an empty
+    state, and event 1 ages empty(1) but caches (1, min(a + 1, cap)) from
+    empty(a >= 2).  (1, j) starts a walk of "copy kept" steps (event 6,
+    r = c6) through K = cap - 2 cached states, holding r**k y_j on the k-th;
+    from there event 3 leads to empty(1), event 5 to empty(k + 2) and event
+    4 to (1, min(j + k + 1, cap)), and the last step discards into
+    empty(cap).  These exits do not depend on j, so with R = sum_{k<K} r**k
+    and Y = sum_j y_j:
+
+        x_a = g_a x_{a-1} + c5 r**(a-2) Y   (2 <= a < cap; g_2 = c1 + c2, else c2)
+        (c0 + c1) x_cap = c2 x_{cap-1} + r**K Y          (c0 + c1 = alpha ue)
+        y_j = c1 x_{j-1} + c4 sum_{i<j} r**(j-i-1) y_i      (3 <= j < cap)
+        ((c3 + c5) R + r**K) y_cap = c1 (x_{cap-1} + x_cap)
+                          + c4 sum_{i<cap} y_i sum_{k=cap-i-1}^{K-1} r**k
+
+    y_cap's factor is 1 - c4 R without the cancellation.  With each x_a
+    carried as an (x_1, Y) coefficient pair, the balance at empty(1) fixes
+    both as sums of non-negative terms: x_1 = c0 X_Y + c3 R and
+    Y = c1 sum_{a>=2} x_a|(x_1=1, Y=0), X_Y the Y coefficient of X = sum x_a.
+    The mass is X + R Y, the empty fraction X over it, and the age sum adds
+    y_j sum_k r**k min(j + k, cap) to sum_a a x_a.  A cap state with no exit
+    in floating point takes all the mass, as in the dense solve: empty(cap)
+    when c2 = 1 (alpha ue below 2**-53), (1, cap) when its walks' exit rate,
+    y_cap's factor, is 0 or subnormal (alpha u = 1 at success_prob 0 or near).
+    """
+    c0, c1, c2, c3, c4, c5, r = coeff
+    if cap == 2:
+        # no cached states: x_1 = c0 and x_2 = c1 + c2 balance empty(1)
+        return (c0 + 2.0 * (c1 + c2)) / (c0 + c1 + c2), np.ones_like(c0)
+    k = cap - 2
+    powers = r ** np.arange(k + 1.0)[:, None]            # r**0 .. r**K
+    tail = powers[:k].sum(axis=0)                        # R
+    factor = (c3 + c5) * tail + powers[k]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xx, xy = [np.ones_like(c0), c1 + c2], [np.zeros_like(c0), c5]
+        for a in range(3, cap):
+            xx.append(c2 * xx[-1])
+            xy.append(c2 * xy[-1] + c5 * powers[a - 2])
+        xx.append(c2 * xx[-1] / (c0 + c1))
+        xy.append((c2 * xy[-1] + powers[k]) / (c0 + c1))
+        total_y = c1 * sum(xx[1:])
+        x = (c0 * sum(xy) + c3 * tail) * np.array(xx) + total_y * np.array(xy)
+        ys, walking = [], 0.0
+        for j in range(3, cap):
+            ys.append(c1 * x[j - 2] + c4 * walking)
+            walking = r * walking + ys[-1]
+        # ages[j - 3, k]: the age on the k-th state of the walk from (1, j);
+        # event 4 leads from any state aged cap - 1 or more to (1, cap)
+        ages = np.minimum(np.arange(3, cap + 1)[:, None] + np.arange(k), cap)
+        fed = sum(y * t for y, t in zip(ys, (ages[:-1] >= cap - 1) @ powers[:k]))
+        ys.append((c1 * (x[-2] + x[-1]) + c4 * fed) / factor)
+        empty = x.sum(axis=0)
+        mass = empty + tail * total_y
+        theta = empty / mass
+        avg_aoi = (np.arange(1.0, cap + 1) @ x + np.sum(
+            np.array(ys) * (ages @ powers[:k]), axis=0)) / mass
+    stuck_empty, stuck_cached = c2 == 1.0, factor < np.finfo(float).tiny
+    avg_aoi = np.where(stuck_empty | stuck_cached, float(cap), avg_aoi)
+    theta = np.where(stuck_empty, 1.0, np.where(stuck_cached, 0.0, theta))
+    return avg_aoi, theta
+
+
 @lru_cache(maxsize=2)
 def grid_table(alpha: float, success_prob: float, cap: int,
                step: float) -> tuple[np.ndarray, np.ndarray]:
     """Stationary (avg_aoi, empty_fraction) at every grid point, in scan order.
 
-    Each point solves the chain censored on its 2 * cap - 2 boundary states
-    (``_censored_layout``) instead of the full chain, and rebuilds the full
-    chain's average age and empty-cache fraction from the boundary solution
-    through geometric sums over the kept-copy walks: exact in exact
-    arithmetic, and within ``TAU`` of the dense solve in floating point
-    (measured below 1e-13).  ``_select`` certifies its pick against the
-    dense solve, so the selection is the dense table's.
+    ``_boundary_recursion`` solves blocks of ``_BLOCK_BUDGET // cap`` points
+    from the balance equations on the chain's boundary states, derived from
+    ``_layout``'s seven events: exact in exact arithmetic, and within
+    ``TAU`` of the dense solve in floating point (below 4e-13 at caps 2-30).
+    ``_select`` certifies its pick against the dense solve.
 
     The chains depend on neither the age limit nor the prices, so one table
     serves a whole a_max or cost sweep.  The arrays are read-only because
@@ -370,26 +375,17 @@ def grid_table(alpha: float, success_prob: float, cap: int,
     """
     started = time.perf_counter()
     u, q, ue = _grid_points(step)
-    (size, event, power, templates, visits, visit_aoi,
-     empty_s) = _censored_layout(cap)
-    chunk = _chunk(size)
+    block = max(1, _BLOCK_BUDGET // cap)
     avg_aoi = np.empty(len(u))
     empty_fraction = np.empty(len(u))
-    for lo in range(0, len(u), chunk):
-        at = slice(lo, lo + chunk)
-        coeff = np.column_stack(
-            _coefficients(alpha, u[at], q[at], ue[at], success_prob))
-        powers = coeff[:, 6:7] ** np.arange(len(visits))
-        mats = _fill(coeff[:, event] * powers[:, power], templates, size)
-        pi = finalize(direct_stationary(mats))
-        mass = np.sum(pi * (powers @ visits), axis=1)
-        avg_aoi[at] = np.sum(pi * (powers @ visit_aoi), axis=1) / mass
-        empty_fraction[at] = (pi @ empty_s) / mass
+    for lo in range(0, len(u), block):
+        at = slice(lo, lo + block)
+        avg_aoi[at], empty_fraction[at] = _boundary_recursion(
+            _coefficients(alpha, u[at], q[at], ue[at], success_prob), cap)
     avg_aoi.flags.writeable = False
     empty_fraction.flags.writeable = False
-    log.debug("grid_table cap=%d: %d points, %d of %d states solved per "
-              "point, %.3f s", cap, len(u), size, len(_layout(cap)[0]),
-              time.perf_counter() - started)
+    log.debug("grid_table cap=%d: boundary recursion over %d points, %.3f s",
+              cap, len(u), time.perf_counter() - started)
     return avg_aoi, empty_fraction
 
 
@@ -398,7 +394,7 @@ def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
     """Dense-chain (avg_aoi, empty_fraction) at the sorted grid indices
     ``at``, bit for bit the values a whole-grid dense table has there.
 
-    That table solves the grid in consecutive ``_chunk`` batches through
+    That table solves the grid in consecutive stacked batches through
     ``_assemble``, ``direct_stationary`` and ``finalize``, all of which treat
     each point alone.  BLAS rounds a row of a matrix-vector product
     differently by its place in the batch, so each solved row is put back
@@ -406,7 +402,7 @@ def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
     """
     u, q, ue = _grid_points(step)
     states, _, aoi_vec, empty_vec, _ = _layout(cap)
-    chunk = _chunk(len(states))
+    chunk = max(1, min(4096, _BATCH_BUDGET // len(states) ** 2))
     avg_aoi = np.empty(len(at))
     empty_fraction = np.empty(len(at))
     for lo in range(0, len(u), chunk):
@@ -443,7 +439,7 @@ def _select(table: tuple[np.ndarray, np.ndarray], alpha: float,
     feasibility (avg_aoi within TAU of the limit) or whose cost rank against
     the best surely-feasible point (overlapping ``_cost_error`` intervals)
     could differ in the dense table; the pick is the argmin over their dense
-    values.  When the censored pick is the only such point and surely
+    values.  When the table's pick is the only such point and surely
     feasible, it stands without a dense solve.
     """
     u, q, ue = _grid_points(step)

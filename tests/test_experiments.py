@@ -311,11 +311,18 @@ def test_cli_run_and_optimize(tmp_path):
     assert (out / "tiny_params.csv").exists()
 
 
-def test_cli_rejects_bad_config(tmp_path):
+def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("scenario: broken\n")
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert cli.main(["run", "--config", "no-such-preset"]) == 2
+    # an integer limit beyond the float range is a field error, not a crash
+    doc = tiny_doc()
+    doc["config"]["aoi_limit"] = 10 ** 400
+    bad.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

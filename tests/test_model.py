@@ -139,8 +139,10 @@ def test_config_rejects_bad_values(overrides):
 @pytest.mark.parametrize("field, value", [
     ("aoi_limit", float("nan")),
     ("aoi_limit", [5.0, float("nan")]),
+    pytest.param("aoi_limit", 10 ** 400, id="aoi_limit-huge-int"),
     ("sample_cost", float("nan")),
     ("sample_cost", float("inf")),
+    pytest.param("sample_cost", 10 ** 400, id="sample_cost-huge-int"),
     ("transmit_cost", float("nan")),
     ("transmit_cost", float("inf")),
     ("v_weight", float("nan")),

@@ -2,10 +2,12 @@
 
 import dataclasses
 import logging
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import forp, ofrp
@@ -253,14 +255,15 @@ def test_optimize_reference_instance():
 
 def test_reference_instance_needs_no_dense_resolve(caplog):
     """No point of the reference table is near its limit or its best cost,
-    so the censored pick stands alone; a certification rule that re-solved
+    so the table's pick stands alone; a certification rule that re-solved
     far more would show here (this reuses the table the test above built)."""
     caplog.set_level(logging.DEBUG, logger="aoisched.ofrp")
     ofrp.optimize(make_config(), step=0.01)
     assert "user 0: 0 grid points re-solved densely" in caplog.messages
     ofrp.grid_table.cache_clear()
     ofrp.optimize(make_config(aoi_cap=5, aoi_limit=2.5), step=0.1)
-    assert any(m.startswith("grid_table cap=5: 660 points, 8 of 11 states")
+    assert any(re.fullmatch(r"grid_table cap=5: boundary recursion over 660 "
+                            r"points, \d+\.\d{3} s", m)
                for m in caplog.messages)
 
 
@@ -328,11 +331,11 @@ def test_grid_table_is_shared_across_limits_and_costs():
             table[0] = 0.0
 
 
-# ── censored grid table and certified selection ───────────────────────────
+# ── grid table and certified selection ────────────────────────────────────
 
 def dense_table(alpha, p, cap, step):
     """The oracle: every grid point's full chain solved densely, in
-    consecutive batches, as ``grid_table`` did before the censored solve."""
+    consecutive batches, the whole-grid table ``_dense_points`` reproduces."""
     u, q, ue = ofrp._grid_points(step)
     states, _, aoi_vec, empty_vec, _ = ofrp._layout(cap)
     chunk = max(1, min(4096, ofrp._BATCH_BUDGET // len(states) ** 2))
@@ -359,22 +362,27 @@ def dense_pick(table, alpha, cap, limit, sample_cost, transmit_cost, step):
 @settings(max_examples=40, deadline=None)
 @given(alpha=st.floats(0.0, 1.0, exclude_min=True),
        p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-       cap=st.integers(2, 12),
+       cap=st.integers(2, 30),
        step=st.sampled_from([0.5, 0.25, 0.2, 0.1]),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(alpha=1.0, p=0.8, cap=2, step=0.1, seed=0)      # no cached states
 @example(alpha=0.5, p=0.3, cap=3, step=0.1, seed=1)      # no state off S
 @example(alpha=0.5, p=0.8, cap=30, step=0.25, seed=2)
-def test_censored_table_matches_dense_oracle(alpha, p, cap, step, seed):
-    censored = ofrp.grid_table(alpha, p, cap, step)
+@example(alpha=1.0, p=0.0, cap=7, step=0.25, seed=3)     # (1, cap) absorbing
+@example(alpha=1.0, p=5e-324, cap=12, step=0.25, seed=6)  # all but absorbing
+@example(alpha=0.5, p=1e-12, cap=10, step=0.2, seed=4)
+@example(alpha=1e-3, p=0.8, cap=12, step=0.2, seed=5)
+def test_grid_table_matches_dense_oracle(alpha, p, cap, step, seed):
+    assume(cap <= 12 or step >= 0.2)    # the dense oracle grows as cap**6
+    table = ofrp.grid_table(alpha, p, cap, step)
     dense = dense_table(alpha, p, cap, step)
-    for c, d in zip(censored, dense):
+    for c, d in zip(table, dense):
         assert np.max(np.abs(c - d)) <= 1e-12
     # a limit on a dense entry puts that point on the feasibility band
     rng = np.random.default_rng(seed)
     limit = float(dense[0][rng.integers(len(dense[0]))])
     for prices in ((1.0, 5.0), (0.0, 0.0), (3.0, 1.0)):
-        at, resolved = ofrp._select(censored, alpha, p, cap, limit, *prices,
+        at, resolved = ofrp._select(table, alpha, p, cap, limit, *prices,
                                     step)
         assert at == dense_pick(dense, alpha, cap, limit, *prices, step)
         for re_solved, full in zip(
@@ -409,7 +417,7 @@ def test_optimize_picks_the_dense_argmin(case):
 
 
 def test_limit_on_a_dense_entry_is_resolved_densely():
-    """The dense winner's own age as the limit: the censored value may sit
+    """The dense winner's own age as the limit: the table's value may sit
     an ulp either side of it, so the point must be re-solved, and the pick
     must stay the dense one."""
     alpha, p, cap, step = 1.0, 0.8, 8, 0.1
@@ -428,7 +436,7 @@ def test_limit_on_a_dense_entry_is_resolved_densely():
 
 
 def test_table_drift_is_caught_at_the_pick(monkeypatch):
-    """A censored age off by more than TAU at the pick raises instead of
+    """A table age off by more than TAU at the pick raises instead of
     silently moving the feasibility boundary."""
     avg_aoi, theta = ofrp.grid_table(1.0, 0.9, 5, 0.1)
     monkeypatch.setattr(ofrp, "grid_table",
@@ -436,6 +444,20 @@ def test_table_drift_is_caught_at_the_pick(monkeypatch):
     cfg = make_config(success_prob=0.9, aoi_cap=5, aoi_limit=2.5)
     with pytest.raises(RuntimeError, match="inconsistency"):
         ofrp.optimize(cfg, step=0.1)
+
+
+def test_grid_table_works_in_bounded_blocks():
+    """A step-0.01 table's traced peak stays near its own 8 MB of output and
+    the grid's points: the recursion runs on blocks of points, not the
+    whole grid at once (which peaks at about 358 MB)."""
+    ofrp.grid_table.cache_clear()
+    tracemalloc.start()
+    try:
+        ofrp.grid_table(0.5, 0.8, 10, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2 ** 20
 
 
 def test_policy_requires_matching_user_count():
