@@ -16,6 +16,7 @@ simulation).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -300,17 +301,15 @@ def _hist_header(num_users: int) -> list[str]:
             + [f"freq_u{k}" for k in range(1, num_users + 1)])
 
 
-def _make_policy(token: str, cfg: SystemConfig, grid_step: float):
-    """Instantiate the simulated policy for a token (optimizing as needed).
-
-    The fresh-only policy is simulated as its fresh-or-old equivalent.
-    """
+def _make_policy(token: str, optimum):
+    """The simulated policy for a token, at ``optimum(ofrp)`` or
+    ``optimum(forp)``; fresh-only is simulated as its fresh-or-old twin."""
     if token == "dpp":
         return dpp.DppPolicy()
     if token == "ofrp":
-        return ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step))
+        return ofrp.OfrpPolicy(optimum(ofrp))
     if token == "forp":
-        return ofrp.OfrpPolicy(forp.optimize(cfg, grid_step).as_ofrp())
+        return ofrp.OfrpPolicy(optimum(forp).as_ofrp())
     raise ValueError(f"{token!r} is not a simulated policy token")
 
 
@@ -324,12 +323,12 @@ def _forp_user(params: forp.ForpParams, cfg: SystemConfig,
             forp.user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost))
 
 
-def _analytic_row_tail(token: str, cfg: SystemConfig, grid_step: float):
-    """(avg_cost, per-user columns) predicted by the chain analysis."""
+def _analytic_row_tail(token: str, cfg: SystemConfig, optimum):
+    """(avg_cost, per-user columns) the chain analysis predicts at ``optimum``."""
     users = []
     total = 0.0
     if token == "ofrp-analytic":
-        params = ofrp.optimize(cfg, grid_step)
+        params = optimum(ofrp)
         for i, user in enumerate(params.users):
             m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
                              cfg.sample_cost, cfg.transmit_cost)
@@ -341,7 +340,7 @@ def _analytic_row_tail(token: str, cfg: SystemConfig, grid_step: float):
             users.append([m.avg_aoi, "", theta, sample_freq, resend_freq, ""])
         return total, users
     if token == "forp-analytic":
-        params = forp.optimize(cfg, grid_step)
+        params = optimum(forp)
         for i, (alpha, phi) in enumerate(zip(params.alpha, params.sample_prob)):
             aoi, cost = _forp_user(params, cfg, i)
             total += cost
@@ -366,6 +365,8 @@ def run_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
     hist_rows: list[list] = []
     for value in spec.sweep_values:
         cfg = apply_axis(spec.base, spec.sweep_axis, value)
+        # a simulated token and its analytic twin share one optimization
+        optimum = functools.cache(lambda m: m.optimize(cfg, spec.grid_step))
         for token in spec.policies:
             analytic = token.endswith("-analytic")
             digest = config_hash(spec, cfg, token, 0 if analytic else n_rep)
@@ -374,14 +375,14 @@ def run_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
             say(f"[{spec.scenario}] {spec.sweep_axis}={value:g} {token}")
             try:
                 if analytic:
-                    total, users = _analytic_row_tail(token, cfg, spec.grid_step)
+                    total, users = _analytic_row_tail(token, cfg, optimum)
                     row = base_cells + ["ok", 0, cfg.horizon, spec.grid_step,
                                        total, ""]
                     for cells in users:
                         row += cells
                     rows.append(row)
                     continue
-                policy = _make_policy(token, cfg, spec.grid_step)
+                policy = _make_policy(token, optimum)
             except InfeasibleError as exc:
                 row = base_cells + [f"infeasible: {exc}", 0, cfg.horizon,
                                     spec.grid_step, "", ""]
@@ -454,22 +455,19 @@ def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
     rows: list[list] = []
     for value in spec.sweep_values:
         cfg = apply_axis(spec.base, spec.sweep_axis, value)
+        optimum = functools.cache(lambda m: m.optimize(cfg, spec.grid_step))
         for token in wanted:
             digest = config_hash(spec, cfg, token, 1)
             base_cells = [SCHEMA_VERSION, spec.scenario, digest,
                           spec.sweep_axis, value, token]
             say(f"[{spec.scenario}] optimize {spec.sweep_axis}={value:g} {token}")
             try:
-                if token == "ofrp":
-                    params = ofrp.optimize(cfg, spec.grid_step)
-                    policy = ofrp.OfrpPolicy(params)
-                else:
-                    params = forp.optimize(cfg, spec.grid_step)
-                    policy = ofrp.OfrpPolicy(params.as_ofrp())
+                policy = _make_policy(token, optimum)
             except InfeasibleError as exc:
                 rows.append(base_cells + [exc.user, f"infeasible: {exc}"]
                             + [""] * 10)
                 continue
+            params = optimum(ofrp if token == "ofrp" else forp)
             stats = run(policy, cfg)
             for i in range(cfg.num_users):
                 if token == "ofrp":

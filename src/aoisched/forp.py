@@ -5,8 +5,7 @@ transmits it, or stays silent; cached copies are never resent.  The age seen
 by the monitor is then a renewal process with per-slot delivery probability
 delta = alpha * sample_prob * success_prob, whose stationary law is a
 truncated geometric distribution with an atom at the cap.  Everything here is
-closed form; the explicit one-dimensional chain is kept alongside as a
-cross-check, and the parameter search walks the probability grid exactly.
+closed form, and the parameter search walks the probability grid exactly.
 The policy is simulated as the fresh-or-old policy that samples with the
 same probability whatever the cache holds and never resends (``as_ofrp``),
 so the closed forms here also serve as its analytic oracle.
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import ChainModel
 from .model import InfeasibleError, SystemConfig, probability_grid
 from .ofrp import OfrpParams, OfrpUserParams
 
@@ -52,20 +50,6 @@ def avg_aoi_closed_form(delta: float, cap: int) -> float:
     keep = 1.0 - delta
     head = ((cap - 1) * keep ** cap - cap * keep ** (cap - 1) + 1.0) / delta
     return head + cap * keep ** (cap - 1)
-
-
-def matrix_chain(delta: float, cap: int) -> ChainModel:
-    """The explicit age chain: deliver to age 1, else age by one up to the cap."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delivery rate must lie in [0, 1], got {delta}")
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    p = np.zeros((cap, cap))
-    p[:, 0] = delta
-    for i in range(cap - 1):
-        p[i, i + 1] = 1.0 - delta
-    p[cap - 1, cap - 1] += 1.0 - delta
-    return ChainModel(states=tuple(range(1, cap + 1)), matrix=p)
 
 
 def user_cost(alpha: float, sample_prob: float, sample_cost: float,

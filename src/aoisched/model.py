@@ -10,15 +10,21 @@ a fresh packet, resend the cached packet, or stay silent; transmissions
 succeed independently with a per-source probability.
 
 This module defines the configuration and state types, the per-slot update
-laws, the slot cost, and a straightforward reference stepper that composes the
-update laws exactly as the simulation engine does.
+laws, the slot cost, a straightforward reference stepper, and the per-cap
+transition table that composes the update laws once for both the simulation
+engine and the fresh-or-old chain.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+import operator
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 class InfeasibleError(RuntimeError):
@@ -72,6 +78,14 @@ class SystemConfig:
     burn_in: int = 0
 
     def __post_init__(self):
+        for name in ("num_users", "aoi_cap", "horizon", "burn_in", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.num_users < 1:
             raise ValueError("num_users must be at least 1")
         object.__setattr__(
@@ -282,6 +296,76 @@ def step_users(states: Sequence[UserState], action: ActionVector,
 def initial_states(cfg: SystemConfig) -> list[UserState]:
     """Start-of-run state: age 1, empty cache, empty virtual queue."""
     return [UserState(aoi=1) for _ in range(cfg.num_users)]
+
+
+# ──────────────────────────────────────────────────────────────────────────
+#  transition table
+# ──────────────────────────────────────────────────────────────────────────
+
+# Events per state: ``event_code`` of (action if empty, action if occupied,
+# hit).  The slot loop knows each user's action, so it uses 8 * action + hit.
+EVENTS = 18
+
+
+def event_code(if_empty, if_occupied, hit):
+    """The table's event for the action taken if the cache is empty, the
+    action taken if it is occupied (each 0 idle, 1 sample, 2 resend) and
+    the channel outcome; elementwise."""
+    return (3 * if_empty + if_occupied) * 2 + hit
+
+
+class TransitionTable(NamedTuple):
+    """One cap's transition table; see ``transition_table``."""
+
+    states: tuple               # (occupied, waiting time, age) per index
+    successor: tuple            # per pair, in offset form
+    kind: np.ndarray            # rows empty, sample, resend, delivered
+    next_state: np.ndarray      # per pair: index of the successor
+    age: np.ndarray             # per state
+
+
+@functools.lru_cache(maxsize=4)
+def transition_table(cap: int) -> TransitionTable:
+    """The (state, event) -> state table of one user at ``cap``.
+
+    ``states`` lists every reachable (occupied, waiting time, age) triple,
+    empty caches first, so the start state (False, 0, 1) is index 0.  A
+    user's state is held in offset form, ``EVENTS`` times its index, so
+    ``s + e`` is the pair of event ``e`` at offset ``s``; ``successor[s +
+    e]``, composed from ``aoi_step`` and ``waiting_time_step`` as
+    ``step_users`` composes them, is the offset it leads to, and ``kind``
+    flags whether the pair starts from an empty cache, samples, resends and
+    delivers.  Events that break an action rule lead where the laws take
+    them; the engine rejects them.  At most four caps are kept.  Cap 64
+    (2,017 states) builds in about 0.03 s, cap 150 (11,176) in 0.15 s and
+    cap 300 (44,851) in 0.6 s, where the table holds about 41 MB.
+    """
+    states = ([(False, 0, a) for a in range(1, cap + 1)]
+              + [(True, w, a) for w in range(1, cap - 1)
+                 for a in range(w + 2, cap + 1)])
+    index = {s: i for i, s in enumerate(states)}
+    successor = []
+    for occupied, wait, aoi in states:
+        for if_empty, if_occupied, hit in itertools.product(
+                range(3), range(3), (False, True)):
+            action = if_occupied if occupied else if_empty
+            sampled = action == 1
+            delivered = action != 0 and hit
+            next_aoi = aoi_step(aoi, 0 if sampled else wait, delivered, cap)
+            next_occupied, next_wait = waiting_time_step(
+                occupied, wait, sampled=sampled, delivered=delivered,
+                next_aoi=next_aoi, cap=cap)
+            successor.append(
+                EVENTS * index[(next_occupied, next_wait, next_aoi)])
+    occupied = np.repeat([s[0] for s in states], EVENTS)
+    event = np.tile(np.arange(EVENTS), len(states))
+    action = np.where(occupied, event // 2 % 3, event // 6)
+    arrays = (np.stack((~occupied, action == 1, action == 2,
+                        (action != 0) & (event % 2 == 1))),
+              np.array(successor) // EVENTS, np.array([s[2] for s in states]))
+    for a in arrays:
+        a.flags.writeable = False
+    return TransitionTable(tuple(states), tuple(successor), *arrays)
 
 
 def grid_intervals(step: float) -> int:

@@ -9,10 +9,10 @@ exist while the cached copy could still strictly improve the age.
 
 The module builds that chain explicitly, solves it for stationary metrics
 (average age, empty-cache fraction, cost rate), and searches the probability
-grid for the cheapest parameters meeting an average-age limit.  The
-transition law is linear in seven action-probability coefficients, so
-matrices are assembled in stacks from fixed 0/1 templates for stacked
-LAPACK solves.
+grid for the cheapest parameters meeting an average-age limit.  Its states
+and arcs are read off ``model.transition_table``, which the engine steps
+through; the law is linear in seven action-probability coefficients, one
+per event, so matrices are assembled in stacks for stacked LAPACK solves.
 
 ``metrics`` solves the full chain densely; it is the oracle, and every
 number that reaches a CSV comes from it.  ``grid_table`` evaluates every
@@ -37,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .markov import ChainModel, direct_stationary, finalize, solve_stationary
-from .model import InfeasibleError, SystemConfig, grid_intervals
+from .model import (EVENTS, InfeasibleError, SystemConfig, event_code,
+                    grid_intervals, transition_table)
 from .simulate import Policy, uniform_stream
 
 log = logging.getLogger(__name__)
@@ -90,56 +91,26 @@ class OfrpParams:
 #  chain construction
 # ──────────────────────────────────────────────────────────────────────────
 
-def chain_states(cap: int) -> tuple[tuple, ...]:
-    """Canonical state order: empty states by age, then cached (wait, age) pairs."""
-    states: list[tuple] = [("empty", j) for j in range(1, cap + 1)]
-    for i in range(1, cap - 1):
-        for j in range(i + 2, cap + 1):
-            states.append(("cached", i, j))
-    return tuple(states)
-
-
-def _next_cache_state(wait_next: int, aoi_next: int, cap: int) -> tuple:
-    """Where an undelivered cached packet lands, honoring the discard rules."""
-    if wait_next <= cap - 2 and wait_next + 1 < aoi_next:
-        return ("cached", wait_next, aoi_next)
-    return ("empty", aoi_next)
+# The chain's seven events as table events (``event_code`` of the action if
+# empty, the action if cached, hit): from an empty cache 0 sample delivered,
+# 1 sample lost, 2 idle; from a cached one 3 sample delivered, 4 sample lost,
+# 5 resend delivered, 6 idle, where a failed resend lands too.
+_CHAIN_EVENTS = tuple(event_code(*e) for e in (
+    (1, 0, 1), (1, 0, 0), (0, 0, 0), (0, 1, 1), (0, 1, 0), (0, 2, 1), (0, 0, 0)))
 
 
 @lru_cache(maxsize=16)
 def _layout(cap: int):
-    """States, metric vectors and per-event index templates for one cap."""
-    states = chain_states(cap)
-    index = {s: i for i, s in enumerate(states)}
-    aoi_vec = np.array([s[-1] for s in states], dtype=float)
-    empty_vec = np.array([1.0 if s[0] == "empty" else 0.0 for s in states])
-    # Seven event kinds, each a fixed set of (row, col) arcs whose probability
-    # is one scalar coefficient.  Order matters: build_chain accumulates
-    # per-state in this same event order, so batched assembly is bit-identical.
-    events: list[tuple[list[int], list[int]]] = [([], []) for _ in range(7)]
-
-    def arc(event: int, src: tuple, dst: tuple) -> None:
-        events[event][0].append(index[src])
-        events[event][1].append(index[dst])
-
-    for j in range(1, cap + 1):
-        src = ("empty", j)
-        aged = min(j + 1, cap)
-        arc(0, src, ("empty", 1))                       # fresh sample delivered
-        arc(1, src, _next_cache_state(1, aged, cap))    # fresh sample lost
-        arc(2, src, ("empty", aged))                    # no transmission
-    for i in range(1, cap - 1):
-        for j in range(i + 2, cap + 1):
-            src = ("cached", i, j)
-            aged = min(j + 1, cap)
-            arc(3, src, ("empty", 1))                       # fresh sample delivered
-            arc(4, src, _next_cache_state(1, aged, cap))    # fresh sample lost
-            arc(5, src, ("empty", i + 1))                   # cached copy delivered
-            arc(6, src, _next_cache_state(i + 1, aged, cap))  # cached copy kept
-    packed = tuple(
-        (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-        for rows, cols in events)
-    return states, index, aoi_vec, empty_vec, packed
+    """States, metric vectors and per-event (row, col) arcs for one cap:
+    event g leads each empty (g < 3) or cached state to its table successor
+    at ``_CHAIN_EVENTS[g]``.  ``_assemble`` adds the events in this order."""
+    table = transition_table(cap)
+    successor = table.next_state.reshape(-1, EVENTS)
+    empty = table.kind[0, ::EVENTS]
+    sources = (np.flatnonzero(empty),) * 3 + (np.flatnonzero(~empty),) * 4
+    events = tuple((rows, successor[rows, code])
+                   for rows, code in zip(sources, _CHAIN_EVENTS))
+    return table.states, table.age.astype(float), empty.astype(float), events
 
 
 def _coefficients(alpha, u, q, ue, p) -> tuple:
@@ -159,12 +130,12 @@ def _coefficients(alpha, u, q, ue, p) -> tuple:
 def _assemble(coeff: tuple, cap: int) -> np.ndarray:
     """Transition matrices (m, s, s) from ``_coefficients`` output, whose
     entries are scalars (m = 1) or (m,) arrays."""
-    states, _, _, _, events = _layout(cap)
+    states, _, _, events = _layout(cap)
     weights = np.column_stack(coeff)
     mats = np.zeros((len(weights), len(states), len(states)))
     for g, (rows, cols) in enumerate(events):
-        # No template maps one source to the same target twice, so fancy-index
-        # addition is safe; overlaps *between* templates accumulate across passes.
+        # Each event has one arc per source, so fancy-index addition is safe;
+        # overlaps *between* events accumulate across passes.
         mats[:, rows, cols] += weights[:, g:g + 1]
     return mats
 
@@ -204,8 +175,7 @@ def stationary(chain: ChainModel, user: OfrpUserParams, success_prob: float,
 
 def aoi_marginal(pi: np.ndarray, cap: int) -> np.ndarray:
     """Stationary mass per age value 1..cap, summed over cache states."""
-    _, _, aoi_vec, _, _ = _layout(cap)
-    return np.bincount(aoi_vec.astype(np.intp) - 1, weights=pi, minlength=cap)
+    return np.bincount(transition_table(cap).age - 1, weights=pi, minlength=cap)
 
 
 @dataclass(frozen=True)
@@ -242,7 +212,7 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
     """
     if user.alpha * user.sample_empty == 0.0:
         return OfrpMetrics(float(cap), 1.0, 0.0)
-    _, _, aoi_vec, empty_vec, _ = _layout(cap)
+    _, aoi_vec, empty_vec, _ = _layout(cap)
     chain = build_chain(user, success_prob, cap)
     if success_prob == 0.0:
         pi, _ = solve_stationary(chain.matrix)
@@ -401,7 +371,7 @@ def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
     at its place in a batch of its chunk's shape before the products.
     """
     u, q, ue = _grid_points(step)
-    states, _, aoi_vec, empty_vec, _ = _layout(cap)
+    states, aoi_vec, empty_vec, _ = _layout(cap)
     chunk = max(1, min(4096, _BATCH_BUDGET // len(states) ** 2))
     avg_aoi = np.empty(len(at))
     empty_fraction = np.empty(len(at))

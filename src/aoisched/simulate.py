@@ -12,8 +12,8 @@ resolve as Bernoulli trials; ages and caches update; virtual queues update.
 Statistics record the post-update age, so histograms match the stationary
 state of the induced chain.
 
-Each user steps through one per-cap (state, event) -> state table built
-from the ``model`` update laws, and the integer statistics are numpy counts
+Each user steps through the per-cap (state, event) -> state table
+``model.transition_table``, and the integer statistics are numpy counts
 of the (state, event) pairs visited.  A policy that sees the state only
 through each user's cache flag declares its actions ahead through
 ``Policy.plan`` and is walked a block of slots at a time; every other policy
@@ -28,16 +28,16 @@ slots/s slot by slot (2-core x86, Python 3.11, numpy 2.4).
 from __future__ import annotations
 
 import abc
-import functools
 import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .model import ActionVector, SystemConfig, aoi_step, waiting_time_step
+from .model import (EVENTS, ActionVector, SystemConfig, TransitionTable,
+                    event_code, transition_table)
 
 log = logging.getLogger(__name__)
 
@@ -213,81 +213,20 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
 
     A policy whose ``plan`` returns actions is table-walked (``_walk``);
     every other policy runs slot by slot (``_slot_loop``).  Both paths step
-    each user through one ``_walk_table``, built from the update laws of
-    ``model.step_users``, and feed one ``_Tally``; test suites cross-check
-    the two paths and the stepper.  On both paths every action is checked:
-    one that violates the scheduling constraints raises ValueError naming
-    the slot.
+    each user through ``model.transition_table`` and feed one ``_Tally``;
+    test suites cross-check the two paths and ``model.step_users``.  On
+    both paths every action is checked: one that violates the scheduling
+    constraints raises ValueError naming the slot.
     """
     policy_gen, *channel_gens = _generators(cfg, replica)
     policy.reset(cfg, policy_gen)
     plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))
-    tally = _Tally(cfg, _walk_table(cfg.aoi_cap), track_states)
+    tally = _Tally(cfg, transition_table(cfg.aoi_cap), track_states)
     if plan is None:
         _slot_loop(policy, cfg, channel_gens, tally)
     else:
         _walk(policy, plan, cfg, channel_gens, tally)
     return tally.stats(policy.name, replica)
-
-
-# Events: (action if the cache is empty, action if occupied, channel hit),
-# coded (3 * if_empty + if_occupied) * 2 + hit.  The slot loop knows each
-# user's action, so it uses if_empty == if_occupied: 8 * action + hit.
-_EVENTS = 18
-
-
-class _Table(NamedTuple):
-    """One cap's transition table; see ``_walk_table``."""
-
-    states: tuple               # (occupied, waiting time, age) per index
-    successor: tuple            # per pair, in offset form
-    kind: np.ndarray            # rows empty, sample, resend, delivered
-    next_state: np.ndarray      # per pair: index of the successor
-    age: np.ndarray             # per state
-
-
-@functools.lru_cache(maxsize=4)
-def _walk_table(cap: int) -> _Table:
-    """The (state, event) -> state table both engine paths use at ``cap``.
-
-    ``states`` lists every reachable (occupied, waiting time, age) triple,
-    empty caches first, so the start state (False, 0, 1) is index 0.  A
-    user's state is held in offset form, ``_EVENTS`` times its index, so
-    ``s + e`` is the pair of event ``e`` at offset ``s``; ``successor[s +
-    e]``, composed from ``model.aoi_step`` and ``model.waiting_time_step``,
-    is the offset it leads to, and ``kind`` flags whether the pair starts
-    from an empty cache, samples, resends and delivers.  Events that break
-    an action rule lead where the laws take them; the engine rejects them.
-    At most four caps are kept.  Cap 64 (2,017 states) builds in about
-    0.03 s, cap 150 (11,176) in 0.15 s and cap 300 (44,851) in 0.6 s, where
-    the table holds about 41 MB.
-    """
-    states = ([(False, 0, a) for a in range(1, cap + 1)]
-              + [(True, w, a) for w in range(1, cap - 1)
-                 for a in range(w + 2, cap + 1)])
-    index = {s: i for i, s in enumerate(states)}
-    successor = []
-    for occupied, wait, aoi in states:
-        for if_empty, if_occupied, hit in itertools.product(
-                range(3), range(3), (False, True)):
-            action = if_occupied if occupied else if_empty
-            sampled = action == 1
-            delivered = action != 0 and hit
-            next_aoi = aoi_step(aoi, 0 if sampled else wait, delivered, cap)
-            next_occupied, next_wait = waiting_time_step(
-                occupied, wait, sampled=sampled, delivered=delivered,
-                next_aoi=next_aoi, cap=cap)
-            successor.append(
-                _EVENTS * index[(next_occupied, next_wait, next_aoi)])
-    occupied = np.repeat([s[0] for s in states], _EVENTS)
-    event = np.tile(np.arange(_EVENTS), len(states))
-    action = np.where(occupied, event // 2 % 3, event // 6)
-    arrays = (np.stack((~occupied, action == 1, action == 2,
-                        (action != 0) & (event % 2 == 1))),
-              np.array(successor) // _EVENTS, np.array([s[2] for s in states]))
-    for a in arrays:
-        a.flags.writeable = False
-    return _Table(tuple(states), tuple(successor), *arrays)
 
 
 def _add_in_order(total, values: np.ndarray):
@@ -313,7 +252,8 @@ class _Tally:
     slots in slot order; the cost adds a sample's price before a resend's.
     """
 
-    def __init__(self, cfg: SystemConfig, table: _Table, track_states: bool):
+    def __init__(self, cfg: SystemConfig, table: TransitionTable,
+                 track_states: bool):
         n = cfg.num_users
         self.cfg = cfg
         self.table = table
@@ -406,7 +346,7 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     # Per state, stored at its offset: the cache flag, waiting time and age,
     # and _decide_core's delta-score coefficients, with aged = min(age + 1,
     # cap): 1 - aged to sample, wait + 1 - aged (< 0) to resend, 0 if empty.
-    pad = (0,) * (_EVENTS - 1)
+    pad = (0,) * (EVENTS - 1)
     occupied_at, wait_at, age_at, sample_coef, resend_coef = (
         [x for v in column for x in (v, *pad)] for column in zip(*(
             (o, w, a, 1 - min(a + 1, cap), w + 1 - min(a + 1, cap) if o else 0)
@@ -524,7 +464,7 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
             raise ValueError(
                 f"slot {b0}: plan must be two ({n}, {m}) arrays of codes 0, 1, 2")
         hit = np.vstack([g.random(m) for g in channel_gens]) < success
-        events = (codes[0].astype(np.intp) * 3 + codes[1]) * 2 + hit
+        events = event_code(codes[0].astype(np.intp), codes[1], hit)
 
         post = np.empty((n, m), dtype=np.intp)
         for k, row in enumerate(events.tolist()):
@@ -545,7 +485,7 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
                 tuple(sampling[:, t].tolist()), tuple(resending[:, t].tolist())),
                 occupied[:, t].tolist(), cfg)
 
-        ages = table.age[post // _EVENTS]
+        ages = table.age[post // EVENTS]
         if inexact is None:
             # The served backlog u = v - age follows u' = max(u + age -
             # limit, 0), so u = S - min(-u0, cummin S) with S the running

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dpp, forp, ofrp
-from .markov import solve_stationary
 from .model import ActionVector, SystemConfig, UserState
 from .simulate import run, run_replicas
 
@@ -53,16 +52,18 @@ def _two_user_config(*, p: float = 0.8, cs: float = 1.0, limit: float = 5.0,
 
 def check_fresh_only_identity(threads: int = 1,
                               tolerance: float = 1e-10) -> CheckResult:
-    """Closed-form age distribution of the memoryless sampling policy versus a
-    numeric solve of its renewal chain, over a grid of rates and caps."""
+    """Closed-form age distribution of the memoryless sampling policy versus
+    its solved fresh-or-cached chain over a grid of rates and caps; it
+    samples every slot, so the success probability is the delivery rate."""
+    (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
     worst = 0.0
     count = 0
     for i in range(1, 21):
         delta = i / 20.0
         for cap in (2, 5, 10, 20, 30):
             closed_pi = np.array(forp.stationary_closed_form(delta, cap))
-            chain = forp.matrix_chain(delta, cap)
-            pi, _ = solve_stationary(chain.matrix)
+            chain = ofrp.build_chain(user, delta, cap)
+            pi = ofrp.aoi_marginal(ofrp.stationary(chain, user, delta), cap)
             ages = np.arange(1, cap + 1)
             worst = max(worst,
                         float(np.max(np.abs(closed_pi - pi))),

@@ -5,7 +5,6 @@ import pytest
 
 from aoisched import forp, ofrp
 from aoisched.experiments import _make_policy
-from aoisched.markov import solve_stationary
 from aoisched.model import InfeasibleError, SystemConfig
 from aoisched.simulate import policy_rng, run
 
@@ -62,15 +61,18 @@ def test_average_age_decreases_with_delivery_rate():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_matrix_chain_agrees_with_closed_form():
+def test_as_ofrp_chain_agrees_with_closed_form():
+    """The age marginal of the fresh-or-old chain of the fresh-only policy,
+    sampling every slot, at success_prob delta is the closed form at delta."""
+    (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
     for delta in (0.05, 0.37, 0.9):
-        chain = forp.matrix_chain(delta, 8)
-        pi, _ = solve_stationary(chain.matrix)
+        chain = ofrp.build_chain(user, delta, 8)
+        pi = ofrp.aoi_marginal(ofrp.stationary(chain, user, delta), 8)
         assert np.max(np.abs(pi - forp.stationary_closed_form(delta, 8))) < 1e-12
 
 
 @pytest.mark.parametrize("fn", [
-    forp.stationary_closed_form, forp.avg_aoi_closed_form, forp.matrix_chain])
+    forp.stationary_closed_form, forp.avg_aoi_closed_form])
 def test_closed_forms_reject_bad_arguments(fn):
     with pytest.raises(ValueError):
         fn(1.5, 10)
@@ -158,7 +160,7 @@ def test_token_policy_is_the_literal_fresh_only_rule():
     cfg = make_config(num_users=2, success_prob=[0.6, 0.9], seed=77)
     phi = forp.optimize(cfg).sample_prob
     assert phi[0] != phi[1]
-    policy = _make_policy("forp", cfg, 0.01)
+    policy = _make_policy("forp", lambda module: module.optimize(cfg, 0.01))
     policy.reset(cfg, policy_rng(cfg))
     slots = 20_000                        # spans several refills of its buffer
     draws = policy_rng(cfg).random(2 * slots).reshape(slots, 2)

@@ -147,10 +147,21 @@ def test_config_rejects_bad_values(overrides):
     ("transmit_cost", float("inf")),
     ("v_weight", float("nan")),
     ("v_weight", float("inf")),
+    ("num_users", 2.0),
+    ("aoi_cap", 10.5),
+    ("horizon", 100.5),
+    ("burn_in", 1.5),
+    ("seed", -1),
+    ("seed", 1.0),
 ])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         make_config(**{field: value})
+
+
+def test_config_keeps_numpy_integers_as_given():
+    cfg = make_config(aoi_cap=np.int64(10), seed=np.uint32(1))
+    assert type(cfg.aoi_cap) is np.int64 and type(cfg.seed) is np.uint32
 
 
 def test_config_accepts_an_infinite_aoi_limit():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from aoisched import forp, ofrp
 from aoisched.markov import direct_stationary, finalize, solve_stationary
-from aoisched.model import InfeasibleError, SystemConfig
+from aoisched.model import (ActionVector, InfeasibleError, SystemConfig,
+                            UserState, step_users, transition_table)
 from aoisched.simulate import run
 
 
@@ -31,32 +32,25 @@ LITERAL = ofrp.OfrpUserParams(alpha=0.5, sample_occupied=0.4,
 # ── state space ───────────────────────────────────────────────────────────
 
 def test_state_count_and_order():
-    states = ofrp.chain_states(10)
+    states = transition_table(10).states
     assert len(states) == 46            # 10 empty + 36 cached
-    assert states[:3] == (("empty", 1), ("empty", 2), ("empty", 3))
-    assert states[10] == ("cached", 1, 3)
-    assert states[-1] == ("cached", 8, 10)
+    assert states[:3] == ((False, 0, 1), (False, 0, 2), (False, 0, 3))
+    assert states[10] == (True, 1, 3)
+    assert states[-1] == (True, 8, 10)
 
 
 def test_cached_states_keep_packet_strictly_useful():
-    for s in ofrp.chain_states(12):
-        if s[0] == "cached":
-            _, wait, age = s
+    for occupied, wait, age in transition_table(12).states:
+        UserState(age, wait, occupied).validate(12)
+        if occupied:
             assert 1 <= wait <= 10          # at most cap-2
             assert age >= wait + 2          # strictly fresher than the age
 
 
 def test_minimal_cap_state_spaces():
-    assert ofrp.chain_states(2) == (("empty", 1), ("empty", 2))
-    assert ofrp.chain_states(3) == (
-        ("empty", 1), ("empty", 2), ("empty", 3), ("cached", 1, 3))
-
-
-def test_cache_landing_rules():
-    assert ofrp._next_cache_state(1, 3, 10) == ("cached", 1, 3)
-    assert ofrp._next_cache_state(1, 2, 10) == ("empty", 2)     # not fresher
-    assert ofrp._next_cache_state(8, 10, 10) == ("cached", 8, 10)
-    assert ofrp._next_cache_state(9, 10, 10) == ("empty", 10)   # wait too old
+    assert transition_table(2).states == ((False, 0, 1), (False, 0, 2))
+    assert transition_table(3).states == (
+        (False, 0, 1), (False, 0, 2), (False, 0, 3), (True, 1, 3))
 
 
 # ── transition structure ──────────────────────────────────────────────────
@@ -67,12 +61,12 @@ def test_literal_example_row():
     wait+1, and everything else ages in place."""
     chain = ofrp.build_chain(LITERAL, 0.8, 10)
     idx = {s: i for i, s in enumerate(chain.states)}
-    row = chain.matrix[idx[("cached", 1, 3)]]
+    row = chain.matrix[idx[(True, 1, 3)]]
     expected = {
-        ("empty", 1): 0.16,        # alpha*u*p
-        ("cached", 1, 4): 0.04,    # alpha*u*(1-p)
-        ("empty", 2): 0.08,        # alpha*q*p
-        ("cached", 2, 4): 0.72,    # remaining mass, packet and age both grow
+        (False, 0, 1): 0.16,       # alpha*u*p
+        (True, 1, 4): 0.04,        # alpha*u*(1-p)
+        (False, 0, 2): 0.08,       # alpha*q*p
+        (True, 2, 4): 0.72,        # remaining mass, packet and age both grow
     }
     for state, prob in expected.items():
         assert row[idx[state]] == pytest.approx(prob, abs=1e-12)
@@ -83,10 +77,45 @@ def test_literal_example_row():
 def test_empty_row_reenters_via_cache():
     chain = ofrp.build_chain(LITERAL, 0.8, 10)
     idx = {s: i for i, s in enumerate(chain.states)}
-    row = chain.matrix[idx[("empty", 5)]]
-    assert row[idx[("empty", 1)]] == pytest.approx(0.5 * 0.6 * 0.8)
-    assert row[idx[("cached", 1, 6)]] == pytest.approx(0.5 * 0.6 * 0.2)
-    assert row[idx[("empty", 6)]] == pytest.approx(1 - 0.5 * 0.6)
+    row = chain.matrix[idx[(False, 0, 5)]]
+    assert row[idx[(False, 0, 1)]] == pytest.approx(0.5 * 0.6 * 0.8)
+    assert row[idx[(True, 1, 6)]] == pytest.approx(0.5 * 0.6 * 0.2)
+    assert row[idx[(False, 0, 6)]] == pytest.approx(1 - 0.5 * 0.6)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.integers(2, 12), alpha=unit, u=unit, q=unit, ue=unit, p=unit)
+def test_chain_rows_match_the_reference_stepper(cap, alpha, u, q, ue, p):
+    """Every row is the one-slot law of ``model.step_users``: each action
+    weighted by its probability, each channel outcome by p or 1 - p."""
+    user = ofrp.OfrpUserParams(alpha, u, q * (1.0 - u), ue)
+    chain = ofrp.build_chain(user, p, cap)
+    cfg = SystemConfig(num_users=1, success_prob=p, sample_cost=0.0,
+                       transmit_cost=0.0, aoi_cap=cap, aoi_limit=cap,
+                       horizon=1, seed=0)
+    index = {s: i for i, s in enumerate(chain.states)}
+    sample = ActionVector((1,), (0,))
+    resend = ActionVector((0,), (1,))
+    idle = ActionVector.idle(1)
+    for i, (occupied, wait, age) in enumerate(chain.states):
+        state = UserState(age, wait, occupied)
+        if occupied:
+            acts = ((sample, alpha * user.sample_occupied),
+                    (resend, alpha * user.retransmit_old),
+                    (idle, 1.0 - alpha * (user.sample_occupied
+                                          + user.retransmit_old)))
+        else:
+            acts = ((sample, alpha * ue), (idle, 1.0 - alpha * ue))
+        row = np.zeros(len(chain.states))
+        for action, weight in acts:
+            for draw, chance in ((0.0, p), (1.0, 1.0 - p)):
+                (nxt,), _ = step_users([state], action, [draw], cfg)
+                to = index[(nxt.cache_occupied, nxt.waiting_time, nxt.aoi)]
+                row[to] += weight * chance
+        assert np.max(np.abs(row - chain.matrix[i])) <= 1e-15
 
 
 def test_rows_are_stochastic_across_parameter_corners():
@@ -175,7 +204,8 @@ def test_total_cost_on_dead_channel():
     user = ofrp.OfrpUserParams(1.0, 0.3, 0.2, 0.5)
     chain = ofrp.build_chain(user, 0.0, 10)
     pi, _ = solve_stationary(chain.matrix)
-    theta = sum(prob for prob, s in zip(pi, chain.states) if s[0] == "empty")
+    theta = sum(prob for prob, (occupied, _, _) in zip(pi, chain.states)
+                if not occupied)
     expected = theta * 0.5 * 6.0 + (1 - theta) * (0.2 * 5.0 + 0.3 * 6.0)
     m = ofrp.metrics(user, 0.0, 10, 1.0, 5.0)
     assert m.avg_aoi == 10.0
@@ -209,10 +239,7 @@ def test_state_frequencies_track_stationary_distribution():
     chain = ofrp.build_chain(user, 0.6, 10)
     pi = ofrp.stationary(chain, user, 0.6)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-    sim = {}
-    for (occ, wait, aoi), count in stats.state_freq[0].items():
-        key = ("cached", wait, aoi) if occ else ("empty", aoi)
-        sim[key] = count / cfg.horizon
+    sim = {s: count / cfg.horizon for s, count in stats.state_freq[0].items()}
     tv = 0.5 * sum(abs(sim.get(s, 0.0) - prob)
                    for s, prob in zip(chain.states, pi))
     assert tv < 0.02
@@ -337,7 +364,7 @@ def dense_table(alpha, p, cap, step):
     """The oracle: every grid point's full chain solved densely, in
     consecutive batches, the whole-grid table ``_dense_points`` reproduces."""
     u, q, ue = ofrp._grid_points(step)
-    states, _, aoi_vec, empty_vec, _ = ofrp._layout(cap)
+    states, aoi_vec, empty_vec, _ = ofrp._layout(cap)
     chunk = max(1, min(4096, ofrp._BATCH_BUDGET // len(states) ** 2))
     avg_aoi, theta = np.empty(len(u)), np.empty(len(u))
     for lo in range(0, len(u), chunk):
