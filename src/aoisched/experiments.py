@@ -20,7 +20,7 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -74,22 +74,21 @@ def _read_source(source) -> tuple[dict, str]:
     """Accept a dict, a YAML path, or a packaged preset name."""
     if isinstance(source, dict):
         return source, "<dict>"
-    text: str | None = None
     origin = str(source)
     path = Path(source)
-    if path.suffix in (".yaml", ".yml") or path.is_file():
-        try:
+    try:    # a name too long for the file system raises from is_file too
+        if path.suffix in (".yaml", ".yml") or path.is_file():
             text = path.read_text()
-        except OSError as exc:
-            raise SpecError(f"cannot read scenario file {source}: {exc}") from exc
-    else:
-        box = resources.files("aoisched.scenarios") / f"{source}.yaml"
-        if not box.is_file():
-            raise SpecError(
-                f"unknown scenario {source!r}: not a file, and available "
-                f"presets are {', '.join(available_presets())}")
-        text = box.read_text()
-        origin = f"preset:{source}"
+        else:
+            box = resources.files("aoisched.scenarios") / f"{source}.yaml"
+            if not box.is_file():
+                raise SpecError(
+                    f"unknown scenario {source!r}: not a file, and available "
+                    f"presets are {', '.join(available_presets())}")
+            text = box.read_text()
+            origin = f"preset:{source}"
+    except OSError as exc:
+        raise SpecError(f"cannot read scenario file {source}: {exc}") from exc
     doc = yaml.safe_load(text)
     if not isinstance(doc, dict):
         raise SpecError(f"{origin}: top level must be a mapping")
@@ -102,9 +101,11 @@ def _get(doc: dict, key: str, kind, path: str, default=None, required=True):
             raise SpecError(f"{path}{key}: missing required field")
         return default
     value = doc[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and type(value) is int:
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    # YAML's true and false are ints to isinstance; only a bool field takes them
+    if kind is not None and (not isinstance(value, kind)
+                             or type(value) is bool and kind is not bool):
         raise SpecError(
             f"{path}{key}: expected {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}")
@@ -174,7 +175,7 @@ def load_spec(source) -> ExperimentSpec:
     if not values:
         raise SpecError("sweep.values: must list at least one value")
     for i, v in enumerate(values):
-        if not isinstance(v, (int, float)):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise SpecError(f"sweep.values[{i}]: expected a number, got {v!r}")
 
     replicas = _get(doc, "replicas", int, "", default=4, required=False)
@@ -241,19 +242,7 @@ def config_hash(spec: ExperimentSpec, cfg: SystemConfig, policy: str,
         "replicas": replicas,
         "grid_step": spec.grid_step,
         "axis": spec.sweep_axis,
-        "config": {
-            "num_users": cfg.num_users,
-            "success_prob": list(cfg.success_prob),
-            "sample_cost": cfg.sample_cost,
-            "transmit_cost": cfg.transmit_cost,
-            "aoi_cap": cfg.aoi_cap,
-            "aoi_limit": list(cfg.aoi_limit),
-            "horizon": cfg.horizon,
-            "seed": cfg.seed,
-            "v_weight": cfg.v_weight,
-            "single_transmitter_mode": cfg.single_transmitter_mode,
-            "burn_in": cfg.burn_in,
-        },
+        "config": asdict(cfg),     # tuples dump as lists
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]

@@ -37,10 +37,11 @@ class InfeasibleError(RuntimeError):
 
 def _as_tuple(value, n: int, name: str) -> tuple[float, ...]:
     """Broadcast a scalar to ``n`` entries, or validate a length-``n`` sequence."""
+    values = (value,) * n if isinstance(value, (int, float)) else tuple(value)
+    if any(isinstance(v, bool) for v in values):
+        raise ValueError(f"{name} must be numbers, got {value!r}")
     try:
-        if isinstance(value, (int, float)):
-            return (float(value),) * n
-        out = tuple(float(v) for v in value)
+        out = tuple(float(v) for v in values)
     except OverflowError:
         raise ValueError(f"{name}: integer too large for a float") from None
     if len(out) != n:
@@ -79,11 +80,14 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("num_users", "aoi_cap", "horizon", "burn_in", "seed"):
+            value = getattr(self, name)
             try:
-                operator.index(getattr(self, name))
+                if isinstance(value, bool):     # an int to operator.index
+                    raise TypeError
+                operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}") from None
+                                 f"got {value!r}") from None
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.num_users < 1:
@@ -102,6 +106,8 @@ class SystemConfig:
                 raise ValueError(f"aoi_limit must be at least 1, got {a}")
         for name in ("sample_cost", "transmit_cost", "v_weight"):
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= math.nextafter(math.inf, 0.0):  # max double
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value}")

@@ -17,12 +17,13 @@ Each user steps through the per-cap (state, event) -> state table
 of the (state, event) pairs visited.  A policy that sees the state only
 through each user's cache flag declares its actions ahead through
 ``Policy.plan`` and is walked a block of slots at a time; every other policy
-runs slot by slot, the drift-plus-penalty rule scored by the loop itself.
-Both paths check every realized action.  The walk computes virtual queues
-as exact numpy prefix sums when every ``aoi_limit`` is n/d, d a power of
-two, with d · (horizon + 8192) · (cap + limit) < 2**53, and slot by slot
-otherwise.  Two users at cap 10 walk about 2.2M slots/s, and run 0.45M
-slots/s slot by slot (2-core x86, Python 3.11, numpy 2.4).
+runs slot by slot, the drift-plus-penalty rule scored by the loop itself
+from one fused table row per user and slot.  Both paths check every
+realized action.  The walk computes virtual queues as exact numpy prefix
+sums when every ``aoi_limit`` is n/d, d a power of two, with d · (horizon +
+8192) · (cap + limit) < 2**53, and slot by slot otherwise.  Two users at
+cap 10 walk about 3M slots/s, and are scored slot by slot at about 1M
+(best of 5 runs; 2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class Policy(abc.ABC):
     def decide(self, t: int, aoi: list[int], waiting: list[int],
                occupied: list[bool], vqueue: list[float],
                ) -> tuple[int | None, int | None]:
-        ...
+        """The (sampler, retransmitter) pair for slot ``t``.  Each list is a
+        fresh copy, so changing one leaves the run as it is."""
 
     def plan(self, n_slots: int) -> tuple[np.ndarray, np.ndarray] | None:
         """The actions of the run's next ``n_slots`` slots, or None (the
@@ -244,6 +246,22 @@ def _rejected(t: int, action: ActionVector, occupied, cfg) -> ValueError:
     raise AssertionError(f"slot {t}: {action} breaks no rule")
 
 
+def _check_block(b0: int, pairs: np.ndarray, table, cfg) -> None:
+    """Raise for the first of slots ``b0, b0 + 1, ...`` whose realized
+    actions, read off each user's (state, event) pairs, break a rule."""
+    empty, sampled, resent, _ = table.kind
+    occupied, sampling, resending = ~empty[pairs], sampled[pairs], resent[pairs]
+    bad = ((sampling.sum(0) > 1) | (resending.sum(0) > 1)
+           | (resending & ~occupied).any(0))
+    if cfg.single_transmitter_mode:
+        bad |= sampling.sum(0) + resending.sum(0) > 1
+    if bad.any():
+        t = int(bad.argmax())
+        raise _rejected(b0 + t, ActionVector(
+            tuple(sampling[:, t].tolist()), tuple(resending[:, t].tolist())),
+            occupied[:, t].tolist(), cfg)
+
+
 class _Tally:
     """What both paths accumulate, fed a block of slots at a time.
 
@@ -333,87 +351,86 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
                channel_gens: list[np.random.Generator], tally: _Tally) -> None:
     """Step each user through the table one slot at a time.
 
-    A policy whose ``penalties`` gives a pair is scored here from per-state
-    coefficients, with ``dpp._decide_core``'s expressions and tie order;
-    any other is asked through ``decide``.  Actions are checked, then applied.
+    A policy whose ``penalties`` gives a pair is scored here, exactly as
+    ``dpp._decide_core`` scores; any other is asked through ``decide``, and
+    its action checked before it applies.  Each block is checked after.
     """
     n = cfg.num_users
     cap = cfg.aoi_cap
     p = cfg.success_prob
-    limit = cfg.aoi_limit
     single = cfg.single_transmitter_mode
-    successor = tally.table.successor
-    # Per state, stored at its offset: the cache flag, waiting time and age,
-    # and _decide_core's delta-score coefficients, with aged = min(age + 1,
-    # cap): 1 - aged to sample, wait + 1 - aged (< 0) to resend, 0 if empty.
-    pad = (0,) * (EVENTS - 1)
-    occupied_at, wait_at, age_at, sample_coef, resend_coef = (
-        [x for v in column for x in (v, *pad)] for column in zip(*(
-            (o, w, a, 1 - min(a + 1, cap), w + 1 - min(a + 1, cap) if o else 0)
-            for o, w, a in tally.table.states)))
+    states = tally.table.states
+    # Per state, _decide_core's delta-score coefficients with aged = min(age
+    # + 1, cap): 1 - aged to sample, wait + 1 - aged (< 0) to resend, 0 if
+    # empty; per pair, successor offset, age and these, as floats (exact, fast).
+    coef = [(1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
+            for o, w, a in states]
+    step = [(s, float(states[s // EVENTS][2]), *coef[s // EVENTS])
+            for s in tally.table.successor]
     penalties = policy.penalties()
     scored = penalties is not None
     sample_penalty, resend_penalty = penalties or (0.0, 0.0)
     pairs = [] if single or not scored else list(itertools.permutations(range(n), 2))
+    users = tuple(zip(range(n), cfg.aoi_limit, p))
 
-    at = [0] * n            # offsets; 0 is the start state
-    aoi, wait, occ, vq = [1] * n, [0] * n, [False] * n, [0.0] * n
+    at, vq = [0] * n, [0.0] * n     # offsets (0 is the start state), queues
     # scored choice for slot 0: with empty queues each score is sample_penalty
     sampler, resender = 0 if sample_penalty < 0 else None, None
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
-        hits = np.vstack([g.random(m) for g in channel_gens]) < np.array(p)[:, None]
+        # flat and slot-major: a list per slot made up front wakes the GC
+        hits = (np.column_stack([g.random(m) for g in channel_gens]) < p
+                ).view(np.int8).ravel().tolist()
         codes, vqs = [], []
         record, record_vq = codes.extend, vqs.extend
-        for t, hit in enumerate(zip(*hits.view(np.int8).tolist()), b0):
+        for h in range(0, m * n, n):
+            events = hits[h:h + n]
             if not scored:
-                sampler, resender = policy.decide(t, aoi, wait, occ, vq)
-            events = list(hit)
-            if sampler is not None:
-                if not 0 <= sampler < n:
+                t = b0 + h // n
+                occ, wait, aoi = zip(*[states[s // EVENTS] for s in at])
+                sampler, resender = policy.decide(
+                    t, list(aoi), list(wait), list(occ), vq.copy())
+                if sampler is not None and not 0 <= sampler < n:
                     raise ValueError(f"slot {t}: sampler index {sampler} out of range")
+                if resender is not None and not 0 <= resender < n:
+                    raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
+                if resender is not None and (resender == sampler or not occ[resender]
+                                             or single and sampler is not None):
+                    raise _rejected(t, ActionVector.from_pair(n, sampler, resender),
+                                    list(occ), cfg)
+            if sampler is not None:
                 events[sampler] += 8
             if resender is not None:
-                if not 0 <= resender < n:
-                    raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
-                if (resender == sampler or not occupied_at[at[resender]]
-                        or single and sampler is not None):
-                    raise _rejected(t, ActionVector.from_pair(n, sampler, resender),
-                                    [occupied_at[s] for s in at], cfg)
                 events[resender] += 16
-
-            # apply the action; a scored policy's next choice is made on
-            # the way, user by user in _decide_core's order
+            # apply the action, making the next slot's scored choice on the way
             best = 0.0
             sampler = resender = None
-            for k, e in enumerate(events):
-                events[k] = s = at[k] + e
-                at[k] = s = successor[s]
-                d = vq[k] - limit[k]
-                vq[k] = v = (d if d > 0.0 else 0.0) + age_at[s]
-                if scored:
-                    xp = v * p[k]
-                    d = xp * sample_coef[s] + sample_penalty
+            for k, lim, pk in users:
+                events[k] = s = at[k] + events[k]
+                at[k], a, cs, cr = step[s]
+                d = vq[k] - lim
+                vq[k] = v = (d if d > 0.0 else 0.0) + a
+                xp = v * pk
+                d = xp * cs + sample_penalty
+                if d < best:
+                    best, sampler, resender = d, k, None
+                if cr:
+                    d = xp * cr + resend_penalty
                     if d < best:
-                        best, sampler, resender = d, k, None
-                    c = resend_coef[s]
-                    if c:
-                        d = xp * c + resend_penalty
-                        if d < best:
-                            best, sampler, resender = d, None, k
-                else:
-                    aoi[k], wait[k], occ[k] = age_at[s], wait_at[s], occupied_at[s]
+                        best, sampler, resender = d, None, k
             for i, j in pairs:
-                c = resend_coef[at[j]]
+                c = coef[at[j] // EVENTS][1]
                 if c:
-                    d = ((vq[i] * p[i] * sample_coef[at[i]] + sample_penalty)
+                    d = ((vq[i] * p[i] * coef[at[i] // EVENTS][0] + sample_penalty)
                          + (vq[j] * p[j] * c + resend_penalty))
                     if d < best:
                         best, sampler, resender = d, i, j
             record(events)
             record_vq(vq)
-        tally.add(b0, np.fromiter(codes, np.intp, m * n).reshape(m, n).T,
-                  np.fromiter(vqs, float, m * n).reshape(m, n).T)
+        # user-major and contiguous: table lookups on a strided view are slow
+        visited = np.fromiter(codes, np.intp, m * n).reshape(m, n).T.copy()
+        _check_block(b0, visited, tally.table, cfg)
+        tally.add(b0, visited, np.fromiter(vqs, float, m * n).reshape(m, n).T)
 
 
 def _inexact_limit(cfg: SystemConfig) -> float | None:
@@ -473,18 +490,7 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
         pairs = np.concatenate((at[:, None], post[:, :-1]), axis=1) + events
         at = post[:, -1]
 
-        empty, sampled, resent, _ = table.kind
-        occupied, sampling, resending = ~empty[pairs], sampled[pairs], resent[pairs]
-        bad = ((sampling.sum(0) > 1) | (resending.sum(0) > 1)
-               | (resending & ~occupied).any(0))
-        if cfg.single_transmitter_mode:
-            bad |= sampling.sum(0) + resending.sum(0) > 1
-        if bad.any():
-            t = int(bad.argmax())
-            raise _rejected(b0 + t, ActionVector(
-                tuple(sampling[:, t].tolist()), tuple(resending[:, t].tolist())),
-                occupied[:, t].tolist(), cfg)
-
+        _check_block(b0, pairs, table, cfg)
         ages = table.age[post // EVENTS]
         if inexact is None:
             # The served backlog u = v - age follows u' = max(u + age -

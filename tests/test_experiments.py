@@ -88,6 +88,16 @@ def test_axis_aliases():
     (lambda d: d["sweep"].update(values=[1.5]), "rejected"),
     (lambda d: d.update(grid_step=0.03), "grid_step"),
     (lambda d: d.update(grid_step=-0.5), "grid_step"),
+    # YAML's true and false are ints to isinstance, but not numbers here
+    *(pytest.param(mutate, fragment, id=f"bool-{fragment}") for mutate, fragment in [
+        (lambda d: d["config"].update(num_users=True), "config.num_users"),
+        (lambda d: d["config"].update(sample_cost=True), "config.sample_cost"),
+        (lambda d: d["config"].update(success_prob=True), "success_prob"),
+        (lambda d: d["config"].update(aoi_limit=[5.0, True]), "aoi_limit"),
+        (lambda d: d.update(replicas=True), "replicas"),
+        (lambda d: d.update(grid_step=True), "grid_step"),
+        (lambda d: d["sweep"].update(values=[0.5, True]), "sweep.values[1]"),
+    ]),
 ])
 def test_spec_errors_name_the_field(mutate, fragment):
     doc = tiny_doc()
@@ -322,6 +332,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     bad.write_text(yaml.safe_dump(doc))
     capsys.readouterr()
     assert cli.main(["run", "--config", str(bad)]) == 2
+    assert "error: " in capsys.readouterr().err
+    # a name too long for the file system is refused, not a traceback
+    assert cli.main(["run", "--config", "x" * 300]) == 2
     assert "error: " in capsys.readouterr().err
 
 

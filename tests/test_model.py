@@ -153,6 +153,12 @@ def test_config_rejects_bad_values(overrides):
     ("burn_in", 1.5),
     ("seed", -1),
     ("seed", 1.0),
+    ("num_users", True),
+    ("seed", False),
+    ("success_prob", True),
+    pytest.param("aoi_limit", [5.0, True], id="aoi_limit-bool-entry"),
+    ("sample_cost", True),
+    ("v_weight", False),
 ])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aoisched import dpp, ofrp
+from aoisched import dpp, ofrp, simulate
 from aoisched.model import ActionVector, SystemConfig, initial_states, step_users
 from aoisched.simulate import (AlwaysSamplePolicy, IdlePolicy, Policy,
                                channel_uniforms, policy_rng, run,
@@ -221,7 +221,10 @@ _TIE_CASE = (
          track_states=True)
 @example(case=(replace(_LONG_CASE[0], aoi_limit=(math.inf, 2.0)),
                *_LONG_CASE[1:]), track_states=False)
-@given(case=engine_cases(burn_in=True), track_states=st.booleans())
+# At cap 2 no packet stays cached, so every resend coefficient is 0.
+@example(case=(replace(_LONG_CASE[0], aoi_cap=2, aoi_limit=(1.5, 2.0)),
+               *_LONG_CASE[1:]), track_states=True)
+@given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
 def test_engine_matches_reference_stepper(policy_factory, case, track_states):
     """The engine and the literal composition of update laws must produce
     identical sample paths, statistics, trace and state frequencies
@@ -290,6 +293,33 @@ def test_run_scores_dpp_without_calling_decide():
         stats = run(NeverDecided(), make_config(**overrides), 1,
                     track_states=track_states)
         assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+
+
+class DppBySlot(dpp.DppPolicy):
+    """The drift-plus-penalty rule asked slot by slot through ``decide``."""
+
+    def penalties(self):
+        return None
+
+
+class MutatingDppBySlot(DppBySlot):
+    """Decides as its twin, then scribbles over every argument."""
+
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        choice = super().decide(t, aoi, waiting, occupied, vqueue)
+        for values in (aoi, waiting, occupied, vqueue):
+            values[0] = 0
+            values.append(0)
+        return choice
+
+
+def test_decide_cannot_change_the_engines_state():
+    """``decide`` gets copies: a policy that mutates them runs as its
+    non-mutating twin does."""
+    cfg = make_config(success_prob=0.7, aoi_limit=3.0, horizon=2000, seed=1)
+    stats = run(MutatingDppBySlot(), cfg, track_states=True)
+    assert repr(stats) == repr(run(DppBySlot(), cfg, track_states=True))
+    assert repr(stats) == repr(run(dpp.DppPolicy(), cfg, track_states=True))
 
 
 class FixedPrices(dpp.DppPolicy):
@@ -576,6 +606,21 @@ def test_walk_rejects_the_slot_loops_first_violation(rule):
         expected = f"slot {t}: {law.value}"
     assert str(walked.value) == expected
     assert expected.startswith(f"slot {t}: ")
+
+
+def test_every_block_is_checked_on_both_paths(monkeypatch):
+    """The slot loop's scored actions are legal by construction, and its
+    asked ones are checked slot by slot; both paths still check each
+    block's realized actions."""
+    checked = []
+    check = simulate._check_block
+    monkeypatch.setattr(simulate, "_check_block",
+                        lambda b0, *args: checked.append(b0) or check(b0, *args))
+    cfg, params, _ = _LONG_CASE
+    for policy in (dpp.DppPolicy(), ofrp.OfrpPolicy(params), SlotBySlot(params)):
+        checked.clear()
+        run(policy, cfg)
+        assert checked == [0, 8192, 16384]
 
 
 # ── recording windows and aggregates ──────────────────────────────────────
