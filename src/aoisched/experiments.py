@@ -95,6 +95,15 @@ def _read_source(source) -> tuple[dict, str]:
     return doc, origin
 
 
+def _float(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SpecError(f"{path}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecError(f"{path}: integer too large for a float") from None
+
+
 def _get(doc: dict, key: str, kind, path: str, default=None, required=True):
     if key not in doc:
         if required:
@@ -102,7 +111,7 @@ def _get(doc: dict, key: str, kind, path: str, default=None, required=True):
         return default
     value = doc[key]
     if kind is float and type(value) is int:
-        value = float(value)
+        value = _float(value, path + key)
     # YAML's true and false are ints to isinstance; only a bool field takes them
     if kind is not None and (not isinstance(value, kind)
                              or type(value) is bool and kind is not bool):
@@ -174,9 +183,7 @@ def load_spec(source) -> ExperimentSpec:
     values = _get(sweep, "values", list, "sweep.")
     if not values:
         raise SpecError("sweep.values: must list at least one value")
-    for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise SpecError(f"sweep.values[{i}]: expected a number, got {v!r}")
+    values = [_float(v, f"sweep.values[{i}]") for i, v in enumerate(values)]
 
     replicas = _get(doc, "replicas", int, "", default=4, required=False)
     if replicas < 1:
@@ -193,7 +200,7 @@ def load_spec(source) -> ExperimentSpec:
         base=base,
         policies=tuple(policies),
         sweep_axis=axis,
-        sweep_values=tuple(sorted(float(v) for v in values)),
+        sweep_values=tuple(sorted(values)),
         replicas=replicas,
         grid_step=grid_step,
         out_dir=out_dir,

@@ -19,11 +19,11 @@ through each user's cache flag declares its actions ahead through
 ``Policy.plan`` and is walked a block of slots at a time; every other policy
 runs slot by slot, the drift-plus-penalty rule scored by the loop itself
 from one fused table row per user and slot.  Both paths check every
-realized action.  The walk computes virtual queues as exact numpy prefix
-sums when every ``aoi_limit`` is n/d, d a power of two, with d · (horizon +
-8192) · (cap + limit) < 2**53, and slot by slot otherwise.  Two users at
-cap 10 walk about 3M slots/s, and are scored slot by slot at about 1M
-(best of 5 runs; 2-core x86, Python 3.11, numpy 2.4).
+realized action and rebuild each block's virtual queues from the ages, as
+exact prefix sums when every ``aoi_limit`` is n/d, d a power of two, with
+d · (horizon + 8192) · (cap + limit) < 2**53, else slot by slot.  Two users
+at cap 10 walk about 3.5M slots/s and are scored at about 1.5M (best of 5
+runs; 2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -224,6 +224,9 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     policy.reset(cfg, policy_gen)
     plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))
     tally = _Tally(cfg, transition_table(cfg.aoi_cap), track_states)
+    log.debug("%s: virtual queues %s", "slot loop" if plan is None else "walk",
+              "as exact prefix sums" if (inexact := _inexact_limit(cfg)) is None
+              else f"slot by slot, aoi_limit {inexact!r} is not exact in prefix sums")
     if plan is None:
         _slot_loop(policy, cfg, channel_gens, tally)
     else:
@@ -275,6 +278,7 @@ class _Tally:
         n = cfg.num_users
         self.cfg = cfg
         self.table = table
+        self.reached = table.age[table.next_state]      # age per pair
         self.visits = np.zeros((n, len(table.successor)), dtype=np.int64)
         self.prices = np.array(
             [cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost])
@@ -283,9 +287,11 @@ class _Tally:
         self.trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self.freq = [dict() for _ in range(n)] if track_states else None
 
-    def add(self, b0: int, pairs: np.ndarray, vqs: np.ndarray) -> None:
-        """Record slots ``b0, b0 + 1, ...`` from each user's (state, event)
-        pairs and end-of-slot virtual queues, two (n, m) arrays."""
+    def add(self, b0: int, pairs: np.ndarray) -> None:
+        """Check and record slots ``b0, b0 + 1, ...`` from each user's
+        (state, event) pairs, an (n, m) array, and their ``_queues``."""
+        _check_block(b0, pairs, self.table, self.cfg)
+        vqs = _queues(self, self.reached[pairs])
         n, m = pairs.shape
         horizon = self.cfg.horizon
         every = max(1, horizon // _TRACE_POINTS)
@@ -321,8 +327,7 @@ class _Tally:
         empty, samples, resends, delivered = (
             self.visits @ self.table.kind.T).T.tolist()
         # visits per age reached; as float weights they add exactly below 2**53
-        ages = self.table.age[self.table.next_state] - 1
-        hist = [np.bincount(ages, v, cfg.aoi_cap).astype(np.int64).tolist()
+        hist = [np.bincount(self.reached - 1, v, cfg.aoi_cap).astype(np.int64).tolist()
                 for v in self.visits]
         return SimStats(
             policy=name,
@@ -352,8 +357,9 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     """Step each user through the table one slot at a time.
 
     A policy whose ``penalties`` gives a pair is scored here, exactly as
-    ``dpp._decide_core`` scores; any other is asked through ``decide``, and
-    its action checked before it applies.  Each block is checked after.
+    ``dpp._decide_core`` scores, at about 1.5M slots/s for two users at cap
+    10; any other is asked through ``decide``, and its action checked before
+    it applies.  Each block is checked after, scored queues against rebuilt.
     """
     n = cfg.num_users
     cap = cfg.aoi_cap
@@ -378,13 +384,10 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     sampler, resender = 0 if sample_penalty < 0 else None, None
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
-        # flat and slot-major: a list per slot made up front wakes the GC
+        # flat, slot-major, overwritten by the pairs; per-slot lists wake the GC
         hits = (np.column_stack([g.random(m) for g in channel_gens]) < p
                 ).view(np.int8).ravel().tolist()
-        codes, vqs = [], []
-        record, record_vq = codes.extend, vqs.extend
         for h in range(0, m * n, n):
-            events = hits[h:h + n]
             if not scored:
                 t = b0 + h // n
                 occ, wait, aoi = zip(*[states[s // EVENTS] for s in at])
@@ -399,14 +402,14 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
                     raise _rejected(t, ActionVector.from_pair(n, sampler, resender),
                                     list(occ), cfg)
             if sampler is not None:
-                events[sampler] += 8
+                hits[h + sampler] += 8
             if resender is not None:
-                events[resender] += 16
+                hits[h + resender] += 16
             # apply the action, making the next slot's scored choice on the way
             best = 0.0
             sampler = resender = None
             for k, lim, pk in users:
-                events[k] = s = at[k] + events[k]
+                hits[h + k] = s = at[k] + hits[h + k]
                 at[k], a, cs, cr = step[s]
                 d = vq[k] - lim
                 vq[k] = v = (d if d > 0.0 else 0.0) + a
@@ -425,19 +428,18 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
                          + (vq[j] * p[j] * c + resend_penalty))
                     if d < best:
                         best, sampler, resender = d, i, j
-            record(events)
-            record_vq(vq)
         # user-major and contiguous: table lookups on a strided view are slow
-        visited = np.fromiter(codes, np.intp, m * n).reshape(m, n).T.copy()
-        _check_block(b0, visited, tally.table, cfg)
-        tally.add(b0, visited, np.fromiter(vqs, float, m * n).reshape(m, n).T)
+        tally.add(b0, np.fromiter(hits, np.intp, m * n).reshape(m, n).T.copy())
+        if tally.vq.tolist() != vq:
+            raise RuntimeError(f"block at slot {b0}: queues {vq} rebuilt as "
+                               f"{tally.vq.tolist()}")
 
 
 def _inexact_limit(cfg: SystemConfig) -> float | None:
-    """The first ``aoi_limit`` whose virtual queue the walk's prefix sums
-    could round, or None.  A finite limit is n/d, d a power of two, so every
-    sum is a multiple of 1/d below (horizon + ``_DRAW_BLOCK``) · (cap +
-    limit) in size, and exact while that bound times d is below 2**53."""
+    """The first ``aoi_limit`` whose virtual queue ``_queues`` could round
+    in prefix sums, or None.  A finite limit is n/d, d a power of two, so
+    every sum is a multiple of 1/d below (horizon + ``_DRAW_BLOCK``) · (cap
+    + limit) in size, and exact while that bound times d is below 2**53."""
     span = cfg.horizon + _DRAW_BLOCK
     for limit in cfg.aoi_limit:
         if not math.isfinite(limit):
@@ -454,24 +456,13 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
     """Walk each user through the table one ``_DRAW_BLOCK`` at a time.
 
     ``plan`` is the policy's first block.  Per block, Python does one table
-    lookup per user and slot, and the realized actions are checked
-    afterwards.  The virtual queues come from Lindley's (1952) prefix-sum
-    form when ``_inexact_limit`` finds every limit exact, and else from the
-    slot loop's expression, slot by slot; both give the same doubles.
+    lookup per user and slot; ``_Tally.add`` then checks the realized actions
+    and rebuilds the virtual queues with ``_queues``, as for the slot loop.
     """
     n = cfg.num_users
     success = np.array(cfg.success_prob)[:, None]
-    table = tally.table
-    successor = table.successor
-    inexact = _inexact_limit(cfg)
-    if inexact is None:
-        log.debug("walk: virtual queues as exact prefix sums")
-    else:
-        log.debug("walk: virtual queues slot by slot, aoi_limit %r is not "
-                  "exact in prefix sums", inexact)
-    limit = np.array(cfg.aoi_limit)[:, None]
+    successor = tally.table.successor
     at = np.zeros(n, dtype=np.intp)        # offsets; 0 is the start state
-    vq = [0.0] * n
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
         if b0:
@@ -489,29 +480,30 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
             post[k] = [s := successor[s + e] for e in row]
         pairs = np.concatenate((at[:, None], post[:, :-1]), axis=1) + events
         at = post[:, -1]
+        tally.add(b0, pairs)
 
-        _check_block(b0, pairs, table, cfg)
-        ages = table.age[post // EVENTS]
-        if inexact is None:
-            # The served backlog u = v - age follows u' = max(u + age -
-            # limit, 0), so u = S - min(-u0, cummin S) with S the running
-            # sum of the previous slots' age - limit, S = 0 at the first.
-            total = np.zeros((n, m))
-            np.cumsum(ages[:, :-1] - limit, axis=1, out=total[:, 1:])
-            floor = np.minimum(-np.maximum(np.array(vq)[:, None] - limit, 0.0),
-                               np.minimum.accumulate(total, axis=1))
-            vqs = total - floor + ages
-            vq = vqs[:, -1].tolist()
-        else:
-            vqs = []
-            for k, row in enumerate(ages.tolist()):
-                lim = cfg.aoi_limit[k]
-                v = vq[k]
-                vqs.append([v := (served if (served := v - lim) > 0.0 else 0.0) + a
-                            for a in row])
-                vq[k] = v
-            vqs = np.array(vqs)
-        tally.add(b0, pairs, vqs)
+
+def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:
+    """Each user's virtual queue at the end of each slot of a block, from
+    the ages reached, an (n, m) array, and the queues the tally holds: in
+    Lindley's (1952) prefix-sum form when ``_inexact_limit`` finds every
+    limit exact, else by the slot loop's expression; both give the same
+    doubles."""
+    limits = tally.cfg.aoi_limit
+    if _inexact_limit(tally.cfg) is not None:
+        vqs = np.empty(ages.shape)
+        for out, v, lim, row in zip(vqs, tally.vq.tolist(), limits, ages.tolist()):
+            out[:] = [v := (d if (d := v - lim) > 0.0 else 0.0) + a for a in row]
+        return vqs
+    # The served backlog u = v - age follows u' = max(u + age - limit, 0),
+    # so u = S - min(-u0, cummin S) with S the running sum of the previous
+    # slots' age - limit, S = 0 at the first.
+    limit = np.array(limits)[:, None]
+    total = np.zeros(ages.shape)
+    np.cumsum(ages[:, :-1] - limit, axis=1, out=total[:, 1:])
+    floor = np.minimum(-np.maximum(tally.vq[:, None] - limit, 0.0),
+                       np.minimum.accumulate(total, axis=1))
+    return total - floor + ages
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -88,6 +88,11 @@ def test_axis_aliases():
     (lambda d: d["sweep"].update(values=[1.5]), "rejected"),
     (lambda d: d.update(grid_step=0.03), "grid_step"),
     (lambda d: d.update(grid_step=-0.5), "grid_step"),
+    # an integer past the float range is a field error, not an OverflowError
+    pytest.param(lambda d: d.update(grid_step=10 ** 400),
+                 "grid_step: integer too large", id="huge-grid_step"),
+    pytest.param(lambda d: d["sweep"].update(values=[0.5, 10 ** 400]),
+                 "sweep.values[1]: integer too large", id="huge-sweep.values"),
     # YAML's true and false are ints to isinstance, but not numbers here
     *(pytest.param(mutate, fragment, id=f"bool-{fragment}") for mutate, fragment in [
         (lambda d: d["config"].update(num_users=True), "config.num_users"),
@@ -336,6 +341,21 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     # a name too long for the file system is refused, not a traceback
     assert cli.main(["run", "--config", "x" * 300]) == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, mutate, field", [
+    ("optimize", lambda d: d.update(grid_step=10 ** 400), "grid_step"),
+    ("run", lambda d: d["sweep"].update(values=[10 ** 400]), "sweep.values[0]"),
+])
+def test_cli_rejects_integers_past_the_float_range(command, mutate, field,
+                                                   tmp_path, capsys):
+    doc = tiny_doc()
+    mutate(doc)
+    bad = tmp_path / "huge.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert cli.main([command, "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {field}: integer too large for a float\n"
 
 
 @pytest.mark.parametrize("argv", [

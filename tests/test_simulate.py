@@ -277,6 +277,14 @@ _DPP_DIGESTS = {
         dict(success_prob=[0.6, 0.9], aoi_limit=[4.0, 5.5],
              horizon=3 * 8192 + 5, seed=5, burn_in=9000), True,
         "56c0b9ef32cac37baea4b604c0801d5af0063558f078899cade630bf55ab0eda"),
+    # Recorded later, still before the slot loop stopped recording queues.
+    # 4.3 is not n/2**k and inf is not finite, so queues are rebuilt slot
+    # by slot; both users sample and resend.
+    "inexact-limits": (
+        dict(success_prob=[0.9, 0.6], aoi_limit=[4.3, math.inf],
+             horizon=8192 + 300, seed=43, v_weight=5.0,
+             single_transmitter_mode=False), False,
+        "a403d5ed30e56dbe21c328849682f28167faca0d227b991a3912d62e38715d52"),
 }
 
 
@@ -461,14 +469,16 @@ def test_two_actor_plans_match_slot_loop(case, script_seed):
     ((math.inf, 2.0), "inf"),
 ])
 def test_walk_logs_its_virtual_queue_form(limits, inexact, caplog):
-    """One line per walked run names the queue form, and the limit that
-    kept the slot-by-slot one."""
+    """One line per run names the engine path, the queue form and the limit
+    that kept the slot-by-slot one; DppPolicy takes the slot loop."""
     caplog.set_level(logging.DEBUG, logger="aoisched.simulate")
-    run(ofrp.OfrpPolicy(_LONG_CASE[1]), replace(_LONG_CASE[0], aoi_limit=limits))
+    cfg = replace(_LONG_CASE[0], aoi_limit=limits)
+    run(ofrp.OfrpPolicy(_LONG_CASE[1]), cfg)
+    run(dpp.DppPolicy(), cfg)
     assert caplog.messages == [
-        "walk: virtual queues as exact prefix sums" if inexact is None else
-        f"walk: virtual queues slot by slot, aoi_limit {inexact} is not "
-        "exact in prefix sums"]
+        f"{path}: virtual queues as exact prefix sums" if inexact is None else
+        f"{path}: virtual queues slot by slot, aoi_limit {inexact} is not "
+        "exact in prefix sums" for path in ("walk", "slot loop")]
 
 
 class NeverBySlot(ofrp.OfrpPolicy):
@@ -621,6 +631,23 @@ def test_every_block_is_checked_on_both_paths(monkeypatch):
         checked.clear()
         run(policy, cfg)
         assert checked == [0, 8192, 16384]
+
+
+def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
+    """The queues the slot loop scored with must equal the block's rebuild
+    to the last bit; a rebuild one ulp off from the second block on is
+    refused there."""
+    rebuild, blocks = simulate._queues, []
+
+    def one_ulp_off(tally, ages):
+        blocks.append(None)
+        vqs = rebuild(tally, ages)
+        return vqs if len(blocks) < 2 else np.nextafter(vqs, np.inf)
+
+    monkeypatch.setattr(simulate, "_queues", one_ulp_off)
+    with pytest.raises(RuntimeError, match="^block at slot 8192: "):
+        run(dpp.DppPolicy(), make_config(horizon=3 * 8192))
+    assert len(blocks) == 2
 
 
 # ── recording windows and aggregates ──────────────────────────────────────
