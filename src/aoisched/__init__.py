@@ -13,7 +13,7 @@ package provides:
   packet), its Markov-chain analysis, and its grid optimizer;
 - ``dpp``: the drift-plus-penalty scheduler, whose decision rule is O(K) in
   single-transmitter mode and O(K²) otherwise;
-- ``markov``: stationary-distribution solvers shared by the analyses;
+- ``markov``: the dense stationary-distribution solver;
 - ``experiments`` / ``cli``: YAML-driven sweeps emitting deterministic CSVs;
 - ``validate``: the end-to-end acceptance checks.
 """
@@ -22,7 +22,7 @@ from . import dpp, forp, markov, ofrp
 from .dpp import DppPolicy
 from .experiments import ExperimentSpec, SpecError, load_spec, run_experiment
 from .forp import ForpParams
-from .markov import ChainModel, SolveReport, solve_stationary
+from .markov import solve_stationary
 from .model import (ActionVector, InfeasibleError, SlotOutcome, SystemConfig,
                     UserState, aoi_step, initial_states, slot_cost, step_users,
                     vqueue_step, waiting_time_step)
@@ -34,10 +34,10 @@ from .validate import CheckResult, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionVector", "ChainModel", "CheckResult", "DppPolicy",
+    "ActionVector", "CheckResult", "DppPolicy",
     "ExperimentSpec", "ForpParams", "IdlePolicy",
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
-    "Policy", "ReplicaSummary", "SimStats", "SlotOutcome", "SolveReport",
+    "Policy", "ReplicaSummary", "SimStats", "SlotOutcome",
     "SpecError", "SystemConfig", "UserState", "aoi_step", "channel_uniforms",
     "dpp", "forp", "initial_states", "load_spec", "markov", "ofrp", "run",
     "run_checks", "run_experiment", "run_replicas", "slot_cost",

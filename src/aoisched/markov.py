@@ -1,42 +1,21 @@
 """Stationary distributions of finite discrete-time Markov chains.
 
-Solves pi = pi P for row-stochastic P.  The default path replaces one balance
-equation with the normalization constraint and hands the dense system to
-LAPACK; a damped power iteration serves as fallback (and as the primary
-method for very large chains).  Chains with no unique stationary
-distribution, those with more than one recurrent class, are rejected up
-front: an iterative Tarjan scan (Tarjan 1972, "Depth-first search and linear
-graph algorithms", SIAM J. Comput. 1(2)) finds the strongly connected
-components of the p > 0 graph in time linear in its edges, and the recurrent
-classes are the components that no edge leaves.
+Solves pi = pi P for row-stochastic P: one balance equation is replaced by
+the normalization constraint and the dense system goes to LAPACK, for
+chains of up to ``DIRECT_SOLVE_MAX_STATES`` states.  Chains with no unique
+stationary distribution, those with more than one recurrent class, are
+rejected up front: an iterative Tarjan scan (Tarjan 1972, "Depth-first
+search and linear graph algorithms", SIAM J. Comput. 1(2)) finds the
+strongly connected components of the p > 0 graph in time linear in its
+edges, and the recurrent classes are the components that no edge leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# Above this state count the dense direct solve is skipped in favor of the
-# power iteration (cubic solve cost stops being worth it).
+# Largest chain the dense solve takes; its (n, n) system holds 50 MB here.
 DIRECT_SOLVE_MAX_STATES = 2500
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    """How a stationary distribution was obtained."""
-
-    method: str          # "direct" or "power"
-    residual: float      # max |pi P - pi|
-    iterations: int      # 0 for the direct solve
-
-
-@dataclass(frozen=True, eq=False)
-class ChainModel:
-    """A finite chain: state labels and a row-stochastic matrix."""
-
-    states: tuple
-    matrix: np.ndarray
 
 
 def validate_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -50,8 +29,7 @@ def validate_stochastic(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise ValueError("transition matrix has non-finite (NaN or inf) entries")
     if np.any(p < -1e-12):
         raise ValueError("transition matrix has negative entries")
-    rowsum = p.sum(axis=1)
-    bad = np.max(np.abs(rowsum - 1.0))
+    bad = np.max(np.abs(p.sum(axis=1) - 1.0))
     if bad > tol:
         raise ValueError(f"rows must sum to 1 (max deviation {bad:.3e})")
     return p
@@ -125,57 +103,35 @@ def direct_stationary(matrix: np.ndarray) -> np.ndarray:
     """Solve the balance equations with the last one replaced by normalization,
     for one (n, n) chain or each chain of a stack (..., n, n)."""
     p = np.asarray(matrix, dtype=float)
-    n = p.shape[-1]
-    a = np.swapaxes(p, -1, -2) - np.eye(n)
+    a = np.swapaxes(p, -1, -2) - np.eye(p.shape[-1])
     a[..., -1, :] = 1.0
     b = np.zeros(p.shape[:-1] + (1,))
     b[..., -1, 0] = 1.0
     return np.linalg.solve(a, b)[..., 0]
 
 
-def power_stationary(matrix: np.ndarray, tol: float = 1e-12,
-                     max_iterations: int = 10 ** 6) -> tuple[np.ndarray, int]:
-    """Damped power iteration; the (P+I)/2 damping defeats periodicity."""
-    p = np.asarray(matrix, dtype=float)
-    n = p.shape[0]
-    half = 0.5 * (p + np.eye(n))
-    pi = np.full(n, 1.0 / n)
-    for it in range(1, max_iterations + 1):
-        nxt = pi @ half
-        delta = np.max(np.abs(nxt - pi))
-        pi = nxt
-        if delta < 0.5 * tol:
-            return pi / pi.sum(), it
-    raise RuntimeError(
-        f"power iteration did not reach tolerance {tol} in {max_iterations} steps")
+def solve_stationary(matrix: np.ndarray,
+                     tol: float = 1e-12) -> tuple[np.ndarray, float]:
+    """Unique stationary distribution of a row-stochastic matrix and its
+    residual max |pi P - pi|.
 
-
-def solve_stationary(matrix: np.ndarray, tol: float = 1e-12,
-                     max_iterations: int = 10 ** 6) -> tuple[np.ndarray, SolveReport]:
-    """Unique stationary distribution of a row-stochastic matrix.
-
-    Raises ValueError for non-stochastic input or for chains with no unique
-    stationary distribution (zero or multiple recurrent classes), and
-    RuntimeError if the fallback iteration fails to converge.
+    Raises ValueError for non-stochastic input, for chains with no unique
+    stationary distribution (zero or multiple recurrent classes) and for
+    chains above ``DIRECT_SOLVE_MAX_STATES`` states, and RuntimeError if the
+    residual is not below ``tol``.
     """
     p = validate_stochastic(matrix)
+    n = p.shape[0]
+    if n > DIRECT_SOLVE_MAX_STATES:
+        raise ValueError(f"chain has {n} states, above the dense solve's "
+                         f"limit of {DIRECT_SOLVE_MAX_STATES}")
     classes = recurrent_class_count(p)
     if classes != 1:
         raise ValueError(
             f"chain is reducible: {classes} recurrent classes, so no unique "
             "stationary distribution exists")
-    n = p.shape[0]
-    if n == 1:
-        return np.ones(1), SolveReport("direct", 0.0, 0)
-    if n <= DIRECT_SOLVE_MAX_STATES:
-        try:
-            pi = finalize(direct_stationary(p))
-            residual = float(np.max(np.abs(pi @ p - pi)))
-            if residual < tol:
-                return pi, SolveReport("direct", residual, 0)
-        except np.linalg.LinAlgError:
-            pass
-    pi, iterations = power_stationary(p, tol, max_iterations)
-    pi = finalize(pi)
+    pi = finalize(direct_stationary(p))
     residual = float(np.max(np.abs(pi @ p - pi)))
-    return pi, SolveReport("power", residual, iterations)
+    if not residual < tol:
+        raise RuntimeError(f"residual {residual:.3e} is not below {tol:g}")
+    return pi, residual

@@ -113,8 +113,12 @@ class SystemConfig:
                     f"{name} must be finite and non-negative, got {value}")
         if self.aoi_cap < 2:
             raise ValueError("aoi_cap must be at least 2")
+        if self.aoi_cap > 500:    # transition table: 124,751 states, 117 MB
+            raise ValueError("aoi_cap must be at most 500")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        if self.horizon >= 2 ** 53:   # slot counts kept as doubles stay exact
+            raise ValueError("horizon must be below 2**53")
         if not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must lie in [0, horizon)")
 

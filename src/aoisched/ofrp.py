@@ -14,21 +14,25 @@ and arcs are read off ``model.transition_table``, which the engine steps
 through; the law is linear in seven action-probability coefficients, one
 per event, so matrices are assembled in stacks for stacked LAPACK solves.
 
-``metrics`` solves the full chain densely; it is the oracle, and every
-number that reaches a CSV comes from it.  ``grid_table`` evaluates every
-grid point once per (alpha, success_prob, cap, step) in closed form, with
-no matrix: off its boundary states (empty, or cached with waiting time 1)
-the chain only walks a deterministic "copy kept" diagonal, so the balance
-equations reduce to an O(cap) recursion.  ``_select`` takes the first
-cheapest point meeting the limit and certifies it: every point whose
-feasibility or cost rank a table error of ``TAU`` could flip is solved
-densely, exactly as a dense table would, and the pick is made from those
-values, so it is the dense table's pick.  ``_scan_user`` re-evaluates the
-pick through ``metrics`` and raises if the table's age or cost disagree.
+``stationary`` solves a chain densely up to ``markov.DIRECT_SOLVE_MAX_STATES``
+states (cap 71) and above that expands the boundary recursion below onto
+every state; ``metrics``, the source of every number in a CSV, reads it.
+``grid_table`` evaluates every grid point once per (alpha, success_prob,
+cap, step) in closed form, with no matrix: off its boundary states (empty,
+or cached with waiting time 1) the chain only walks a deterministic "copy
+kept" diagonal, so the balance equations reduce to an O(cap) recursion.
+``_select`` takes the first cheapest point meeting the limit and certifies
+it: every point whose feasibility or cost rank a table error of ``TAU``
+could flip is solved densely, exactly as a dense table would, and the pick
+is made from those values, so it is the dense table's pick (above the dense
+limit, the table's own).  ``_scan_user`` re-evaluates the pick through
+``metrics`` and raises if the table's age or cost disagree.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -36,7 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .markov import ChainModel, direct_stationary, finalize, solve_stationary
+from . import markov
+from .markov import direct_stationary, finalize, solve_stationary
 from .model import (EVENTS, InfeasibleError, SystemConfig, event_code,
                     grid_intervals, transition_table)
 from .simulate import Policy, uniform_stream
@@ -116,6 +121,8 @@ def _layout(cap: int):
 def _coefficients(alpha, u, q, ue, p) -> tuple:
     """Per-event probabilities, in the event order used by the layout;
     elementwise, so (u, q, ue) may be scalars or equal-length arrays."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"success_prob must lie in [0, 1], got {p}")
     return (
         alpha * ue * p,            # 0: empty, fresh sample delivered
         alpha * ue * (1.0 - p),    # 1: empty, fresh sample lost
@@ -140,23 +147,23 @@ def _assemble(coeff: tuple, cap: int) -> np.ndarray:
     return mats
 
 
-def build_chain(user: OfrpUserParams, success_prob: float, cap: int) -> ChainModel:
-    """Transition matrix of one user's (cache, waiting time, age) chain."""
-    if not 0.0 <= success_prob <= 1.0:
-        raise ValueError(f"success_prob must lie in [0, 1], got {success_prob}")
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
+def build_chain(user: OfrpUserParams, success_prob: float,
+                cap: int) -> np.ndarray:
+    """Transition matrix of one user's (cache, waiting time, age) chain, over
+    the states of ``transition_table(cap)`` in their order."""
     coeff = _coefficients(user.alpha, user.sample_occupied, user.retransmit_old,
                           user.sample_empty, success_prob)
-    return ChainModel(states=_layout(cap)[0], matrix=_assemble(coeff, cap)[0])
+    if cap < 2:
+        raise ValueError("cap must be at least 2")
+    return _assemble(coeff, cap)[0]
 
 
 # ──────────────────────────────────────────────────────────────────────────
 #  stationary metrics
 # ──────────────────────────────────────────────────────────────────────────
 
-def stationary(chain: ChainModel, user: OfrpUserParams, success_prob: float,
-               tol: float = 1e-12) -> np.ndarray:
+def stationary(user: OfrpUserParams, success_prob: float,
+               cap: int) -> np.ndarray:
     """Stationary distribution of ``build_chain(user, success_prob, cap)``.
 
     Refuses degenerate parameter choices under which fresh deliveries never
@@ -169,8 +176,18 @@ def stationary(chain: ChainModel, user: OfrpUserParams, success_prob: float,
             "degenerate parameters: fresh deliveries have probability 0 "
             "(alpha * sample_empty * success_prob = 0), the age-1 state is "
             "unreachable and the age saturates at the cap")
-    pi, _ = solve_stationary(chain.matrix, tol)
-    return pi
+    return _solve(user, success_prob, cap)
+
+
+def _solve(user: OfrpUserParams, success_prob: float, cap: int) -> np.ndarray:
+    """The chain's stationary vector: solved densely at or below
+    ``markov.DIRECT_SOLVE_MAX_STATES`` states (read at each call), else
+    ``_expanded_stationary``."""
+    if len(_layout(cap)[0]) <= markov.DIRECT_SOLVE_MAX_STATES:
+        return solve_stationary(build_chain(user, success_prob, cap))[0]
+    coeff = _coefficients(user.alpha, user.sample_occupied,
+                          user.retransmit_old, user.sample_empty, success_prob)
+    return _expanded_stationary(np.array(coeff)[:, None], cap)[0]
 
 
 def aoi_marginal(pi: np.ndarray, cap: int) -> np.ndarray:
@@ -198,11 +215,12 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
             sample_cost: float, transmit_cost: float) -> OfrpMetrics:
     """Stationary average age, empty-cache fraction, and cost rate of one user.
 
-    Builds and solves the user's chain.  The result is frozen and kept for
-    the last 256 distinct calls (a few hundred bytes each), so the reports
-    that follow ``optimize`` reuse the solves its confirmations made.  The
-    two degenerate cases, in which nothing fresh is ever delivered, have
-    closed answers for the age:
+    Reads them off the user's stationary vector: the dense solve's at every
+    preset's cap, the expansion's above the dense limit.  The result is
+    frozen and kept for the last 256 distinct calls (a few hundred bytes
+    each), so the reports that follow ``optimize`` reuse the solves its
+    confirmations made.  The two degenerate cases, in which nothing fresh is
+    ever delivered, have closed answers for the age:
 
     - alpha * sample_empty = 0 (never scheduled, or never samples when
       empty): the cache drains for good, the age saturates at the cap and
@@ -213,20 +231,12 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
     if user.alpha * user.sample_empty == 0.0:
         return OfrpMetrics(float(cap), 1.0, 0.0)
     _, aoi_vec, empty_vec, _ = _layout(cap)
-    chain = build_chain(user, success_prob, cap)
-    if success_prob == 0.0:
-        pi, _ = solve_stationary(chain.matrix)
-        avg_aoi = float(cap)
-    else:
-        pi = stationary(chain, user, success_prob)
-        avg_aoi = float(pi @ aoi_vec)
+    pi = _solve(user, success_prob, cap)
+    avg_aoi = float(cap) if success_prob == 0.0 else float(pi @ aoi_vec)
     theta = float(pi @ empty_vec)
-    return OfrpMetrics(
-        avg_aoi=avg_aoi,
-        empty_fraction=theta,
-        avg_cost=_cost_rate(user.alpha, user.sample_occupied,
-                            user.retransmit_old, user.sample_empty, theta,
-                            sample_cost, transmit_cost))
+    return OfrpMetrics(avg_aoi, theta, _cost_rate(
+        user.alpha, user.sample_occupied, user.retransmit_old,
+        user.sample_empty, theta, sample_cost, transmit_cost))
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -258,9 +268,11 @@ def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu / n, iq / n, iue / n
 
 
-def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary (avg_aoi, empty_fraction) of a block of chains, one per
-    entry of the ``_coefficients`` arrays c0..c6, in O(cap) array steps.
+def _boundary_masses(coeff: tuple, cap: int) -> tuple:
+    """Unnormalized stationary masses (x, y, Y, R, powers, ages, stuck) of a
+    block of chains (cap >= 3), one per entry of the ``_coefficients`` arrays
+    c0..c6, in O(cap) array steps: powers holds r**0 .. r**K, ages[j - 3, k]
+    the age on the k-th state of the walk from (1, j).
 
     The balance equations are solved on the boundary states: empty(a), mass
     x_a, and the wait-1 cached states (1, j), 3 <= j <= cap, mass y_j.  By
@@ -283,16 +295,12 @@ def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]
     carried as an (x_1, Y) coefficient pair, the balance at empty(1) fixes
     both as sums of non-negative terms: x_1 = c0 X_Y + c3 R and
     Y = c1 sum_{a>=2} x_a|(x_1=1, Y=0), X_Y the Y coefficient of X = sum x_a.
-    The mass is X + R Y, the empty fraction X over it, and the age sum adds
-    y_j sum_k r**k min(j + k, cap) to sum_a a x_a.  A cap state with no exit
-    in floating point takes all the mass, as in the dense solve: empty(cap)
-    when c2 = 1 (alpha ue below 2**-53), (1, cap) when its walks' exit rate,
-    y_cap's factor, is 0 or subnormal (alpha u = 1 at success_prob 0 or near).
+    A cap state with no exit in floating point takes all the mass, as in the
+    dense solve: empty(cap) when c2 = 1 (alpha ue below 2**-53); else (1, cap)
+    and its walk when their exit rate, y_cap's factor, is 0 or subnormal
+    (alpha u = 1 at success_prob 0 or near); their columns are set so.
     """
     c0, c1, c2, c3, c4, c5, r = coeff
-    if cap == 2:
-        # no cached states: x_1 = c0 and x_2 = c1 + c2 balance empty(1)
-        return (c0 + 2.0 * (c1 + c2)) / (c0 + c1 + c2), np.ones_like(c0)
     k = cap - 2
     powers = r ** np.arange(k + 1.0)[:, None]            # r**0 .. r**K
     tail = powers[:k].sum(axis=0)                        # R
@@ -310,20 +318,55 @@ def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]
         for j in range(3, cap):
             ys.append(c1 * x[j - 2] + c4 * walking)
             walking = r * walking + ys[-1]
-        # ages[j - 3, k]: the age on the k-th state of the walk from (1, j);
         # event 4 leads from any state aged cap - 1 or more to (1, cap)
         ages = np.minimum(np.arange(3, cap + 1)[:, None] + np.arange(k), cap)
         fed = sum(y * t for y, t in zip(ys, (ages[:-1] >= cap - 1) @ powers[:k]))
         ys.append((c1 * (x[-2] + x[-1]) + c4 * fed) / factor)
+    y = np.array(ys)
+    stuck_empty = c2 == 1.0
+    stuck = stuck_empty | (factor < np.finfo(float).tiny)
+    x[:, stuck] = y[:, stuck] = 0.0
+    x[-1, stuck_empty] = y[-1, stuck & ~stuck_empty] = 1.0
+    return x, y, np.where(stuck, y[-1], total_y), tail, powers, ages, stuck
+
+
+def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary (avg_aoi, empty_fraction) of a block of chains, one per
+    entry of the ``_coefficients`` arrays, from ``_boundary_masses``: the
+    mass is X + R Y, the empty fraction X over it, and the age sum adds
+    y_j sum_k r**k min(j + k, cap) to sum_a a x_a."""
+    c0, c1, c2 = coeff[:3]
+    if cap == 2:
+        # no cached states: x_1 = c0 and x_2 = c1 + c2 balance empty(1)
+        return (c0 + 2.0 * (c1 + c2)) / (c0 + c1 + c2), np.ones_like(c0)
+    x, y, total_y, tail, powers, ages, stuck = _boundary_masses(coeff, cap)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         empty = x.sum(axis=0)
         mass = empty + tail * total_y
-        theta = empty / mass
         avg_aoi = (np.arange(1.0, cap + 1) @ x + np.sum(
-            np.array(ys) * (ages @ powers[:k]), axis=0)) / mass
-    stuck_empty, stuck_cached = c2 == 1.0, factor < np.finfo(float).tiny
-    avg_aoi = np.where(stuck_empty | stuck_cached, float(cap), avg_aoi)
-    theta = np.where(stuck_empty, 1.0, np.where(stuck_cached, 0.0, theta))
-    return avg_aoi, theta
+            y * (ages @ powers[:-1]), axis=0)) / mass
+        return np.where(stuck, float(cap), avg_aoi), empty / mass
+
+
+def _expanded_stationary(coeff: tuple, cap: int) -> np.ndarray:
+    """Stationary distributions (m, s) of a block of chains, one per entry
+    of the ``_coefficients`` arrays, in ``transition_table(cap)`` order.
+
+    ``_boundary_masses`` expanded onto every state in O(states) steps, the
+    "uncoupling" that goes with the stochastic complement (Meyer 1989):
+    empty(a) holds x_a, (w, a) below the cap r**(w-1) y_(a-w+1), and (w, cap)
+    collects the walks that reach it, r**(w-1) sum_(j >= cap-w+1) y_j.
+    """
+    if cap == 2:
+        pi = np.stack((coeff[0], coeff[1] + coeff[2]))
+    else:
+        x, y, _, _, powers, _, _ = _boundary_masses(coeff, cap)
+        _, wait, age = np.array(transition_table(cap).states[cap:]).T
+        # y's rows, then its suffix sums: row cap - 2 + i is sum_(i' >= i) y_i'
+        rows = np.concatenate((y, np.cumsum(y[::-1], axis=0)[::-1]))
+        at = np.where(age < cap, age - wait - 2, 2 * cap - wait - 4)
+        pi = np.concatenate((x, powers[wait - 1] * rows[at]))
+    return (pi / pi.sum(axis=0)).T
 
 
 @lru_cache(maxsize=2)
@@ -346,8 +389,7 @@ def grid_table(alpha: float, success_prob: float, cap: int,
     started = time.perf_counter()
     u, q, ue = _grid_points(step)
     block = max(1, _BLOCK_BUDGET // cap)
-    avg_aoi = np.empty(len(u))
-    empty_fraction = np.empty(len(u))
+    avg_aoi, empty_fraction = np.empty(len(u)), np.empty(len(u))
     for lo in range(0, len(u), block):
         at = slice(lo, lo + block)
         avg_aoi[at], empty_fraction[at] = _boundary_recursion(
@@ -373,8 +415,7 @@ def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
     u, q, ue = _grid_points(step)
     states, aoi_vec, empty_vec, _ = _layout(cap)
     chunk = max(1, min(4096, _BATCH_BUDGET // len(states) ** 2))
-    avg_aoi = np.empty(len(at))
-    empty_fraction = np.empty(len(at))
+    avg_aoi, empty_fraction = np.empty(len(at)), np.empty(len(at))
     for lo in range(0, len(u), chunk):
         sel = np.flatnonzero((at >= lo) & (at < lo + chunk))
         if not len(sel):
@@ -410,11 +451,17 @@ def _select(table: tuple[np.ndarray, np.ndarray], alpha: float,
     the best surely-feasible point (overlapping ``_cost_error`` intervals)
     could differ in the dense table; the pick is the argmin over their dense
     values.  When the table's pick is the only such point and surely
-    feasible, it stands without a dense solve.
+    feasible, it stands without a dense solve.  Above
+    ``markov.DIRECT_SOLVE_MAX_STATES`` states no dense table exists: there
+    the table is the reference and the pick is its own, solving nothing.
     """
     u, q, ue = _grid_points(step)
     avg_aoi, theta = table
     cost = _cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
+    if len(_layout(cap)[0]) > markov.DIRECT_SOLVE_MAX_STATES:
+        cost = np.where(avg_aoi <= limit, cost, np.inf)
+        at = int(np.argmin(cost)) if cost.min() < np.inf else None
+        return at, np.flatnonzero(())
     err = _cost_error(alpha, u, q, ue, sample_cost, transmit_cost)
     near = np.abs(avg_aoi - limit) <= TAU
     sure = (avg_aoi <= limit) & ~near
@@ -537,7 +584,6 @@ class OfrpPolicy(Policy):
 
     def __init__(self, params: OfrpParams):
         self.params = params
-        self._cum_alpha: list[float] = []
 
     def __reduce__(self):
         # the draw stream is a generator, which cannot be pickled; ``reset``
@@ -547,11 +593,8 @@ class OfrpPolicy(Policy):
     def reset(self, cfg: SystemConfig, rng: np.random.Generator) -> None:
         if len(self.params.users) != cfg.num_users:
             raise ValueError("params sized for a different number of users")
-        acc = 0.0
-        self._cum_alpha = []
-        for user in self.params.users:
-            acc += user.alpha
-            self._cum_alpha.append(acc)
+        self._cum_alpha = list(itertools.accumulate(
+            user.alpha for user in self.params.users))
         self._rng = rng
         self._draws = uniform_stream(rng)
 
@@ -576,10 +619,8 @@ class OfrpPolicy(Policy):
     def decide(self, t, aoi, waiting, occupied, vqueue):
         u_sched = next(self._draws)
         u_act = next(self._draws)
-        user = 0
-        last = len(self._cum_alpha) - 1
-        while user < last and self._cum_alpha[user] <= u_sched:
-            user += 1
+        user = min(bisect.bisect_right(self._cum_alpha, u_sched),
+                   len(self._cum_alpha) - 1)
         params = self.params.users[user]
         if occupied[user]:
             if u_act < params.sample_occupied:

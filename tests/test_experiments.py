@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,10 @@ def test_axis_aliases():
     (lambda d: d["sweep"].update(values=[0.5, "x"]), "sweep.values[1]"),
     (lambda d: d.update(replicas=0), "replicas"),
     (lambda d: d["config"].update(success_prob=1.4), "config"),
+    (lambda d: d["config"].update(aoi_cap=501),
+     "config: aoi_cap must be at most 500"),
+    (lambda d: d["config"].update(horizon=2 ** 53),
+     "config: horizon must be below 2**53"),
     (lambda d: d["sweep"].update(values=[1.5]), "rejected"),
     (lambda d: d.update(grid_step=0.03), "grid_step"),
     (lambda d: d.update(grid_step=-0.5), "grid_step"),
@@ -107,7 +112,7 @@ def test_axis_aliases():
 def test_spec_errors_name_the_field(mutate, fragment):
     doc = tiny_doc()
     mutate(doc)
-    with pytest.raises(SpecError, match=fragment.replace("[", r"\[")):
+    with pytest.raises(SpecError, match=re.escape(fragment)):
         load_spec(doc)
 
 
@@ -338,6 +343,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["run", "--config", str(bad)]) == 2
     assert "error: " in capsys.readouterr().err
+    # a cap or horizon past its bound is a field error, not a memory blow-up
+    for field, value, bound in (("aoi_cap", 10 ** 400, "at most 500"),
+                                ("horizon", 2 ** 53, "below 2**53")):
+        doc = tiny_doc()
+        doc["config"][field] = value
+        bad.write_text(yaml.safe_dump(doc))
+        assert cli.main(["run", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: config: {field} must be {bound}\n"
     # a name too long for the file system is refused, not a traceback
     assert cli.main(["run", "--config", "x" * 300]) == 2
     assert "error: " in capsys.readouterr().err

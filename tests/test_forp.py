@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aoisched import forp, ofrp
+from aoisched import forp, markov, ofrp
 from aoisched.experiments import _make_policy
 from aoisched.model import InfeasibleError, SystemConfig
 from aoisched.simulate import policy_rng, run
@@ -66,9 +66,21 @@ def test_as_ofrp_chain_agrees_with_closed_form():
     sampling every slot, at success_prob delta is the closed form at delta."""
     (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
     for delta in (0.05, 0.37, 0.9):
-        chain = ofrp.build_chain(user, delta, 8)
-        pi = ofrp.aoi_marginal(ofrp.stationary(chain, user, delta), 8)
+        pi = ofrp.aoi_marginal(ofrp.stationary(user, delta, 8), 8)
         assert np.max(np.abs(pi - forp.stationary_closed_form(delta, 8))) < 1e-12
+
+
+@pytest.mark.parametrize("cap", [100, 200])
+def test_closed_form_checks_the_expansion_above_the_dense_limit(cap):
+    """The same identity where no dense solve runs, over the 20 rates of
+    the fresh-only-identity check."""
+    assert cap + (cap - 1) * (cap - 2) // 2 > markov.DIRECT_SOLVE_MAX_STATES
+    (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
+    for i in range(1, 21):
+        delta = i / 20.0
+        pi = ofrp.aoi_marginal(ofrp.stationary(user, delta, cap), cap)
+        assert np.max(np.abs(pi - forp.stationary_closed_form(delta, cap))) \
+            < 1e-12
 
 
 @pytest.mark.parametrize("fn", [

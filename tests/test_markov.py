@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import aoisched.markov as markov
 from aoisched import ofrp
-from aoisched.markov import (direct_stationary, power_stationary,
-                             recurrent_class_count, solve_stationary,
-                             validate_stochastic)
+from aoisched.markov import (direct_stationary, recurrent_class_count,
+                             solve_stationary, validate_stochastic)
 
 
 def random_stochastic(rng, n):
@@ -20,11 +19,10 @@ def random_stochastic(rng, n):
 def test_hand_solved_two_state_chain():
     # balance: pi0 * 0.1 = pi1 * 0.5  ->  pi = (5/6, 1/6)
     p = np.array([[0.9, 0.1], [0.5, 0.5]])
-    pi, report = solve_stationary(p)
+    pi, residual = solve_stationary(p)
     assert pi == pytest.approx([5 / 6, 1 / 6], abs=1e-14)
-    assert report.method == "direct"
-    assert report.iterations == 0
-    assert report.residual < 1e-12
+    assert residual == np.max(np.abs(pi @ p - pi))
+    assert residual < 1e-12
 
 
 def test_periodic_chain():
@@ -34,9 +32,9 @@ def test_periodic_chain():
 
 
 def test_single_state_chain():
-    pi, report = solve_stationary(np.array([[1.0]]))
+    pi, residual = solve_stationary(np.array([[1.0]]))
     assert pi == pytest.approx([1.0])
-    assert report.method == "direct"
+    assert residual == 0.0
 
 
 def test_absorbing_chain_has_unique_distribution():
@@ -99,7 +97,7 @@ def sparse_nonnegative(draw):
                           [0.0, 0.7, 0.3]]))
 @example(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))           # period 2
 @example(matrix=ofrp.build_chain(ofrp.OfrpUserParams(0.5, 0.3, 0.4, 0.7),
-                                 0.6, 30).matrix)              # 436 states
+                                 0.6, 30))                     # 436 states
 def test_recurrent_class_count_matches_reachability_oracle(matrix):
     assert recurrent_class_count(matrix) == closed_class_count(matrix)
 
@@ -129,14 +127,12 @@ def test_validate_tolerates_solver_noise():
     validate_stochastic(p)
 
 
-def test_direct_and_power_agree():
+def test_direct_solve_balances_and_stacks():
     rng = np.random.default_rng(12)
     for n in (2, 3, 5, 9, 14):
         for _ in range(4):
             p = random_stochastic(rng, n)
             a = direct_stationary(p)
-            b, _ = power_stationary(p, tol=1e-13)
-            assert np.max(np.abs(a - b)) < 1e-10
             assert np.max(np.abs(a @ p - a)) < 1e-12
         # a stack is solved matrix by matrix, bit for bit
         stack = np.stack([random_stochastic(rng, n) for _ in range(3)])
@@ -146,29 +142,19 @@ def test_direct_and_power_agree():
             assert np.array_equal(row, direct_stationary(p))
 
 
-def test_power_iteration_count_reported():
-    p = np.array([[0.9, 0.1], [0.5, 0.5]])
-    pi, iters = power_stationary(p)
-    assert iters > 0
-    assert pi == pytest.approx([5 / 6, 1 / 6], abs=1e-10)
-
-
-def test_power_fallback_when_direct_disabled(monkeypatch):
-    monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 1)
+def test_chains_above_the_size_limit_are_refused(monkeypatch):
+    monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 5)
     rng = np.random.default_rng(3)
-    p = random_stochastic(rng, 6)
-    pi, report = solve_stationary(p)
-    assert report.method == "power"
-    assert report.iterations > 0
-    assert np.max(np.abs(pi @ p - pi)) < 1e-11
-    assert pi == pytest.approx(direct_stationary(p), abs=1e-10)
+    pi, _ = solve_stationary(random_stochastic(rng, 5))
+    assert pi.shape == (5,)
+    with pytest.raises(ValueError, match="6 states, above .* limit of 5"):
+        solve_stationary(random_stochastic(rng, 6))
 
 
-def test_power_non_convergence_raises(monkeypatch):
-    monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 1)
-    rng = np.random.default_rng(4)
-    with pytest.raises(RuntimeError, match="did not reach"):
-        solve_stationary(random_stochastic(rng, 5), max_iterations=2)
+def test_residual_at_or_above_tolerance_raises():
+    p = random_stochastic(np.random.default_rng(4), 5)
+    with pytest.raises(RuntimeError, match="residual .* is not below 0"):
+        solve_stationary(p, tol=0.0)
 
 
 def test_solution_is_clamped_and_normalized():

@@ -149,7 +149,10 @@ def test_config_rejects_bad_values(overrides):
     ("v_weight", float("inf")),
     ("num_users", 2.0),
     ("aoi_cap", 10.5),
+    ("aoi_cap", 501),
+    pytest.param("aoi_cap", 10 ** 400, id="aoi_cap-huge-int"),
     ("horizon", 100.5),
+    ("horizon", 2 ** 53),
     ("burn_in", 1.5),
     ("seed", -1),
     ("seed", 1.0),

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aoisched import forp, ofrp
+from aoisched import forp, markov, ofrp
+from aoisched.experiments import load_spec
 from aoisched.markov import direct_stationary, finalize, solve_stationary
 from aoisched.model import (ActionVector, InfeasibleError, SystemConfig,
                             UserState, step_users, transition_table)
@@ -59,9 +60,9 @@ def test_literal_example_row():
     """One cached row spelled out: fresh success resets the age, a failed
     fresh sample re-enters at wait 1, a delivered old packet yields age
     wait+1, and everything else ages in place."""
-    chain = ofrp.build_chain(LITERAL, 0.8, 10)
-    idx = {s: i for i, s in enumerate(chain.states)}
-    row = chain.matrix[idx[(True, 1, 3)]]
+    matrix = ofrp.build_chain(LITERAL, 0.8, 10)
+    idx = {s: i for i, s in enumerate(transition_table(10).states)}
+    row = matrix[idx[(True, 1, 3)]]
     expected = {
         (False, 0, 1): 0.16,       # alpha*u*p
         (True, 1, 4): 0.04,        # alpha*u*(1-p)
@@ -75,9 +76,9 @@ def test_literal_example_row():
 
 
 def test_empty_row_reenters_via_cache():
-    chain = ofrp.build_chain(LITERAL, 0.8, 10)
-    idx = {s: i for i, s in enumerate(chain.states)}
-    row = chain.matrix[idx[(False, 0, 5)]]
+    matrix = ofrp.build_chain(LITERAL, 0.8, 10)
+    idx = {s: i for i, s in enumerate(transition_table(10).states)}
+    row = matrix[idx[(False, 0, 5)]]
     assert row[idx[(False, 0, 1)]] == pytest.approx(0.5 * 0.6 * 0.8)
     assert row[idx[(True, 1, 6)]] == pytest.approx(0.5 * 0.6 * 0.2)
     assert row[idx[(False, 0, 6)]] == pytest.approx(1 - 0.5 * 0.6)
@@ -92,15 +93,16 @@ def test_chain_rows_match_the_reference_stepper(cap, alpha, u, q, ue, p):
     """Every row is the one-slot law of ``model.step_users``: each action
     weighted by its probability, each channel outcome by p or 1 - p."""
     user = ofrp.OfrpUserParams(alpha, u, q * (1.0 - u), ue)
-    chain = ofrp.build_chain(user, p, cap)
+    matrix = ofrp.build_chain(user, p, cap)
+    states = transition_table(cap).states
     cfg = SystemConfig(num_users=1, success_prob=p, sample_cost=0.0,
                        transmit_cost=0.0, aoi_cap=cap, aoi_limit=cap,
                        horizon=1, seed=0)
-    index = {s: i for i, s in enumerate(chain.states)}
+    index = {s: i for i, s in enumerate(states)}
     sample = ActionVector((1,), (0,))
     resend = ActionVector((0,), (1,))
     idle = ActionVector.idle(1)
-    for i, (occupied, wait, age) in enumerate(chain.states):
+    for i, (occupied, wait, age) in enumerate(states):
         state = UserState(age, wait, occupied)
         if occupied:
             acts = ((sample, alpha * user.sample_occupied),
@@ -109,13 +111,13 @@ def test_chain_rows_match_the_reference_stepper(cap, alpha, u, q, ue, p):
                                           + user.retransmit_old)))
         else:
             acts = ((sample, alpha * ue), (idle, 1.0 - alpha * ue))
-        row = np.zeros(len(chain.states))
+        row = np.zeros(len(states))
         for action, weight in acts:
             for draw, chance in ((0.0, p), (1.0, 1.0 - p)):
                 (nxt,), _ = step_users([state], action, [draw], cfg)
                 to = index[(nxt.cache_occupied, nxt.waiting_time, nxt.aoi)]
                 row[to] += weight * chance
-        assert np.max(np.abs(row - chain.matrix[i])) <= 1e-15
+        assert np.max(np.abs(row - matrix[i])) <= 1e-15
 
 
 def test_rows_are_stochastic_across_parameter_corners():
@@ -128,7 +130,7 @@ def test_rows_are_stochastic_across_parameter_corners():
     for user in corners:
         for p in (0.0, 0.35, 1.0):
             for cap in (2, 3, 6):
-                m = ofrp.build_chain(user, p, cap).matrix
+                m = ofrp.build_chain(user, p, cap)
                 assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
                 assert np.min(m) >= 0.0
 
@@ -159,8 +161,7 @@ def test_collapses_to_fresh_only_without_retransmissions():
     closed form."""
     for phi, p in ((0.3, 0.9), (0.8, 0.5)):
         user = ofrp.OfrpUserParams(1.0, phi, 0.0, phi)
-        chain = ofrp.build_chain(user, p, 10)
-        marginal = ofrp.aoi_marginal(ofrp.stationary(chain, user, p), 10)
+        marginal = ofrp.aoi_marginal(ofrp.stationary(user, p, 10), 10)
         reference = forp.stationary_closed_form(phi * p, 10)
         assert np.max(np.abs(marginal - reference)) < 1e-10
 
@@ -173,18 +174,12 @@ def test_perfect_channel_never_caches():
     assert m.avg_aoi == pytest.approx(forp.avg_aoi_closed_form(0.5, 10), abs=1e-10)
 
 
-def test_chain_is_immutable():
-    chain = ofrp.build_chain(LITERAL, 0.8, 10)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        chain.matrix = np.eye(len(chain.states))
-
-
 def test_degenerate_parameters_are_refused():
     dead = ofrp.OfrpUserParams(1.0, 0.5, 0.5, 0.0)
     with pytest.raises(ValueError, match="degenerate"):
-        ofrp.stationary(ofrp.build_chain(dead, 0.8, 10), dead, 0.8)
+        ofrp.stationary(dead, 0.8, 10)
     with pytest.raises(ValueError, match="degenerate"):
-        ofrp.stationary(ofrp.build_chain(LITERAL, 0.0, 10), LITERAL, 0.0)
+        ofrp.stationary(LITERAL, 0.0, 10)
 
 
 def test_total_cost_skips_users_that_never_sample():
@@ -202,10 +197,9 @@ def test_total_cost_skips_users_that_never_sample():
 def test_total_cost_on_dead_channel():
     # p = 0: the age sits at the cap, but the cost rate is well defined
     user = ofrp.OfrpUserParams(1.0, 0.3, 0.2, 0.5)
-    chain = ofrp.build_chain(user, 0.0, 10)
-    pi, _ = solve_stationary(chain.matrix)
-    theta = sum(prob for prob, (occupied, _, _) in zip(pi, chain.states)
-                if not occupied)
+    pi, _ = solve_stationary(ofrp.build_chain(user, 0.0, 10))
+    theta = sum(prob for prob, (occupied, _, _)
+                in zip(pi, transition_table(10).states) if not occupied)
     expected = theta * 0.5 * 6.0 + (1 - theta) * (0.2 * 5.0 + 0.3 * 6.0)
     m = ofrp.metrics(user, 0.0, 10, 1.0, 5.0)
     assert m.avg_aoi == 10.0
@@ -236,12 +230,11 @@ def test_state_frequencies_track_stationary_distribution():
     user = ofrp.OfrpUserParams(1.0, 0.4, 0.2, 0.6)
     stats = run(ofrp.OfrpPolicy(ofrp.OfrpParams((user,))), cfg,
                 track_states=True)
-    chain = ofrp.build_chain(user, 0.6, 10)
-    pi = ofrp.stationary(chain, user, 0.6)
+    pi = ofrp.stationary(user, 0.6, 10)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     sim = {s: count / cfg.horizon for s, count in stats.state_freq[0].items()}
     tv = 0.5 * sum(abs(sim.get(s, 0.0) - prob)
-                   for s, prob in zip(chain.states, pi))
+                   for s, prob in zip(transition_table(10).states, pi))
     assert tv < 0.02
 
 
@@ -485,6 +478,103 @@ def test_grid_table_works_in_bounded_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2 ** 20
+
+
+# ── the boundary recursion's full stationary vector ───────────────────────
+
+def dense_rows(coeff, cap):
+    """The oracle: each chain of a coefficient block solved densely, in
+    batches of at most ``_BATCH_BUDGET`` doubles."""
+    chunk = max(1, ofrp._BATCH_BUDGET // len(transition_table(cap).states) ** 2)
+    return np.concatenate([
+        finalize(direct_stationary(ofrp._assemble(
+            tuple(c[lo:lo + chunk] for c in coeff), cap)))
+        for lo in range(0, len(coeff[0]), chunk)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.0, 1.0, exclude_min=True),
+       p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       cap=st.integers(2, 30),
+       step=st.sampled_from([0.5, 0.25, 0.2, 0.1]))
+@example(alpha=1.0, p=0.8, cap=2, step=0.1)       # no cached states
+@example(alpha=0.5, p=0.3, cap=3, step=0.1)       # no state off S
+@example(alpha=0.5, p=0.8, cap=30, step=0.25)
+@example(alpha=1.0, p=0.0, cap=7, step=0.25)      # (1, cap) absorbing
+@example(alpha=1.0, p=5e-324, cap=12, step=0.25)  # all but absorbing
+@example(alpha=0.5, p=1e-12, cap=10, step=0.2)
+@example(alpha=1e-3, p=0.8, cap=12, step=0.2)
+def test_expanded_stationary_matches_dense_oracle(alpha, p, cap, step):
+    """Per state, within 1e-12 of the dense solve at every grid point."""
+    assume(cap <= 12 or step >= 0.2)    # the dense oracle grows as cap**6
+    u, q, ue = ofrp._grid_points(step)
+    coeff = ofrp._coefficients(alpha, u, q, ue, p)
+    expanded = ofrp._expanded_stationary(coeff, cap)
+    assert expanded.shape == (len(u), len(transition_table(cap).states))
+    assert np.max(np.abs(expanded - dense_rows(coeff, cap))) <= 1e-12
+
+
+@pytest.mark.parametrize("cap", [2, 3, 31, 72, 200])
+@pytest.mark.parametrize("p", [0.0, 1e-12, 0.37, 0.9, 1.0])
+def test_expanded_stationary_balances_the_sparse_chain(cap, p):
+    """max |pi P - pi| below 1e-12 with P applied arc by arc from
+    ``_layout``, no dense matrix, past the dense solve's limit.  The last
+    point keeps its copy with r = 0.01: at p = 0 and cap 200 y_cap's factor
+    r**198 underflows, and the mass sits on the walk from (1, cap)."""
+    u, q, ue = (np.append(v, last) for v, last in zip(
+        ofrp._grid_points(0.25), (0.99, 0.0, 0.5)))
+    coeff = ofrp._coefficients(np.append(np.full(len(u) - 1, 0.7), 1.0),
+                               u, q, ue, p)
+    pi = ofrp._expanded_stationary(coeff, cap)
+    moved = np.zeros_like(pi)
+    for weight, (rows, cols) in zip(np.column_stack(coeff).T, ofrp._layout(cap)[3]):
+        np.add.at(moved, (slice(None), cols), pi[:, rows] * weight[:, None])
+    assert np.max(np.abs(moved - pi)) < 1e-12
+    assert np.all(pi >= 0.0)
+    assert np.max(np.abs(pi.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_metrics_agree_across_the_dense_limit(monkeypatch):
+    """With the dense limit at 1 state every chain takes the expansion."""
+    cases = [(LITERAL, 0.8), (LITERAL, 0.0),
+             (ofrp.OfrpUserParams(1.0, 0.3, 0.5, 0.9), 0.35),
+             (ofrp.OfrpUserParams(1.0, 1.0, 0.0, 1.0), 1.0)]
+    dense = [ofrp.metrics.__wrapped__(user, p, 10, 1.0, 5.0)
+             for user, p in cases]
+    monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 1)
+    monkeypatch.setattr(ofrp, "solve_stationary", None)   # not called
+    for (user, p), d in zip(cases, dense):
+        m = ofrp.metrics.__wrapped__(user, p, 10, 1.0, 5.0)
+        for field in ("avg_aoi", "empty_fraction", "avg_cost"):
+            assert getattr(m, field) == pytest.approx(getattr(d, field),
+                                                      abs=1e-12)
+
+
+def test_optimize_above_the_dense_limit_stays_small(monkeypatch):
+    """fig5a at cap 150 (11,176 states, about 1 GB per dense matrix): the
+    pick comes from the table, its confirmation from the expansion, with
+    no dense solve and a traced peak below 100 MB."""
+    cfg = dataclasses.replace(load_spec("fig5a").base, aoi_cap=150)
+    assert 150 + 149 * 148 // 2 > markov.DIRECT_SOLVE_MAX_STATES
+
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called above the dense limit")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    for cached in (transition_table, ofrp._layout, ofrp.grid_table,
+                   ofrp.metrics):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        params = ofrp.optimize(cfg, step=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
+    for user, limit in zip(params.users, cfg.aoi_limit):
+        m = ofrp.metrics(user, cfg.success_prob[0], 150, cfg.sample_cost,
+                         cfg.transmit_cost)
+        assert m.avg_aoi <= limit
 
 
 def test_policy_requires_matching_user_count():
