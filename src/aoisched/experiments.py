@@ -191,6 +191,8 @@ def load_spec(source) -> ExperimentSpec:
     grid_step = _get(doc, "grid_step", float, "", default=0.01, required=False)
     try:
         grid_intervals(grid_step)
+        if {"ofrp", "ofrp-analytic"} & set(policies):
+            ofrp.search_intervals(grid_step)
     except ValueError as exc:
         raise SpecError(f"grid_step: {exc}") from exc
     out_dir = _get(doc, "output", str, "", default=None, required=False)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Largest chain the dense solve takes; its (n, n) system holds 50 MB here.
+# Largest chain the dense solve takes: P and the one copy its system is built
+# in hold 50 MB each.
 DIRECT_SOLVE_MAX_STATES = 2500
 
 
@@ -101,9 +102,12 @@ def finalize(pi: np.ndarray) -> np.ndarray:
 
 def direct_stationary(matrix: np.ndarray) -> np.ndarray:
     """Solve the balance equations with the last one replaced by normalization,
-    for one (n, n) chain or each chain of a stack (..., n, n)."""
-    p = np.asarray(matrix, dtype=float)
-    a = np.swapaxes(p, -1, -2) - np.eye(p.shape[-1])
+    for one (n, n) chain or each chain of a stack (..., n, n).  P^T - I is
+    the transposed view of one copy of P with 1 taken off its diagonal."""
+    p = np.array(matrix, dtype=float)
+    diagonal = np.arange(p.shape[-1])
+    p[..., diagonal, diagonal] -= 1.0
+    a = np.swapaxes(p, -1, -2)
     a[..., -1, :] = 1.0
     b = np.zeros(p.shape[:-1] + (1,))
     b[..., -1, 0] = 1.0

@@ -243,8 +243,8 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
 #  grid search
 # ──────────────────────────────────────────────────────────────────────────
 
-# Cap on doubles per stacked matrix batch of the dense re-solve (~64 MB);
-# chunks shrink as the state space grows.
+# Doubles per (chunk, s, s) batch of the whole-grid dense table the re-solve
+# reproduces; only its chunk shape is kept, which fixes the products' rounding.
 _BATCH_BUDGET = 8_000_000
 
 # Doubles per (cap, points) work array of the boundary recursion (2 MB), so
@@ -255,17 +255,29 @@ _BLOCK_BUDGET = 1 << 18
 # empty_fraction; the measured gap is below 4e-13.
 TAU = 1e-9
 
+# Finest search grid, n = 1/step: 4,060,200 points (the presets use n = 100, 50).
+MAX_GRID_INTERVALS = 200
+
+
+def search_intervals(step: float) -> int:
+    """``grid_intervals(step)``, refused above ``MAX_GRID_INTERVALS``."""
+    n = grid_intervals(step)
+    if n > MAX_GRID_INTERVALS:
+        raise ValueError(f"step {step:g} gives {(n + 1) * (n + 2) // 2 * n:,} "
+                         f"grid points; the finest is 1/{MAX_GRID_INTERVALS}")
+    return n
+
 
 def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sample_occupied, retransmit_old, sample_empty) over the grid, in scan
     order: sample_occupied major, then retransmit_old (with u + q <= 1),
     then sample_empty > 0."""
-    n = grid_intervals(step)
-    pairs = [(iu, iq) for iu in range(n + 1) for iq in range(n + 1 - iu)]
-    iu = np.repeat([a for a, _ in pairs], n)
-    iq = np.repeat([b for _, b in pairs], n)
-    iue = np.tile(np.arange(1, n + 1), len(pairs))
-    return iu / n, iq / n, iue / n
+    n = search_intervals(step)
+    rows = np.arange(n + 1, 0, -1)          # retransmit_old values per u
+    iu = np.repeat(np.arange(n + 1), rows)
+    iq = np.arange(len(iu)) - np.repeat(np.cumsum(rows) - rows, rows)
+    return (np.repeat(iu / n, n), np.repeat(iq / n, n),
+            np.tile(np.arange(1, n + 1) / n, len(iu)))
 
 
 def _boundary_masses(coeff: tuple, cap: int) -> tuple:
@@ -406,26 +418,29 @@ def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
     """Dense-chain (avg_aoi, empty_fraction) at the sorted grid indices
     ``at``, bit for bit the values a whole-grid dense table has there.
 
-    That table solves the grid in consecutive stacked batches through
-    ``_assemble``, ``direct_stationary`` and ``finalize``, all of which treat
-    each point alone.  BLAS rounds a row of a matrix-vector product
-    differently by its place in the batch, so each solved row is put back
-    at its place in a batch of its chunk's shape before the products.
+    That table solves the grid in consecutive chunks through ``_assemble``,
+    ``direct_stationary`` and ``finalize``, which treat each point alone, so
+    the points are solved in stacks of ``_BLOCK_BUDGET // 4`` doubles (30
+    chains at cap 10) however many tie.  BLAS rounds a row of a matrix-vector
+    product by its place in the batch, so each row goes back to its place in
+    its chunk before the products.
     """
     u, q, ue = _grid_points(step)
     states, aoi_vec, empty_vec, _ = _layout(cap)
+    coeff = np.array(_coefficients(alpha, u[at], q[at], ue[at], success_prob))
     chunk = max(1, min(4096, _BATCH_BUDGET // len(states) ** 2))
+    batch = max(1, _BLOCK_BUDGET // 4 // len(states) ** 2)
     avg_aoi, empty_fraction = np.empty(len(at)), np.empty(len(at))
     for lo in range(0, len(u), chunk):
         sel = np.flatnonzero((at >= lo) & (at < lo + chunk))
         if not len(sel):
             continue
-        idx = at[sel]
-        coeff = _coefficients(alpha, u[idx], q[idx], ue[idx], success_prob)
         pi = np.zeros((min(chunk, len(u) - lo), len(states)))
-        pi[idx - lo] = finalize(direct_stationary(_assemble(coeff, cap)))
-        avg_aoi[sel] = (pi @ aoi_vec)[idx - lo]
-        empty_fraction[sel] = (pi @ empty_vec)[idx - lo]
+        for part in np.split(sel, range(batch, len(sel), batch)):
+            pi[at[part] - lo] = finalize(direct_stationary(
+                _assemble(coeff[:, part], cap)))
+        avg_aoi[sel] = (pi @ aoi_vec)[at[sel] - lo]
+        empty_fraction[sel] = (pi @ empty_vec)[at[sel] - lo]
     return avg_aoi, empty_fraction
 
 
@@ -545,18 +560,21 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
     Scheduling is uniform (alpha = 1/K).  Each user's triple is the first
     least-cost grid point in scan order that meets the user's limit, priced
     from ``grid_table``, which users on one channel and calls differing only
-    in limit or prices share.  Raises InfeasibleError naming the first user
-    whose limit no grid point can meet.
+    in limit or prices share, and users with one (success_prob, aoi_limit)
+    share a scan.  Raises InfeasibleError naming the first user whose limit
+    no grid point can meet, ValueError if ``search_intervals`` refuses step.
     """
-    k = cfg.num_users
-    alpha = 1.0 / k
-    users = []
-    for i in range(k):
-        u, q, ue, _, _ = _scan_user(
-            alpha, cfg.success_prob[i], cfg.aoi_cap, cfg.aoi_limit[i],
-            cfg.sample_cost, cfg.transmit_cost, step, i)
-        users.append(OfrpUserParams(alpha, u, q, ue))
-    return OfrpParams(users=tuple(users))
+    search_intervals(step)
+    alpha, picks = 1.0 / cfg.num_users, {}   # pair -> (first user, params)
+    for i, pair in enumerate(zip(cfg.success_prob, cfg.aoi_limit)):
+        if pair in picks:
+            log.debug("user %d: reuses user %d's pick", i, picks[pair][0])
+            continue
+        u, q, ue, _, _ = _scan_user(alpha, pair[0], cfg.aoi_cap, pair[1],
+                                    cfg.sample_cost, cfg.transmit_cost, step, i)
+        picks[pair] = i, OfrpUserParams(alpha, u, q, ue)
+    return OfrpParams(users=tuple(
+        picks[pair][1] for pair in zip(cfg.success_prob, cfg.aoi_limit)))
 
 
 def total_cost(params: OfrpParams, cfg: SystemConfig) -> float:

@@ -357,6 +357,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
 
 
+def test_too_fine_ofrp_grid_is_a_field_error(tmp_path, capsys):
+    """grid_step 0.001 divides 1 but gives the OFRP search 501,501,000 grid
+    points; it is refused before anything is allocated.  The 1-D FORP grid
+    has no such limit."""
+    assert load_spec(tiny_doc(grid_step=0.001)).grid_step == 0.001
+    for policies in (["ofrp"], ["dpp", "ofrp-analytic"]):
+        with pytest.raises(SpecError,
+                           match=r"^grid_step: .* 501,501,000 grid points"):
+            load_spec(tiny_doc(grid_step=0.001, policies=policies))
+    bad = tmp_path / "fine.yaml"
+    bad.write_text(yaml.safe_dump(tiny_doc(grid_step=0.001,
+                                           policies=["ofrp"])))
+    assert cli.main(["optimize", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid_step: ")
+
+
 @pytest.mark.parametrize("command, mutate, field", [
     ("optimize", lambda d: d.update(grid_step=10 ** 400), "grid_step"),
     ("run", lambda d: d["sweep"].update(values=[10 ** 400]), "sweep.values[0]"),

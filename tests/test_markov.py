@@ -142,6 +142,28 @@ def test_direct_solve_balances_and_stacks():
             assert np.array_equal(row, direct_stationary(p))
 
 
+@pytest.mark.parametrize("p_kind", ["zero", "one", "random"])
+def test_direct_solve_matches_the_textbook_system(p_kind):
+    """The in-place system gives the bits of ``solve(P^T - I)`` with the last
+    row set to ones, for single chains and stacks, and leaves P unchanged."""
+    rng = np.random.default_rng(["zero", "one", "random"].index(p_kind))
+    for cap in (2, 3, 7, 10, 18, 30):
+        p = {"zero": 0.0, "one": 1.0, "random": rng.random()}[p_kind]
+        user = ofrp.OfrpUserParams(1.0, *rng.dirichlet(np.ones(3))[:2],
+                                   rng.uniform(0.1, 1.0))
+        chain = ofrp.build_chain(user, p, cap)
+        stack = np.stack([chain, random_stochastic(rng, len(chain))])
+        for matrix in (chain, stack):
+            before = matrix.copy()
+            a = np.swapaxes(matrix, -1, -2) - np.eye(len(chain))
+            a[..., -1, :] = 1.0
+            b = np.zeros(matrix.shape[:-1] + (1,))
+            b[..., -1, 0] = 1.0
+            assert np.array_equal(direct_stationary(matrix),
+                                  np.linalg.solve(a, b)[..., 0])
+            assert np.array_equal(matrix, before)
+
+
 def test_chains_above_the_size_limit_are_refused(monkeypatch):
     monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 5)
     rng = np.random.default_rng(3)

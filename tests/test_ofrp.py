@@ -308,6 +308,44 @@ def test_optimize_tight_limit_infeasible():
         ofrp.optimize(cfg, step=0.1)
 
 
+def test_users_with_one_channel_and_limit_share_a_scan(monkeypatch):
+    scans = []
+    scan_user = ofrp._scan_user
+    monkeypatch.setattr(ofrp, "_scan_user",
+                        lambda *args: scans.append(args) or scan_user(*args))
+    cfg = make_config(num_users=3, success_prob=(0.8, 0.8, 0.6),
+                      aoi_cap=6, aoi_limit=(4.0, 4.0, 5.0))
+    users = ofrp.optimize(cfg, step=0.1).users
+    assert [args[-1] for args in scans] == [0, 2]
+    for i, user in enumerate(users):
+        alone = make_config(num_users=3, success_prob=cfg.success_prob[i],
+                            aoi_cap=6, aoi_limit=cfg.aoi_limit[i])
+        assert user == ofrp.optimize(alone, step=0.1).users[0]
+    # the error still names the first user that cannot meet its limit
+    for probs, first in (((0.0, 0.0), 0), ((0.8, 0.0), 1)):
+        cfg = make_config(num_users=2, success_prob=probs, aoi_limit=5.0)
+        with pytest.raises(InfeasibleError) as err:
+            ofrp.optimize(cfg, step=0.1)
+        assert err.value.user == first
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.1, 0.05, 0.02])
+def test_grid_points_follow_the_scan_order(step):
+    n = round(1 / step)
+    expected = [(iu / n, iq / n, iue / n) for iu in range(n + 1)
+                for iq in range(n + 1 - iu) for iue in range(1, n + 1)]
+    assert np.array_equal(np.column_stack(ofrp._grid_points(step)), expected)
+
+
+def test_too_fine_a_grid_is_refused_before_allocation():
+    """Step 0.001 would give 501,501,000 grid points (4 GB per array)."""
+    assert ofrp.search_intervals(1 / ofrp.MAX_GRID_INTERVALS) == 200
+    with pytest.raises(ValueError, match="501,501,000 grid points"):
+        ofrp.grid_table(0.5, 0.8, 10, 0.001)
+    with pytest.raises(ValueError, match="501,501,000 grid points"):
+        ofrp.optimize(make_config(aoi_limit=10.0), step=0.001)
+
+
 def test_optimize_free_actions_pick_smallest_triple():
     """With zero prices every feasible point costs 0; the scan must keep its
     first hit, i.e. the lexicographically smallest feasible triple.
@@ -464,6 +502,28 @@ def test_table_drift_is_caught_at_the_pick(monkeypatch):
     cfg = make_config(success_prob=0.9, aoi_cap=5, aoi_limit=2.5)
     with pytest.raises(RuntimeError, match="inconsistency"):
         ofrp.optimize(cfg, step=0.1)
+
+
+def test_dense_resolve_of_a_full_tie_is_solved_in_small_stacks(monkeypatch):
+    """At p = 1 every (u, q) pair ties, so a cap-10, step-0.05 pick re-solves
+    all 231 contenders; they are solved a few chains at a time (one stack
+    of all of them peaked at 7.7 MB), with the same bits as one by one."""
+    step, cap = 0.05, 10
+    table = ofrp.grid_table(0.5, 1.0, cap, step)
+    _, resolved = ofrp._select(table, 0.5, 1.0, cap, 5.0, 1.0, 5.0, step)
+    assert len(resolved) == 231
+    tracemalloc.start()
+    try:
+        solved = ofrp._dense_points(0.5, 1.0, cap, step, resolved)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+    states = len(ofrp._layout(cap)[0])
+    monkeypatch.setattr(ofrp, "_BLOCK_BUDGET", 4 * states ** 2)
+    for got, one_by_one in zip(
+            solved, ofrp._dense_points(0.5, 1.0, cap, step, resolved)):
+        assert np.array_equal(got, one_by_one)
 
 
 def test_grid_table_works_in_bounded_blocks():
