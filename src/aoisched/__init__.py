@@ -10,19 +10,18 @@ package provides:
   special case of ``ofrp``), its closed-form analysis, and its grid
   optimizer;
 - ``ofrp``: the fresh-or-old randomized policy (may resend the cached
-  packet), its Markov-chain analysis, and its grid optimizer;
+  packet), its Markov-chain analysis from an O(cap) recursion on the
+  chain's boundary states (no matrix is built), and its grid optimizer;
 - ``dpp``: the drift-plus-penalty scheduler, whose decision rule is O(K) in
   single-transmitter mode and O(K²) otherwise;
-- ``markov``: the dense stationary-distribution solver;
 - ``experiments`` / ``cli``: YAML-driven sweeps emitting deterministic CSVs;
 - ``validate``: the end-to-end acceptance checks.
 """
 
-from . import dpp, forp, markov, ofrp
+from . import dpp, forp, ofrp
 from .dpp import DppPolicy
 from .experiments import ExperimentSpec, SpecError, load_spec, run_experiment
 from .forp import ForpParams
-from .markov import solve_stationary
 from .model import (ActionVector, InfeasibleError, SlotOutcome, SystemConfig,
                     UserState, aoi_step, initial_states, slot_cost, step_users,
                     vqueue_step, waiting_time_step)
@@ -39,8 +38,8 @@ __all__ = [
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
     "Policy", "ReplicaSummary", "SimStats", "SlotOutcome",
     "SpecError", "SystemConfig", "UserState", "aoi_step", "channel_uniforms",
-    "dpp", "forp", "initial_states", "load_spec", "markov", "ofrp", "run",
+    "dpp", "forp", "initial_states", "load_spec", "ofrp", "run",
     "run_checks", "run_experiment", "run_replicas", "slot_cost",
-    "solve_stationary", "step_users", "summarize", "vqueue_step",
+    "step_users", "summarize", "vqueue_step",
     "waiting_time_step", "__version__",
 ]

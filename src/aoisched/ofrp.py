@@ -7,26 +7,24 @@ induces a finite Markov chain over (cache state, cached packet's waiting
 time, age): empty states are tracked per age value, and cached states only
 exist while the cached copy could still strictly improve the age.
 
-The module builds that chain explicitly, solves it for stationary metrics
-(average age, empty-cache fraction, cost rate), and searches the probability
-grid for the cheapest parameters meeting an average-age limit.  Its states
-and arcs are read off ``model.transition_table``, which the engine steps
-through; the law is linear in seven action-probability coefficients, one
-per event, so matrices are assembled in stacks for stacked LAPACK solves.
+The module solves that chain for stationary metrics (average age,
+empty-cache fraction, cost rate) and searches the probability grid for the
+cheapest parameters meeting an average-age limit.  Its states are those of
+``model.transition_table``, which the engine steps through, and its law is
+linear in seven action-probability coefficients, one per event
+(``_coefficients``).
 
-``stationary`` solves a chain densely up to ``markov.DIRECT_SOLVE_MAX_STATES``
-states (cap 71) and above that expands the boundary recursion below onto
-every state; ``metrics``, the source of every number in a CSV, reads it.
-``grid_table`` evaluates every grid point once per (alpha, success_prob,
-cap, step) in closed form, with no matrix: off its boundary states (empty,
-or cached with waiting time 1) the chain only walks a deterministic "copy
-kept" diagonal, so the balance equations reduce to an O(cap) recursion.
-``_select`` takes the first cheapest point meeting the limit and certifies
-it: every point whose feasibility or cost rank a table error of ``TAU``
-could flip is solved densely, exactly as a dense table would, and the pick
-is made from those values, so it is the dense table's pick (above the dense
-limit, the table's own).  ``_scan_user`` re-evaluates the pick through
-``metrics`` and raises if the table's age or cost disagree.
+No transition matrix is built.  Off its boundary states (empty, or cached
+with waiting time 1) the chain only walks a deterministic "copy kept"
+diagonal, so the balance equations reduce to an O(cap) recursion,
+``_boundary_masses``.  ``stationary`` expands it onto every state, and
+``metrics``, the source of every number in a CSV, reads that vector.
+``grid_table`` reduces it to (average age, empty fraction) at every grid
+point, once per (alpha, success_prob, cap, step).  ``_select`` takes the
+first cheapest point meeting the limit in scan order, and ``_scan_user``
+re-evaluates the pick through ``metrics`` and raises if the table's age or
+cost disagree.  The tests check the recursion against a dense LAPACK solve
+and, at small caps, an exact rational one.
 """
 
 from __future__ import annotations
@@ -40,10 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import markov
-from .markov import direct_stationary, finalize, solve_stationary
-from .model import (EVENTS, InfeasibleError, SystemConfig, event_code,
-                    grid_intervals, transition_table)
+from .model import (InfeasibleError, SystemConfig, grid_intervals,
+                    transition_table)
 from .simulate import Policy, uniform_stream
 
 log = logging.getLogger(__name__)
@@ -93,33 +89,11 @@ class OfrpParams:
 
 
 # ──────────────────────────────────────────────────────────────────────────
-#  chain construction
+#  chain coefficients
 # ──────────────────────────────────────────────────────────────────────────
 
-# The chain's seven events as table events (``event_code`` of the action if
-# empty, the action if cached, hit): from an empty cache 0 sample delivered,
-# 1 sample lost, 2 idle; from a cached one 3 sample delivered, 4 sample lost,
-# 5 resend delivered, 6 idle, where a failed resend lands too.
-_CHAIN_EVENTS = tuple(event_code(*e) for e in (
-    (1, 0, 1), (1, 0, 0), (0, 0, 0), (0, 1, 1), (0, 1, 0), (0, 2, 1), (0, 0, 0)))
-
-
-@lru_cache(maxsize=16)
-def _layout(cap: int):
-    """States, metric vectors and per-event (row, col) arcs for one cap:
-    event g leads each empty (g < 3) or cached state to its table successor
-    at ``_CHAIN_EVENTS[g]``.  ``_assemble`` adds the events in this order."""
-    table = transition_table(cap)
-    successor = table.next_state.reshape(-1, EVENTS)
-    empty = table.kind[0, ::EVENTS]
-    sources = (np.flatnonzero(empty),) * 3 + (np.flatnonzero(~empty),) * 4
-    events = tuple((rows, successor[rows, code])
-                   for rows, code in zip(sources, _CHAIN_EVENTS))
-    return table.states, table.age.astype(float), empty.astype(float), events
-
-
 def _coefficients(alpha, u, q, ue, p) -> tuple:
-    """Per-event probabilities, in the event order used by the layout;
+    """Probabilities of the chain's seven events, in the order below;
     elementwise, so (u, q, ue) may be scalars or equal-length arrays."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success_prob must lie in [0, 1], got {p}")
@@ -134,37 +108,14 @@ def _coefficients(alpha, u, q, ue, p) -> tuple:
     )
 
 
-def _assemble(coeff: tuple, cap: int) -> np.ndarray:
-    """Transition matrices (m, s, s) from ``_coefficients`` output, whose
-    entries are scalars (m = 1) or (m,) arrays."""
-    states, _, _, events = _layout(cap)
-    weights = np.column_stack(coeff)
-    mats = np.zeros((len(weights), len(states), len(states)))
-    for g, (rows, cols) in enumerate(events):
-        # Each event has one arc per source, so fancy-index addition is safe;
-        # overlaps *between* events accumulate across passes.
-        mats[:, rows, cols] += weights[:, g:g + 1]
-    return mats
-
-
-def build_chain(user: OfrpUserParams, success_prob: float,
-                cap: int) -> np.ndarray:
-    """Transition matrix of one user's (cache, waiting time, age) chain, over
-    the states of ``transition_table(cap)`` in their order."""
-    coeff = _coefficients(user.alpha, user.sample_occupied, user.retransmit_old,
-                          user.sample_empty, success_prob)
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
-    return _assemble(coeff, cap)[0]
-
-
 # ──────────────────────────────────────────────────────────────────────────
 #  stationary metrics
 # ──────────────────────────────────────────────────────────────────────────
 
 def stationary(user: OfrpUserParams, success_prob: float,
                cap: int) -> np.ndarray:
-    """Stationary distribution of ``build_chain(user, success_prob, cap)``.
+    """Stationary distribution of one user's (cache, waiting time, age)
+    chain, over the states of ``transition_table(cap)`` in their order.
 
     Refuses degenerate parameter choices under which fresh deliveries never
     happen (alpha * sample_empty * success_prob = 0): the age-1 state is then
@@ -180,13 +131,11 @@ def stationary(user: OfrpUserParams, success_prob: float,
 
 
 def _solve(user: OfrpUserParams, success_prob: float, cap: int) -> np.ndarray:
-    """The chain's stationary vector: solved densely at or below
-    ``markov.DIRECT_SOLVE_MAX_STATES`` states (read at each call), else
-    ``_expanded_stationary``."""
-    if len(_layout(cap)[0]) <= markov.DIRECT_SOLVE_MAX_STATES:
-        return solve_stationary(build_chain(user, success_prob, cap))[0]
+    """The chain's stationary vector, ``_expanded_stationary`` of one chain."""
     coeff = _coefficients(user.alpha, user.sample_occupied,
                           user.retransmit_old, user.sample_empty, success_prob)
+    if cap < 2:
+        raise ValueError("cap must be at least 2")
     return _expanded_stationary(np.array(coeff)[:, None], cap)[0]
 
 
@@ -215,12 +164,12 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
             sample_cost: float, transmit_cost: float) -> OfrpMetrics:
     """Stationary average age, empty-cache fraction, and cost rate of one user.
 
-    Reads them off the user's stationary vector: the dense solve's at every
-    preset's cap, the expansion's above the dense limit.  The result is
-    frozen and kept for the last 256 distinct calls (a few hundred bytes
-    each), so the reports that follow ``optimize`` reuse the solves its
-    confirmations made.  The two degenerate cases, in which nothing fresh is
-    ever delivered, have closed answers for the age:
+    Reads them off the user's stationary vector, whose first ``cap``
+    entries are the empty states.  The result is frozen and kept for the
+    last 256 distinct calls (a few hundred bytes each), so the reports that
+    follow ``optimize`` reuse the solves its confirmations made.  The two
+    degenerate cases, in which nothing fresh is ever delivered, have closed
+    answers for the age:
 
     - alpha * sample_empty = 0 (never scheduled, or never samples when
       empty): the cache drains for good, the age saturates at the cap and
@@ -230,10 +179,10 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
     """
     if user.alpha * user.sample_empty == 0.0:
         return OfrpMetrics(float(cap), 1.0, 0.0)
-    _, aoi_vec, empty_vec, _ = _layout(cap)
     pi = _solve(user, success_prob, cap)
-    avg_aoi = float(cap) if success_prob == 0.0 else float(pi @ aoi_vec)
-    theta = float(pi @ empty_vec)
+    avg_aoi = (float(cap) if success_prob == 0.0
+               else float(pi @ transition_table(cap).age))
+    theta = float(pi[:cap].sum())
     return OfrpMetrics(avg_aoi, theta, _cost_rate(
         user.alpha, user.sample_occupied, user.retransmit_old,
         user.sample_empty, theta, sample_cost, transmit_cost))
@@ -243,16 +192,13 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
 #  grid search
 # ──────────────────────────────────────────────────────────────────────────
 
-# Doubles per (chunk, s, s) batch of the whole-grid dense table the re-solve
-# reproduces; only its chunk shape is kept, which fixes the products' rounding.
-_BATCH_BUDGET = 8_000_000
-
 # Doubles per (cap, points) work array of the boundary recursion (2 MB), so
 # a table's working memory stays bounded whatever its size.
 _BLOCK_BUDGET = 1 << 18
 
-# Asserted bound on |recursion - dense| for a grid point's avg_aoi and
-# empty_fraction; the measured gap is below 4e-13.
+# Asserted bound on |table - metrics| for the pick's avg_aoi: one reduction of
+# the boundary recursion against the other.  Both are within 1e-12 of a dense
+# LAPACK solve at caps 2-30 (the tests' oracle).
 TAU = 1e-9
 
 # Finest search grid, n = 1/step: 4,060,200 points (the presets use n = 100, 50).
@@ -288,8 +234,9 @@ def _boundary_masses(coeff: tuple, cap: int) -> tuple:
 
     The balance equations are solved on the boundary states: empty(a), mass
     x_a, and the wait-1 cached states (1, j), 3 <= j <= cap, mass y_j.  By
-    ``_layout``'s arcs, event 0 leads to empty(1), event 2 ages an empty
-    state, and event 1 ages empty(1) but caches (1, min(a + 1, cap)) from
+    ``transition_table``'s arcs, event 0 (numbered as in ``_coefficients``)
+    leads to empty(1), event 2 ages an empty state, and event 1 ages
+    empty(1) but caches (1, min(a + 1, cap)) from
     empty(a >= 2).  (1, j) starts a walk of "copy kept" steps (event 6,
     r = c6) through K = cap - 2 cached states, holding r**k y_j on the k-th;
     from there event 3 leads to empty(1), event 5 to empty(k + 2) and event
@@ -307,8 +254,8 @@ def _boundary_masses(coeff: tuple, cap: int) -> tuple:
     carried as an (x_1, Y) coefficient pair, the balance at empty(1) fixes
     both as sums of non-negative terms: x_1 = c0 X_Y + c3 R and
     Y = c1 sum_{a>=2} x_a|(x_1=1, Y=0), X_Y the Y coefficient of X = sum x_a.
-    A cap state with no exit in floating point takes all the mass, as in the
-    dense solve: empty(cap) when c2 = 1 (alpha ue below 2**-53); else (1, cap)
+    A cap state with no exit in floating point takes all the mass, as a dense
+    solve would give it: empty(cap) when c2 = 1 (alpha ue below 2**-53); else (1, cap)
     and its walk when their exit rate, y_cap's factor, is 0 or subnormal
     (alpha u = 1 at success_prob 0 or near); their columns are set so.
     """
@@ -387,10 +334,10 @@ def grid_table(alpha: float, success_prob: float, cap: int,
     """Stationary (avg_aoi, empty_fraction) at every grid point, in scan order.
 
     ``_boundary_recursion`` solves blocks of ``_BLOCK_BUDGET // cap`` points
-    from the balance equations on the chain's boundary states, derived from
-    ``_layout``'s seven events: exact in exact arithmetic, and within
-    ``TAU`` of the dense solve in floating point (below 4e-13 at caps 2-30).
-    ``_select`` certifies its pick against the dense solve.
+    from the balance equations on the chain's boundary states: exact in
+    exact arithmetic, and within 1e-12 of a dense LAPACK solve in floating
+    point at caps 2-30.  ``_scan_user`` confirms each pick through
+    ``metrics``.
 
     The chains depend on neither the age limit nor the prices, so one table
     serves a whole a_max or cost sweep.  The arrays are read-only because
@@ -413,94 +360,17 @@ def grid_table(alpha: float, success_prob: float, cap: int,
     return avg_aoi, empty_fraction
 
 
-def _dense_points(alpha: float, success_prob: float, cap: int, step: float,
-                  at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-chain (avg_aoi, empty_fraction) at the sorted grid indices
-    ``at``, bit for bit the values a whole-grid dense table has there.
-
-    That table solves the grid in consecutive chunks through ``_assemble``,
-    ``direct_stationary`` and ``finalize``, which treat each point alone, so
-    the points are solved in stacks of ``_BLOCK_BUDGET // 4`` doubles (30
-    chains at cap 10) however many tie.  BLAS rounds a row of a matrix-vector
-    product by its place in the batch, so each row goes back to its place in
-    its chunk before the products.
-    """
-    u, q, ue = _grid_points(step)
-    states, aoi_vec, empty_vec, _ = _layout(cap)
-    coeff = np.array(_coefficients(alpha, u[at], q[at], ue[at], success_prob))
-    chunk = max(1, min(4096, _BATCH_BUDGET // len(states) ** 2))
-    batch = max(1, _BLOCK_BUDGET // 4 // len(states) ** 2)
-    avg_aoi, empty_fraction = np.empty(len(at)), np.empty(len(at))
-    for lo in range(0, len(u), chunk):
-        sel = np.flatnonzero((at >= lo) & (at < lo + chunk))
-        if not len(sel):
-            continue
-        pi = np.zeros((min(chunk, len(u) - lo), len(states)))
-        for part in np.split(sel, range(batch, len(sel), batch)):
-            pi[at[part] - lo] = finalize(direct_stationary(
-                _assemble(coeff[:, part], cap)))
-        avg_aoi[sel] = (pi @ aoi_vec)[at[sel] - lo]
-        empty_fraction[sel] = (pi @ empty_vec)[at[sel] - lo]
-    return avg_aoi, empty_fraction
-
-
-def _cost_error(alpha, u, q, ue, sample_cost: float, transmit_cost: float):
-    """Bound on the cost change a table error of at most ``TAU`` in the
-    empty fraction can cause: |d cost / d theta| * TAU, plus TAU times the
-    price terms to cover rounding; 0 at zero prices, whose costs are exact."""
-    if_empty = _cost_rate(alpha, u, q, ue, 1.0, sample_cost, transmit_cost)
-    if_cached = _cost_rate(alpha, u, q, ue, 0.0, sample_cost, transmit_cost)
-    return TAU * (np.abs(if_empty - if_cached) + if_empty + if_cached)
-
-
-def _select(table: tuple[np.ndarray, np.ndarray], alpha: float,
-            success_prob: float, cap: int, limit: float, sample_cost: float,
-            transmit_cost: float, step: float) -> tuple[int | None, np.ndarray]:
-    """(index, resolved): the first least-cost grid point meeting the limit
-    in scan order (None if there is none) as the dense table would pick it,
-    and the grid indices solved densely to make sure of that.
-
-    ``table`` is ``grid_table(alpha, success_prob, cap, step)``, within
-    ``TAU`` of the dense table.  The points solved densely are those whose
-    feasibility (avg_aoi within TAU of the limit) or whose cost rank against
-    the best surely-feasible point (overlapping ``_cost_error`` intervals)
-    could differ in the dense table; the pick is the argmin over their dense
-    values.  When the table's pick is the only such point and surely
-    feasible, it stands without a dense solve.  Above
-    ``markov.DIRECT_SOLVE_MAX_STATES`` states no dense table exists: there
-    the table is the reference and the pick is its own, solving nothing.
-    """
-    u, q, ue = _grid_points(step)
+def _select(table: tuple[np.ndarray, np.ndarray], points: tuple, alpha: float,
+            limit: float, sample_cost: float, transmit_cost: float) -> int | None:
+    """Index of the first least-cost grid point meeting the limit, in scan
+    order, or None if none does.  ``table`` is ``grid_table``'s and
+    ``points`` ``_grid_points``' for one step."""
     avg_aoi, theta = table
-    cost = _cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
-    if len(_layout(cap)[0]) > markov.DIRECT_SOLVE_MAX_STATES:
-        cost = np.where(avg_aoi <= limit, cost, np.inf)
-        at = int(np.argmin(cost)) if cost.min() < np.inf else None
-        return at, np.flatnonzero(())
-    err = _cost_error(alpha, u, q, ue, sample_cost, transmit_cost)
-    near = np.abs(avg_aoi - limit) <= TAU
-    sure = (avg_aoi <= limit) & ~near
-    contenders = (avg_aoi <= limit) | near
-    if sure.any():
-        # the dense pick cannot rank behind the best surely-feasible point
-        high = np.where(sure, cost + err, np.inf)
-        best = int(np.argmin(high))
-        low = cost - err
-        contenders &= (low < high[best]) | (
-            (low == high[best]) & (np.arange(len(cost)) <= best))
-    resolved = np.flatnonzero(contenders)
-    if not len(resolved):
-        return None, resolved
-    if len(resolved) == 1 and sure[resolved[0]]:
-        return int(resolved[0]), resolved[:0]
-    dense_aoi, dense_theta = _dense_points(alpha, success_prob, cap, step,
-                                           resolved)
-    dense_cost = _cost_rate(alpha, u[resolved], q[resolved], ue[resolved],
-                            dense_theta, sample_cost, transmit_cost)
-    dense_cost = np.where(dense_aoi <= limit, dense_cost, np.inf)
-    if not dense_cost.min() < np.inf:
-        return None, resolved
-    return int(resolved[np.argmin(dense_cost)]), resolved
+    cost = np.where(avg_aoi <= limit,
+                    _cost_rate(alpha, *points, theta, sample_cost,
+                               transmit_cost), np.inf)
+    at = int(np.argmin(cost))
+    return at if cost[at] < np.inf else None
 
 
 def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
@@ -509,11 +379,13 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
     """Cheapest (sample_occupied, retransmit_old, sample_empty) for one user.
 
     Returns (u, q, ue, avg_aoi, avg_cost).  Prices the ``grid_table`` points
-    and takes the first least-cost point meeting the limit in scan order, by
-    the certified values ``_select`` settles on.  Exact ties do not always
-    resolve to the smallest triple: at success_prob = 1 the cache is never
-    used, so every (u, q) pair with one sample_empty ties in exact arithmetic,
-    and rounding in the solved empty fraction decides between them.
+    and takes the first least-cost point meeting the limit in scan order, so
+    points whose costs are equal doubles resolve to the smallest triple.
+    At success_prob = 1 the cache is never used and every (u, q) pair with
+    one sample_empty ties: the table's empty fraction there is exactly 1,
+    their costs are equal doubles, and the pick is (0, 0, sample_empty).
+    An exact tie whose doubles differ in the last bit goes to the cheaper
+    double.
     """
     # sample_empty = 0 never delivers anything fresh: the age saturates at the
     # cap, the cache stays empty in steady state, and the cost rate is 0.
@@ -529,20 +401,18 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
             user=user_index)
 
     avg_aoi, theta = grid_table(alpha, success_prob, cap, step)
-    at, resolved = _select((avg_aoi, theta), alpha, success_prob, cap, limit,
-                           sample_cost, transmit_cost, step)
-    log.debug("user %d: %d grid points re-solved densely", user_index,
-              len(resolved))
+    points = _grid_points(step)
+    at = _select((avg_aoi, theta), points, alpha, limit, sample_cost,
+                 transmit_cost)
     if at is None:
         raise InfeasibleError(
             f"user {user_index}: no grid point (step {step:g}) meets the "
             f"average-age limit {limit:g} at success_prob {success_prob:g}",
             user=user_index)
-    u, q, ue = _grid_points(step)
-    best = (float(u[at]), float(q[at]), float(ue[at]))
+    best = tuple(float(v[at]) for v in points)
 
-    # Confirm through the scalar path; the table is within TAU of it, and
-    # anything beyond that indicates assembly drift.
+    # Confirm through the scalar path: the table's reduction against the
+    # expansion's per-state vector; a gap beyond TAU means one has drifted.
     m = metrics(OfrpUserParams(alpha, *best), success_prob, cap,
                 sample_cost, transmit_cost)
     cost = _cost_rate(alpha, *best, theta[at], sample_cost, transmit_cost)

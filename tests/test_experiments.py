@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import aoisched
-from aoisched import cli, markov, ofrp, validate
+from aoisched import cli, ofrp, validate
 from aoisched.experiments import (ExperimentSpec, SpecError, apply_axis,
                                   available_presets, config_hash, load_spec,
                                   optimize_experiment, resolve_out_dir,
@@ -256,12 +256,13 @@ def test_parameter_reports_reuse_the_optimizer_solves(tmp_path, monkeypatch,
     """Reporting the optimized users' chain metrics solves no chain that
     ofrp.optimize has not already solved."""
     solves = []
+    expand = ofrp._expanded_stationary
 
-    def counting(matrix, *args, **kwargs):
-        solves.append(len(matrix))
-        return markov.solve_stationary(matrix, *args, **kwargs)
+    def counting(coeff, cap):
+        solves.append(cap)
+        return expand(coeff, cap)
 
-    monkeypatch.setattr(ofrp, "solve_stationary", counting)
+    monkeypatch.setattr(ofrp, "_expanded_stationary", counting)
     doc = tiny_doc(policies=[token], replicas=1, grid_step=0.1,
                    config={**tiny_doc()["config"], "success_prob": [0.7, 0.9],
                            "horizon": 200},

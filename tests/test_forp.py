@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from aoisched import forp, markov, ofrp
+from aoisched import forp, ofrp
 from aoisched.experiments import _make_policy
 from aoisched.model import InfeasibleError, SystemConfig
 from aoisched.simulate import policy_rng, run
+from chain_oracle import DIRECT_SOLVE_MAX_STATES
 
 
 def make_config(**overrides):
@@ -72,9 +73,9 @@ def test_as_ofrp_chain_agrees_with_closed_form():
 
 @pytest.mark.parametrize("cap", [100, 200])
 def test_closed_form_checks_the_expansion_above_the_dense_limit(cap):
-    """The same identity where no dense solve runs, over the 20 rates of
-    the fresh-only-identity check."""
-    assert cap + (cap - 1) * (cap - 2) // 2 > markov.DIRECT_SOLVE_MAX_STATES
+    """The same identity past the dense oracle's size limit, over the 20
+    rates of the fresh-only-identity check."""
+    assert cap + (cap - 1) * (cap - 2) // 2 > DIRECT_SOLVE_MAX_STATES
     (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
     for i in range(1, 21):
         delta = i / 20.0

@@ -1,14 +1,14 @@
-"""Tests for the stationary-distribution solvers."""
+"""Tests for the dense stationary-distribution solver, the tests' oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import aoisched.markov as markov
 from aoisched import ofrp
-from aoisched.markov import (direct_stationary, recurrent_class_count,
-                             solve_stationary, validate_stochastic)
+import chain_oracle
+from chain_oracle import (build_chain, direct_stationary, recurrent_class_count,
+                          solve_stationary, validate_stochastic)
 
 
 def random_stochastic(rng, n):
@@ -96,7 +96,7 @@ def sparse_nonnegative(draw):
                           [0.5, 0.0, 0.5],       # transient 1 and 2
                           [0.0, 0.7, 0.3]]))
 @example(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]))           # period 2
-@example(matrix=ofrp.build_chain(ofrp.OfrpUserParams(0.5, 0.3, 0.4, 0.7),
+@example(matrix=build_chain(ofrp.OfrpUserParams(0.5, 0.3, 0.4, 0.7),
                                  0.6, 30))                     # 436 states
 def test_recurrent_class_count_matches_reachability_oracle(matrix):
     assert recurrent_class_count(matrix) == closed_class_count(matrix)
@@ -151,7 +151,7 @@ def test_direct_solve_matches_the_textbook_system(p_kind):
         p = {"zero": 0.0, "one": 1.0, "random": rng.random()}[p_kind]
         user = ofrp.OfrpUserParams(1.0, *rng.dirichlet(np.ones(3))[:2],
                                    rng.uniform(0.1, 1.0))
-        chain = ofrp.build_chain(user, p, cap)
+        chain = build_chain(user, p, cap)
         stack = np.stack([chain, random_stochastic(rng, len(chain))])
         for matrix in (chain, stack):
             before = matrix.copy()
@@ -165,7 +165,7 @@ def test_direct_solve_matches_the_textbook_system(p_kind):
 
 
 def test_chains_above_the_size_limit_are_refused(monkeypatch):
-    monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 5)
+    monkeypatch.setattr(chain_oracle, "DIRECT_SOLVE_MAX_STATES", 5)
     rng = np.random.default_rng(3)
     pi, _ = solve_stationary(random_stochastic(rng, 5))
     assert pi.shape == (5,)

@@ -2,20 +2,26 @@
 
 import dataclasses
 import logging
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from aoisched import forp, markov, ofrp
+from aoisched import forp, ofrp
 from aoisched.experiments import load_spec
-from aoisched.markov import direct_stationary, finalize, solve_stationary
 from aoisched.model import (ActionVector, InfeasibleError, SystemConfig,
                             UserState, step_users, transition_table)
 from aoisched.simulate import run
+from chain_oracle import (DIRECT_SOLVE_MAX_STATES, assemble, build_chain,
+                          direct_stationary, exact_cost, exact_metrics,
+                          finalize, layout, solve_stationary)
 
 
 def make_config(**overrides):
@@ -60,7 +66,7 @@ def test_literal_example_row():
     """One cached row spelled out: fresh success resets the age, a failed
     fresh sample re-enters at wait 1, a delivered old packet yields age
     wait+1, and everything else ages in place."""
-    matrix = ofrp.build_chain(LITERAL, 0.8, 10)
+    matrix = build_chain(LITERAL, 0.8, 10)
     idx = {s: i for i, s in enumerate(transition_table(10).states)}
     row = matrix[idx[(True, 1, 3)]]
     expected = {
@@ -76,7 +82,7 @@ def test_literal_example_row():
 
 
 def test_empty_row_reenters_via_cache():
-    matrix = ofrp.build_chain(LITERAL, 0.8, 10)
+    matrix = build_chain(LITERAL, 0.8, 10)
     idx = {s: i for i, s in enumerate(transition_table(10).states)}
     row = matrix[idx[(False, 0, 5)]]
     assert row[idx[(False, 0, 1)]] == pytest.approx(0.5 * 0.6 * 0.8)
@@ -93,7 +99,7 @@ def test_chain_rows_match_the_reference_stepper(cap, alpha, u, q, ue, p):
     """Every row is the one-slot law of ``model.step_users``: each action
     weighted by its probability, each channel outcome by p or 1 - p."""
     user = ofrp.OfrpUserParams(alpha, u, q * (1.0 - u), ue)
-    matrix = ofrp.build_chain(user, p, cap)
+    matrix = build_chain(user, p, cap)
     states = transition_table(cap).states
     cfg = SystemConfig(num_users=1, success_prob=p, sample_cost=0.0,
                        transmit_cost=0.0, aoi_cap=cap, aoi_limit=cap,
@@ -130,16 +136,16 @@ def test_rows_are_stochastic_across_parameter_corners():
     for user in corners:
         for p in (0.0, 0.35, 1.0):
             for cap in (2, 3, 6):
-                m = ofrp.build_chain(user, p, cap)
+                m = build_chain(user, p, cap)
                 assert np.max(np.abs(m.sum(axis=1) - 1.0)) < 1e-12
                 assert np.min(m) >= 0.0
 
 
 def test_build_chain_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        ofrp.build_chain(LITERAL, 1.5, 10)
+        build_chain(LITERAL, 1.5, 10)
     with pytest.raises(ValueError):
-        ofrp.build_chain(LITERAL, 0.5, 1)
+        build_chain(LITERAL, 0.5, 1)
 
 
 def test_params_validation():
@@ -197,7 +203,7 @@ def test_total_cost_skips_users_that_never_sample():
 def test_total_cost_on_dead_channel():
     # p = 0: the age sits at the cap, but the cost rate is well defined
     user = ofrp.OfrpUserParams(1.0, 0.3, 0.2, 0.5)
-    pi, _ = solve_stationary(ofrp.build_chain(user, 0.0, 10))
+    pi, _ = solve_stationary(build_chain(user, 0.0, 10))   # dense oracle
     theta = sum(prob for prob, (occupied, _, _)
                 in zip(pi, transition_table(10).states) if not occupied)
     expected = theta * 0.5 * 6.0 + (1 - theta) * (0.2 * 5.0 + 0.3 * 6.0)
@@ -273,13 +279,15 @@ def test_optimize_reference_instance():
     assert m.avg_cost == pytest.approx(1.2140401421091083, abs=1e-9)
 
 
-def test_reference_instance_needs_no_dense_resolve(caplog):
-    """No point of the reference table is near its limit or its best cost,
-    so the table's pick stands alone; a certification rule that re-solved
-    far more would show here (this reuses the table the test above built)."""
+def test_reference_instance_needs_no_dense_resolve(caplog, monkeypatch):
+    """The pick is the table's own, with no LAPACK solve, and a table built
+    afresh logs its size (this reuses the table the test above built)."""
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called by the grid search")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
     caplog.set_level(logging.DEBUG, logger="aoisched.ofrp")
     ofrp.optimize(make_config(), step=0.01)
-    assert "user 0: 0 grid points re-solved densely" in caplog.messages
     ofrp.grid_table.cache_clear()
     ofrp.optimize(make_config(aoi_cap=5, aoi_limit=2.5), step=0.1)
     assert any(re.fullmatch(r"grid_table cap=5: boundary recursion over 660 "
@@ -389,32 +397,76 @@ def test_grid_table_is_shared_across_limits_and_costs():
             table[0] = 0.0
 
 
-# ── grid table and certified selection ────────────────────────────────────
+# ── grid table and selection ──────────────────────────────────────────────
+
+# Doubles per (chunk, s, s) stack of the dense oracle (64 MB).
+DENSE_BUDGET = 8_000_000
+
+
+def dense_rows(coeff, cap):
+    """The oracle: each chain of a coefficient block solved densely, in
+    stacks of at most ``DENSE_BUDGET`` doubles."""
+    chunk = max(1, DENSE_BUDGET // len(transition_table(cap).states) ** 2)
+    return np.concatenate([
+        finalize(direct_stationary(assemble(
+            tuple(c[lo:lo + chunk] for c in coeff), cap)))
+        for lo in range(0, len(coeff[0]), chunk)])
+
 
 def dense_table(alpha, p, cap, step):
-    """The oracle: every grid point's full chain solved densely, in
-    consecutive batches, the whole-grid table ``_dense_points`` reproduces."""
+    """Every grid point's chain solved densely: (avg_aoi, empty_fraction)."""
     u, q, ue = ofrp._grid_points(step)
-    states, aoi_vec, empty_vec, _ = ofrp._layout(cap)
-    chunk = max(1, min(4096, ofrp._BATCH_BUDGET // len(states) ** 2))
-    avg_aoi, theta = np.empty(len(u)), np.empty(len(u))
-    for lo in range(0, len(u), chunk):
-        at = slice(lo, lo + chunk)
-        coeff = ofrp._coefficients(alpha, u[at], q[at], ue[at], p)
-        pi = finalize(direct_stationary(ofrp._assemble(coeff, cap)))
-        avg_aoi[at] = pi @ aoi_vec
-        theta[at] = pi @ empty_vec
-    return avg_aoi, theta
+    _, aoi_vec, empty_vec, _ = layout(cap)
+    pi = dense_rows(ofrp._coefficients(alpha, u, q, ue, p), cap)
+    return pi @ aoi_vec, pi @ empty_vec
 
 
-def dense_pick(table, alpha, cap, limit, sample_cost, transmit_cost, step):
-    """First least-cost feasible index of a whole table, or None."""
+def reference_pick(alpha, p, cap, step, limit, prices, dense):
+    """(index, avg_aoi, cost): the first least-cost grid point meeting the
+    limit by reference values (index None if none does), and those values.
+
+    The references are the dense values, except at caps 2-6: there every
+    point that the dense values put within 1e-9 of the limit, or of the
+    best surely feasible cost, is solved in exact arithmetic on the double
+    inputs, so ties and limit boundaries are settled exactly."""
     u, q, ue = ofrp._grid_points(step)
-    avg_aoi, theta = table
-    cost = ofrp._cost_rate(alpha, u, q, ue, theta, sample_cost, transmit_cost)
-    cost = np.where(avg_aoi <= limit, cost, np.inf)
-    at = int(np.argmin(cost))
-    return at if cost[at] < np.inf else None
+    aoi = list(dense[0])
+    cost = list(ofrp._cost_rate(alpha, u, q, ue, dense[1], *prices))
+    if cap <= 6:
+        dense_cost = np.array(cost)
+        sure = dense[0] < limit - 1e-9
+        best = dense_cost[sure].min() if sure.any() else np.inf
+        unsettled = np.abs(dense[0] - limit) <= 1e-9
+        if any(prices):      # at zero prices every cost is exactly 0
+            unsettled |= (dense[0] <= limit) & (dense_cost <= best + 1e-9)
+        for i in np.flatnonzero(unsettled):
+            aoi[i], theta = exact_metrics(alpha, u[i], q[i], ue[i], p, cap)
+            cost[i] = exact_cost(alpha, u[i], q[i], ue[i], theta, *prices)
+    feasible = [i for i, a in enumerate(aoi) if a <= limit]
+    at = min(feasible, key=lambda i: (cost[i], i), default=None)
+    return at, aoi, cost
+
+
+def assert_reference_pick(at, table, reference, limit):
+    """``_select``'s pick ``at`` is the reference pick, or differs from it
+    only where rounding decides: the table puts one of the two on the other
+    side of the limit, within 1e-12 of it, or prices them within 1e-11 of
+    each other.  (An exact tie whose table costs differ in the last bit goes
+    to the cheaper double: at cap 3 the empty fraction does not depend on
+    retransmit_old, so at transmit_cost 0 and sample_occupied 0 the costs
+    tie exactly.)"""
+    expected, aoi, cost = reference
+    if at == expected:
+        return
+    near = lambda i: abs(aoi[i] - limit) <= 1e-12     # noqa: E731
+    if at is None:
+        assert table[0][expected] > limit and near(expected)
+    elif expected is None or aoi[at] > limit:
+        assert near(at)
+    elif table[0][expected] > limit:
+        assert near(expected)
+    else:
+        assert cost[at] - cost[expected] <= 1e-11
 
 
 @settings(max_examples=40, deadline=None)
@@ -436,21 +488,33 @@ def test_grid_table_matches_dense_oracle(alpha, p, cap, step, seed):
     dense = dense_table(alpha, p, cap, step)
     for c, d in zip(table, dense):
         assert np.max(np.abs(c - d)) <= 1e-12
-    # a limit on a dense entry puts that point on the feasibility band
+    # a limit on a dense entry puts that point on the feasibility boundary
     rng = np.random.default_rng(seed)
     limit = float(dense[0][rng.integers(len(dense[0]))])
+    points = ofrp._grid_points(step)
     for prices in ((1.0, 5.0), (0.0, 0.0), (3.0, 1.0)):
-        at, resolved = ofrp._select(table, alpha, p, cap, limit, *prices,
-                                    step)
-        assert at == dense_pick(dense, alpha, cap, limit, *prices, step)
-        for re_solved, full in zip(
-                ofrp._dense_points(alpha, p, cap, step, resolved), dense):
-            assert np.array_equal(re_solved, full[resolved])
-    # the dense re-solve keeps the table's bits at any index set
-    some = np.flatnonzero(rng.random(len(dense[0])) < 0.3)
-    for re_solved, full in zip(
-            ofrp._dense_points(alpha, p, cap, step, some), dense):
-        assert np.array_equal(re_solved, full[some])
+        at = ofrp._select(table, points, alpha, limit, *prices)
+        assert_reference_pick(at, table, reference_pick(
+            alpha, p, cap, step, limit, prices, dense), limit)
+
+
+def test_exact_oracle_settles_a_limit_the_dense_solve_rounds_onto():
+    """alpha 1, p 0.8, cap 2, step 0.1: at ue = 0.2 the dense age is
+    1.8399999999999999, but in exact arithmetic on the double inputs it is
+    1.83999999999999998224..., above that double, so at that limit the
+    point is infeasible.  The table's 1.8400000000000003 says so, and the
+    pick is the next sample_empty, 0.3."""
+    alpha, p, cap, step, limit = 1.0, 0.8, 2, 0.1, 1.8399999999999999
+    points = ofrp._grid_points(step)
+    assert [float(v[1]) for v in points] == [0.0, 0.0, 0.2]
+    assert dense_table(alpha, p, cap, step)[0][1] == limit
+    assert exact_metrics(alpha, 0.0, 0.0, 0.2, p, cap)[0] > limit
+    table = ofrp.grid_table(alpha, p, cap, step)
+    assert table[0][1] > limit
+    at = ofrp._select(table, points, alpha, limit, 1.0, 5.0)
+    assert at == 2
+    assert at == reference_pick(alpha, p, cap, step, limit, (1.0, 5.0),
+                                dense_table(alpha, p, cap, step))[0]
 
 
 @pytest.mark.parametrize("case", [
@@ -463,8 +527,8 @@ def test_grid_table_matches_dense_oracle(alpha, p, cap, step, seed):
 def test_optimize_picks_the_dense_argmin(case):
     alpha, (sample_cost, transmit_cost) = 1.0, case["prices"]
     dense = dense_table(alpha, case["p"], case["cap"], case["step"])
-    expected = dense_pick(dense, alpha, case["cap"], case["limit"],
-                          sample_cost, transmit_cost, case["step"])
+    expected = reference_pick(alpha, case["p"], case["cap"], case["step"],
+                              case["limit"], case["prices"], dense)[0]
     cfg = make_config(success_prob=case["p"], aoi_cap=case["cap"],
                       aoi_limit=case["limit"], sample_cost=sample_cost,
                       transmit_cost=transmit_cost)
@@ -474,23 +538,22 @@ def test_optimize_picks_the_dense_argmin(case):
         (u[expected], q[expected], ue[expected])
 
 
-def test_limit_on_a_dense_entry_is_resolved_densely():
+def test_limit_on_a_dense_entry_takes_the_exact_pick():
     """The dense winner's own age as the limit: the table's value may sit
-    an ulp either side of it, so the point must be re-solved, and the pick
-    must stay the dense one."""
-    alpha, p, cap, step = 1.0, 0.8, 8, 0.1
+    an ulp either side of it, the exact oracle settles the side, and both
+    ``_select`` and ``optimize`` make the exact pick."""
+    alpha, p, cap, step, prices = 1.0, 0.8, 6, 0.1, (1.0, 5.0)
     dense = dense_table(alpha, p, cap, step)
-    winner = dense_pick(dense, alpha, cap, 4.0, 1.0, 5.0, step)
+    winner = reference_pick(alpha, p, cap, step, 4.0, prices, dense)[0]
     limit = float(dense[0][winner])
-    at, resolved = ofrp._select(ofrp.grid_table(alpha, p, cap, step), alpha,
-                                p, cap, limit, 1.0, 5.0, step)
-    assert winner in resolved
-    assert at == winner == dense_pick(dense, alpha, cap, limit, 1.0, 5.0, step)
+    expected = reference_pick(alpha, p, cap, step, limit, prices, dense)[0]
+    points = ofrp._grid_points(step)
+    table = ofrp.grid_table(alpha, p, cap, step)
+    assert ofrp._select(table, points, alpha, limit, *prices) == expected
     cfg = make_config(success_prob=p, aoi_cap=cap, aoi_limit=limit)
     user = ofrp.optimize(cfg, step=step).users[0]
-    u, q, ue = ofrp._grid_points(step)
     assert (user.sample_occupied, user.retransmit_old, user.sample_empty) == \
-        (u[winner], q[winner], ue[winner])
+        tuple(v[expected] for v in points)
 
 
 def test_table_drift_is_caught_at_the_pick(monkeypatch):
@@ -504,26 +567,25 @@ def test_table_drift_is_caught_at_the_pick(monkeypatch):
         ofrp.optimize(cfg, step=0.1)
 
 
-def test_dense_resolve_of_a_full_tie_is_solved_in_small_stacks(monkeypatch):
-    """At p = 1 every (u, q) pair ties, so a cap-10, step-0.05 pick re-solves
-    all 231 contenders; they are solved a few chains at a time (one stack
-    of all of them peaked at 7.7 MB), with the same bits as one by one."""
-    step, cap = 0.05, 10
-    table = ofrp.grid_table(0.5, 1.0, cap, step)
-    _, resolved = ofrp._select(table, 0.5, 1.0, cap, 5.0, 1.0, 5.0, step)
-    assert len(resolved) == 231
-    tracemalloc.start()
-    try:
-        solved = ofrp._dense_points(0.5, 1.0, cap, step, resolved)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
-    states = len(ofrp._layout(cap)[0])
-    monkeypatch.setattr(ofrp, "_BLOCK_BUDGET", 4 * states ** 2)
-    for got, one_by_one in zip(
-            solved, ofrp._dense_points(0.5, 1.0, cap, step, resolved)):
-        assert np.array_equal(got, one_by_one)
+def test_a_full_tie_takes_the_smallest_triple():
+    """At p = 1 the cache is never used, so at each sample_empty all 231
+    (u, q) pairs of a cap-10, step-0.05 grid tie: the table's empty fraction
+    is exactly 1, their costs are equal doubles, and the pick is the first,
+    (0, 0, sample_empty)."""
+    alpha, step = 0.5, 0.05
+    table = ofrp.grid_table(alpha, 1.0, 10, step)
+    assert np.all(table[1] == 1.0)
+    points = ofrp._grid_points(step)
+    at = ofrp._select(table, points, alpha, 5.0, 1.0, 5.0)
+    assert np.count_nonzero(points[2] == points[2][at]) == 231
+    assert (points[0][at], points[1][at]) == (0.0, 0.0)
+
+
+def test_p1_tie_resolves_to_the_smallest_triple():
+    """The scan keeps the first of the tied (u, q) pairs at success_prob 1;
+    a dense re-solve's rounding used to pick (0, 0.3, 0.4) here."""
+    assert ofrp._scan_user(1.0, 1.0, 6, 2.5, 1.0, 5.0, 0.05, 0)[:3] == \
+        (0.0, 0.0, 0.4)
 
 
 def test_grid_table_works_in_bounded_blocks():
@@ -541,16 +603,6 @@ def test_grid_table_works_in_bounded_blocks():
 
 
 # ── the boundary recursion's full stationary vector ───────────────────────
-
-def dense_rows(coeff, cap):
-    """The oracle: each chain of a coefficient block solved densely, in
-    batches of at most ``_BATCH_BUDGET`` doubles."""
-    chunk = max(1, ofrp._BATCH_BUDGET // len(transition_table(cap).states) ** 2)
-    return np.concatenate([
-        finalize(direct_stationary(ofrp._assemble(
-            tuple(c[lo:lo + chunk] for c in coeff), cap)))
-        for lo in range(0, len(coeff[0]), chunk)])
-
 
 @settings(max_examples=30, deadline=None)
 @given(alpha=st.floats(0.0, 1.0, exclude_min=True),
@@ -578,7 +630,7 @@ def test_expanded_stationary_matches_dense_oracle(alpha, p, cap, step):
 @pytest.mark.parametrize("p", [0.0, 1e-12, 0.37, 0.9, 1.0])
 def test_expanded_stationary_balances_the_sparse_chain(cap, p):
     """max |pi P - pi| below 1e-12 with P applied arc by arc from
-    ``_layout``, no dense matrix, past the dense solve's limit.  The last
+    ``layout``, no dense matrix, past the dense oracle's limit.  The last
     point keeps its copy with r = 0.01: at p = 0 and cap 200 y_cap's factor
     r**198 underflows, and the mass sits on the walk from (1, cap)."""
     u, q, ue = (np.append(v, last) for v, last in zip(
@@ -587,27 +639,30 @@ def test_expanded_stationary_balances_the_sparse_chain(cap, p):
                                u, q, ue, p)
     pi = ofrp._expanded_stationary(coeff, cap)
     moved = np.zeros_like(pi)
-    for weight, (rows, cols) in zip(np.column_stack(coeff).T, ofrp._layout(cap)[3]):
+    for weight, (rows, cols) in zip(np.column_stack(coeff).T, layout(cap)[3]):
         np.add.at(moved, (slice(None), cols), pi[:, rows] * weight[:, None])
     assert np.max(np.abs(moved - pi)) < 1e-12
     assert np.all(pi >= 0.0)
     assert np.max(np.abs(pi.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_metrics_agree_across_the_dense_limit(monkeypatch):
-    """With the dense limit at 1 state every chain takes the expansion."""
+def test_metrics_agree_across_the_dense_limit():
+    """``metrics``, read off the expansion at every cap, against the dense
+    oracle's stationary vector."""
     cases = [(LITERAL, 0.8), (LITERAL, 0.0),
              (ofrp.OfrpUserParams(1.0, 0.3, 0.5, 0.9), 0.35),
              (ofrp.OfrpUserParams(1.0, 1.0, 0.0, 1.0), 1.0)]
-    dense = [ofrp.metrics.__wrapped__(user, p, 10, 1.0, 5.0)
-             for user, p in cases]
-    monkeypatch.setattr(markov, "DIRECT_SOLVE_MAX_STATES", 1)
-    monkeypatch.setattr(ofrp, "solve_stationary", None)   # not called
-    for (user, p), d in zip(cases, dense):
+    _, aoi_vec, empty_vec, _ = layout(10)
+    for user, p in cases:
+        pi, _ = solve_stationary(build_chain(user, p, 10))
+        theta = pi @ empty_vec
         m = ofrp.metrics.__wrapped__(user, p, 10, 1.0, 5.0)
-        for field in ("avg_aoi", "empty_fraction", "avg_cost"):
-            assert getattr(m, field) == pytest.approx(getattr(d, field),
-                                                      abs=1e-12)
+        assert m.avg_aoi == pytest.approx(10.0 if p == 0.0 else pi @ aoi_vec,
+                                          abs=1e-12)
+        assert m.empty_fraction == pytest.approx(theta, abs=1e-12)
+        assert m.avg_cost == pytest.approx(ofrp._cost_rate(
+            user.alpha, user.sample_occupied, user.retransmit_old,
+            user.sample_empty, theta, 1.0, 5.0), abs=1e-12)
 
 
 def test_optimize_above_the_dense_limit_stays_small(monkeypatch):
@@ -615,14 +670,13 @@ def test_optimize_above_the_dense_limit_stays_small(monkeypatch):
     pick comes from the table, its confirmation from the expansion, with
     no dense solve and a traced peak below 100 MB."""
     cfg = dataclasses.replace(load_spec("fig5a").base, aoi_cap=150)
-    assert 150 + 149 * 148 // 2 > markov.DIRECT_SOLVE_MAX_STATES
+    assert 150 + 149 * 148 // 2 > DIRECT_SOLVE_MAX_STATES
 
     def no_dense_solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve called above the dense limit")
 
     monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
-    for cached in (transition_table, ofrp._layout, ofrp.grid_table,
-                   ofrp.metrics):
+    for cached in (transition_table, ofrp.grid_table, ofrp.metrics):
         cached.cache_clear()
     tracemalloc.start()
     try:
@@ -635,6 +689,32 @@ def test_optimize_above_the_dense_limit_stays_small(monkeypatch):
         m = ofrp.metrics(user, cfg.success_prob[0], 150, cfg.sample_cost,
                          cfg.transmit_cost)
         assert m.avg_aoi <= limit
+
+
+def test_no_dense_solve_remains(monkeypatch):
+    """Every chain goes through the boundary recursion: with LAPACK's solve
+    made to raise, ``optimize`` and ``metrics`` still run at caps 10 and
+    30, and importing the package loads no dense solver."""
+    def no_dense_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+    ofrp.grid_table.cache_clear()
+    for cap in (10, 30):
+        cfg = make_config(num_users=2, success_prob=(0.8, 0.6), aoi_cap=cap)
+        params = ofrp.optimize(cfg, step=0.1)
+        for user, p in zip(params.users, cfg.success_prob):
+            m = ofrp.metrics.__wrapped__(user, p, cap, 1.0, 5.0)
+            assert m.avg_aoi <= cfg.aoi_limit[0]
+    src = str(Path(ofrp.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, aoisched; "
+         "print('aoisched.markov' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_policy_requires_matching_user_count():
