@@ -192,9 +192,20 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
 #  grid search
 # ──────────────────────────────────────────────────────────────────────────
 
-# Doubles per (cap, points) work array of the boundary recursion (2 MB), so
-# a table's working memory stays bounded whatever its size.
-_BLOCK_BUDGET = 1 << 18
+# Doubles per (cap, points) work array of the boundary recursion, and grid
+# points per priced block of the pick (32 KB arrays): blocks stay in cache.
+_BLOCK_BUDGET = 1 << 15
+_PICK_BLOCK = 1 << 12
+
+# A table entry's last bits depend on its call: numpy's broadcast power
+# squares r exactly over more than 8192 // 3 columns, by SIMD pow over fewer,
+# and BLAS orders the last n mod 8 columns of an n-column product apart, from
+# cap 18 apart again when the product is small (under 10**6 multiply-adds or
+# 400 columns).  So segments of _SEGMENT // cap points are cut into blocks a
+# multiple of 8 long but for the last, which ends the segment and is long
+# enough to be computed as the segment is, and squares are taken as over the
+# segment: every entry has the bits of one call per segment.
+_SEGMENT = 1 << 18
 
 # Asserted bound on |table - metrics| for the pick's avg_aoi: one reduction of
 # the boundary recursion against the other.  Both are within 1e-12 of a dense
@@ -214,23 +225,26 @@ def search_intervals(step: float) -> int:
     return n
 
 
-def _grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sample_occupied, retransmit_old, sample_empty) over the grid, in scan
-    order: sample_occupied major, then retransmit_old (with u + q <= 1),
-    then sample_empty > 0."""
-    n = search_intervals(step)
-    rows = np.arange(n + 1, 0, -1)          # retransmit_old values per u
-    iu = np.repeat(np.arange(n + 1), rows)
-    iq = np.arange(len(iu)) - np.repeat(np.cumsum(rows) - rows, rows)
-    return (np.repeat(iu / n, n), np.repeat(iq / n, n),
-            np.tile(np.arange(1, n + 1) / n, len(iu)))
+def _grid_block(n: int, lo: int, hi: int) -> tuple:
+    """(sample_occupied, retransmit_old, sample_empty) at the scan indices
+    lo..hi-1 of the step-1/n grid, whose scan order is sample_occupied
+    major, then retransmit_old (with u + q <= 1), then sample_empty > 0."""
+    pair, ue = np.divmod(np.arange(lo, hi), n)
+    # the (u, q) pairs of u = i/n start at pair i (2n + 3 - i) / 2
+    first = np.arange(n + 1) * (2 * n + 3 - np.arange(n + 1)) // 2
+    u = np.searchsorted(first, pair, side="right") - 1
+    return u / n, (pair - first[u]) / n, (ue + 1) / n
 
 
-def _boundary_masses(coeff: tuple, cap: int) -> tuple:
+def _boundary_masses(coeff: tuple, cap: int, work: np.ndarray,
+                     squares: bool = False) -> tuple:
     """Unnormalized stationary masses (x, y, Y, R, powers, ages, stuck) of a
-    block of chains (cap >= 3), one per entry of the ``_coefficients`` arrays
-    c0..c6, in O(cap) array steps: powers holds r**0 .. r**K, ages[j - 3, k]
-    the age on the k-th state of the walk from (1, j).
+    block of m chains (cap >= 3), one per entry of the ``_coefficients``
+    arrays c0..c6, in O(cap) array steps: powers holds r**0 .. r**K, ages[j
+    - 3, k] the age on the k-th state of the walk from (1, j).  x, y and
+    powers are rows of ``work``, a (4 cap - 3, m) array filled in place; its
+    last cap rows are left free for the caller; ``squares`` takes r**2 as
+    r * r.
 
     The balance equations are solved on the boundary states: empty(a), mass
     x_a, and the wait-1 cached states (1, j), 3 <= j <= cap, mass y_j.  By
@@ -251,9 +265,9 @@ def _boundary_masses(coeff: tuple, cap: int) -> tuple:
                           + c4 sum_{i<cap} y_i sum_{k=cap-i-1}^{K-1} r**k
 
     y_cap's factor is 1 - c4 R without the cancellation.  With each x_a
-    carried as an (x_1, Y) coefficient pair, the balance at empty(1) fixes
-    both as sums of non-negative terms: x_1 = c0 X_Y + c3 R and
-    Y = c1 sum_{a>=2} x_a|(x_1=1, Y=0), X_Y the Y coefficient of X = sum x_a.
+    carried as an (x_1, Y) coefficient pair, xx and xy, the balance at
+    empty(1) fixes both as sums of non-negative terms: x_1 = c0 X_Y + c3 R
+    and Y = c1 sum_{a>=2} xx_a, X_Y the Y coefficient of X = sum x_a.
     A cap state with no exit in floating point takes all the mass, as a dense
     solve would give it: empty(cap) when c2 = 1 (alpha ue below 2**-53); else (1, cap)
     and its walk when their exit rate, y_cap's factor, is 0 or subnormal
@@ -261,27 +275,30 @@ def _boundary_masses(coeff: tuple, cap: int) -> tuple:
     """
     c0, c1, c2, c3, c4, c5, r = coeff
     k = cap - 2
-    powers = r ** np.arange(k + 1.0)[:, None]            # r**0 .. r**K
-    tail = powers[:k].sum(axis=0)                        # R
+    powers, x, y, xy = np.split(work, (k + 1, k + 1 + cap, 2 * k + 1 + cap))
+    np.power(r, np.arange(k + 1.0)[:, None], out=powers)     # r**0 .. r**K
+    if squares and k > 1:
+        np.multiply(r, r, out=powers[2])
+    tail = powers[:k].sum(axis=0)                            # R
     factor = (c3 + c5) * tail + powers[k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        xx, xy = [np.ones_like(c0), c1 + c2], [np.zeros_like(c0), c5]
-        for a in range(3, cap):
-            xx.append(c2 * xx[-1])
-            xy.append(c2 * xy[-1] + c5 * powers[a - 2])
-        xx.append(c2 * xx[-1] / (c0 + c1))
-        xy.append((c2 * xy[-1] + powers[k]) / (c0 + c1))
-        total_y = c1 * sum(xx[1:])
-        x = (c0 * sum(xy) + c3 * tail) * np.array(xx) + total_y * np.array(xy)
-        ys, walking = [], 0.0
-        for j in range(3, cap):
-            ys.append(c1 * x[j - 2] + c4 * walking)
-            walking = r * walking + ys[-1]
+        x[0], x[1], xy[0], xy[1] = 1.0, c1 + c2, 0.0, c5    # x holds xx
+        for a in range(2, cap - 1):
+            x[a], xy[a] = c2 * x[a - 1], c2 * xy[a - 1] + c5 * powers[a - 1]
+        x[-1] = c2 * x[-2] / (c0 + c1)
+        xy[-1] = (c2 * xy[-2] + powers[k]) / (c0 + c1)
+        total_y = c1 * sum(x[1:])
+        x *= c0 * sum(xy) + c3 * tail
+        x += np.multiply(xy, total_y, out=xy)
+        walking = 0.0
+        for j in range(k - 1):      # y_(j + 3)
+            y[j] = c1 * x[j + 1] + c4 * walking
+            walking = r * walking + y[j]
         # event 4 leads from any state aged cap - 1 or more to (1, cap)
         ages = np.minimum(np.arange(3, cap + 1)[:, None] + np.arange(k), cap)
-        fed = sum(y * t for y, t in zip(ys, (ages[:-1] >= cap - 1) @ powers[:k]))
-        ys.append((c1 * (x[-2] + x[-1]) + c4 * fed) / factor)
-    y = np.array(ys)
+        fed = np.matmul(ages[:-1] >= cap - 1, powers[:k], out=xy[:k - 1])
+        fed *= y[:-1]
+        y[-1] = (c1 * (x[-2] + x[-1]) + c4 * sum(fed)) / factor
     stuck_empty = c2 == 1.0
     stuck = stuck_empty | (factor < np.finfo(float).tiny)
     x[:, stuck] = y[:, stuck] = 0.0
@@ -289,7 +306,8 @@ def _boundary_masses(coeff: tuple, cap: int) -> tuple:
     return x, y, np.where(stuck, y[-1], total_y), tail, powers, ages, stuck
 
 
-def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_recursion(coeff: tuple, cap: int, work: np.ndarray,
+                        squares: bool) -> tuple[np.ndarray, np.ndarray]:
     """Stationary (avg_aoi, empty_fraction) of a block of chains, one per
     entry of the ``_coefficients`` arrays, from ``_boundary_masses``: the
     mass is X + R Y, the empty fraction X over it, and the age sum adds
@@ -298,12 +316,14 @@ def _boundary_recursion(coeff: tuple, cap: int) -> tuple[np.ndarray, np.ndarray]
     if cap == 2:
         # no cached states: x_1 = c0 and x_2 = c1 + c2 balance empty(1)
         return (c0 + 2.0 * (c1 + c2)) / (c0 + c1 + c2), np.ones_like(c0)
-    x, y, total_y, tail, powers, ages, stuck = _boundary_masses(coeff, cap)
+    x, y, total_y, tail, powers, ages, stuck = _boundary_masses(
+        coeff, cap, work, squares)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         empty = x.sum(axis=0)
         mass = empty + tail * total_y
-        avg_aoi = (np.arange(1.0, cap + 1) @ x + np.sum(
-            y * (ages @ powers[:-1]), axis=0)) / mass
+        walks = np.matmul(ages, powers[:-1], out=work[-cap:-2])
+        walks *= y
+        avg_aoi = (np.arange(1.0, cap + 1) @ x + walks.sum(axis=0)) / mass
         return np.where(stuck, float(cap), avg_aoi), empty / mass
 
 
@@ -319,7 +339,8 @@ def _expanded_stationary(coeff: tuple, cap: int) -> np.ndarray:
     if cap == 2:
         pi = np.stack((coeff[0], coeff[1] + coeff[2]))
     else:
-        x, y, _, _, powers, _, _ = _boundary_masses(coeff, cap)
+        x, y, _, _, powers, _, _ = _boundary_masses(
+            coeff, cap, np.empty((4 * cap - 3, len(coeff[0]))))
         _, wait, age = np.array(transition_table(cap).states[cap:]).T
         # y's rows, then its suffix sums: row cap - 2 + i is sum_(i' >= i) y_i'
         rows = np.concatenate((y, np.cumsum(y[::-1], axis=0)[::-1]))
@@ -333,11 +354,12 @@ def grid_table(alpha: float, success_prob: float, cap: int,
                step: float) -> tuple[np.ndarray, np.ndarray]:
     """Stationary (avg_aoi, empty_fraction) at every grid point, in scan order.
 
-    ``_boundary_recursion`` solves blocks of ``_BLOCK_BUDGET // cap`` points
-    from the balance equations on the chain's boundary states: exact in
-    exact arithmetic, and within 1e-12 of a dense LAPACK solve in floating
-    point at caps 2-30.  ``_scan_user`` confirms each pick through
-    ``metrics``.
+    ``_boundary_recursion`` solves blocks of about ``_BLOCK_BUDGET // cap``
+    points, read off their scan indices, from the balance equations on the
+    chain's boundary states, in one work buffer (1 MB below cap 18) that
+    every block reuses: exact in exact arithmetic, and within 1e-12 of a
+    dense LAPACK solve in floating point at caps 2-30.  ``_scan_user``
+    confirms each pick through ``metrics``.
 
     The chains depend on neither the age limit nor the prices, so one table
     serves a whole a_max or cost sweep.  The arrays are read-only because
@@ -346,31 +368,46 @@ def grid_table(alpha: float, success_prob: float, cap: int,
     holds 2 * 8 * 515,100 bytes = 8.2 MB, 16.5 MB for both, whatever the cap.
     """
     started = time.perf_counter()
-    u, q, ue = _grid_points(step)
-    block = max(1, _BLOCK_BUDGET // cap)
-    avg_aoi, empty_fraction = np.empty(len(u)), np.empty(len(u))
-    for lo in range(0, len(u), block):
-        at = slice(lo, lo + block)
-        avg_aoi[at], empty_fraction[at] = _boundary_recursion(
-            _coefficients(alpha, u[at], q[at], ue[at], success_prob), cap)
+    n = search_intervals(step)
+    size = (n + 1) * (n + 2) // 2 * n
+    block = max(8, _BLOCK_BUDGET // cap // 8 * 8)
+    last = 8 if cap < 18 else max(408, 10**6 // ((cap - 2) * (cap - 3)) + 8)
+    buffer = np.empty((4 * cap - 3) * (block + last))
+    avg_aoi, empty_fraction = np.empty(size), np.empty(size)
+    for lo in range(0, size, max(1, _SEGMENT // cap)):
+        end = min(lo + max(1, _SEGMENT // cap), size)
+        squares = end - lo > 8192 // 3
+        while lo < end:
+            hi = end if end - lo < block + last else lo + block
+            avg_aoi[lo:hi], empty_fraction[lo:hi] = _boundary_recursion(
+                _coefficients(alpha, *_grid_block(n, lo, hi), success_prob),
+                cap, buffer[:(4 * cap - 3) * (hi - lo)].reshape(-1, hi - lo),
+                squares)
+            lo = hi
     avg_aoi.flags.writeable = False
     empty_fraction.flags.writeable = False
     log.debug("grid_table cap=%d: boundary recursion over %d points, %.3f s",
-              cap, len(u), time.perf_counter() - started)
+              cap, size, time.perf_counter() - started)
     return avg_aoi, empty_fraction
 
 
-def _select(table: tuple[np.ndarray, np.ndarray], points: tuple, alpha: float,
+def _select(table: tuple[np.ndarray, np.ndarray], step: float, alpha: float,
             limit: float, sample_cost: float, transmit_cost: float) -> int | None:
     """Index of the first least-cost grid point meeting the limit, in scan
-    order, or None if none does.  ``table`` is ``grid_table``'s and
-    ``points`` ``_grid_points``' for one step."""
+    order, or None if none does.  ``table`` is ``grid_table``'s for ``step``;
+    it is priced ``_PICK_BLOCK`` points at a time, and a later block wins
+    only on a strictly smaller cost."""
     avg_aoi, theta = table
-    cost = np.where(avg_aoi <= limit,
-                    _cost_rate(alpha, *points, theta, sample_cost,
-                               transmit_cost), np.inf)
-    at = int(np.argmin(cost))
-    return at if cost[at] < np.inf else None
+    n, best, at = search_intervals(step), np.inf, None
+    for lo in range(0, len(theta), _PICK_BLOCK):
+        hi = min(lo + _PICK_BLOCK, len(theta))
+        cost = np.where(avg_aoi[lo:hi] <= limit, _cost_rate(
+            alpha, *_grid_block(n, lo, hi), theta[lo:hi], sample_cost,
+            transmit_cost), np.inf)
+        i = int(np.argmin(cost))
+        if cost[i] < best:
+            best, at = cost[i], lo + i
+    return at
 
 
 def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
@@ -401,15 +438,15 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
             user=user_index)
 
     avg_aoi, theta = grid_table(alpha, success_prob, cap, step)
-    points = _grid_points(step)
-    at = _select((avg_aoi, theta), points, alpha, limit, sample_cost,
+    at = _select((avg_aoi, theta), step, alpha, limit, sample_cost,
                  transmit_cost)
     if at is None:
         raise InfeasibleError(
             f"user {user_index}: no grid point (step {step:g}) meets the "
             f"average-age limit {limit:g} at success_prob {success_prob:g}",
             user=user_index)
-    best = tuple(float(v[at]) for v in points)
+    best = tuple(float(v[0]) for v in _grid_block(
+        search_intervals(step), at, at + 1))
 
     # Confirm through the scalar path: the table's reduction against the
     # expansion's per-state vector; a gap beyond TAU means one has drifted.
@@ -479,30 +516,26 @@ class OfrpPolicy(Policy):
         return type(self), (self.params,)
 
     def reset(self, cfg: SystemConfig, rng: np.random.Generator) -> None:
-        if len(self.params.users) != cfg.num_users:
+        users = self.params.users
+        if len(users) != cfg.num_users:
             raise ValueError("params sized for a different number of users")
-        self._cum_alpha = list(itertools.accumulate(
-            user.alpha for user in self.params.users))
+        self._cum_alpha = list(itertools.accumulate(user.alpha for user in users))
+        # per user, the action draw's bounds to sample if empty, if occupied,
+        # and to sample or resend if occupied
+        self._bounds = np.array([(u.sample_empty, u.sample_occupied,
+                                  u.sample_occupied + u.retransmit_old)
+                                 for u in users])
         self._rng = rng
         self._draws = uniform_stream(rng)
 
     def plan(self, n_slots):
-        users = self.params.users
         u_sched, u_act = self._rng.random(2 * n_slots).reshape(n_slots, 2).T
+        users = len(self._bounds)
         user = np.minimum(
-            np.searchsorted(self._cum_alpha, u_sched, side="right"),
-            len(users) - 1)
-        sample_empty = np.array([u.sample_empty for u in users])[user]
-        sample_occupied = np.array([u.sample_occupied for u in users])[user]
-        sample_or_resend = np.array(
-            [u.sample_occupied + u.retransmit_old for u in users])[user]
-        slots = np.arange(n_slots)
-        if_empty = np.zeros((len(users), n_slots), dtype=np.int8)
-        if_occupied = np.zeros_like(if_empty)
-        if_empty[user, slots] = u_act < sample_empty
-        if_occupied[user, slots] = np.where(
-            u_act < sample_occupied, 1, np.where(u_act < sample_or_resend, 2, 0))
-        return if_empty, if_occupied
+            np.searchsorted(self._cum_alpha, u_sched, side="right"), users - 1)
+        below = (u_act[:, None] < self._bounds[user]).T.view(np.int8)
+        mine = user == np.arange(users)[:, None]
+        return mine * below[0], mine * (2 * below[2] - below[1])  # 1, 2 or 0
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
         u_sched = next(self._draws)

@@ -21,7 +21,7 @@ runs slot by slot, the drift-plus-penalty rule scored by the loop itself
 from one fused table row per user and slot.  Both paths check every
 realized action and rebuild each block's virtual queues from the ages, as
 exact prefix sums when every ``aoi_limit`` is n/d, d a power of two, with
-d · (horizon + 8192) · (cap + limit) < 2**53, else slot by slot.  Two users
+d · (horizon + 2048) · (cap + limit) < 2**53, else slot by slot.  Two users
 at cap 10 walk about 3.5M slots/s and are scored at about 1.5M (best of 5
 runs; 2-core x86, Python 3.11, numpy 2.4).
 """
@@ -42,7 +42,7 @@ from .model import (EVENTS, ActionVector, SystemConfig, TransitionTable,
 
 log = logging.getLogger(__name__)
 
-_DRAW_BLOCK = 8192
+_DRAW_BLOCK = 2048
 _TRACE_POINTS = 100
 
 
@@ -249,20 +249,18 @@ def _rejected(t: int, action: ActionVector, occupied, cfg) -> ValueError:
     raise AssertionError(f"slot {t}: {action} breaks no rule")
 
 
-def _check_block(b0: int, pairs: np.ndarray, table, cfg) -> None:
+def _check_block(b0: int, pairs: np.ndarray, tally: _Tally) -> np.ndarray:
     """Raise for the first of slots ``b0, b0 + 1, ...`` whose realized
-    actions, read off each user's (state, event) pairs, break a rule."""
-    empty, sampled, resent, _ = table.kind
-    occupied, sampling, resending = ~empty[pairs], sampled[pairs], resent[pairs]
-    bad = ((sampling.sum(0) > 1) | (resending.sum(0) > 1)
-           | (resending & ~occupied).any(0))
-    if cfg.single_transmitter_mode:
-        bad |= sampling.sum(0) + resending.sum(0) > 1
+    actions, read off each user's (state, event) pairs, break a rule; else
+    return each slot's sum of ``tally.code`` over its users."""
+    acts = tally.code[pairs].sum(0)
+    bad = tally.bad[acts]
     if bad.any():
         t = int(bad.argmax())
-        raise _rejected(b0 + t, ActionVector(
-            tuple(sampling[:, t].tolist()), tuple(resending[:, t].tolist())),
-            occupied[:, t].tolist(), cfg)
+        empty, sampled, resent, _ = tally.table.kind[:, pairs[:, t]].tolist()
+        raise _rejected(b0 + t, ActionVector(tuple(sampled), tuple(resent)),
+                        [not e for e in empty], tally.cfg)
+    return acts
 
 
 class _Tally:
@@ -280,31 +278,39 @@ class _Tally:
         self.table = table
         self.reached = table.age[table.next_state]      # age per pair
         self.visits = np.zeros((n, len(table.successor)), dtype=np.int64)
-        self.prices = np.array(
-            [cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost])
         self.cost_sum = 0.0
         self.vq_sum = self.vq = np.zeros(n)
+        self.limit = np.array(cfg.aoi_limit)[:, None]
+        self.exact = _inexact_limit(cfg) is None
         self.trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self.freq = [dict() for _ in range(n)] if track_states else None
+        # A slot's actions as one sum of per-pair codes over its users, in
+        # base-(n + 1) digits: samples, resends, resends from an empty cache;
+        # per sum, whether it breaks a rule and the prices it adds in order.
+        empty, sampled, resent, _ = table.kind
+        b = n + 1
+        self.code = sampled + b * resent + b * b * (resent & empty)
+        sums = np.arange(b ** 3)
+        samples, resends = sums % b, sums // b % b
+        self.bad = (samples > 1) | (resends > 1) | (sums >= b * b)
+        if cfg.single_transmitter_mode:
+            self.bad |= samples + resends > 1
+        self.prices = np.where(np.stack((samples, resends), 1) > 0, [
+            cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost], 0.0)
 
     def add(self, b0: int, pairs: np.ndarray) -> None:
         """Check and record slots ``b0, b0 + 1, ...`` from each user's
         (state, event) pairs, an (n, m) array, and their ``_queues``."""
-        _check_block(b0, pairs, self.table, self.cfg)
+        acts = _check_block(b0, pairs, self)
         vqs = _queues(self, self.reached[pairs])
-        n, m = pairs.shape
+        m = pairs.shape[1]
         horizon = self.cfg.horizon
         every = max(1, horizon // _TRACE_POINTS)
         rec = slice(max(0, self.cfg.burn_in - b0), m)
-        size = self.visits.shape[1]
-        self.visits += np.bincount(
-            (pairs[:, rec] + size * np.arange(n)[:, None]).ravel(),
-            minlength=n * size).reshape(n, size)
-        _, sampled, resent, _ = self.table.kind
-        acted = np.stack((sampled[pairs[:, rec]].any(0),
-                          resent[pairs[:, rec]].any(0)), 1)
+        for visits, row in zip(self.visits, pairs[:, rec]):
+            visits += np.bincount(row, minlength=len(visits))
         self.cost_sum = _add_in_order(
-            self.cost_sum, np.tile(self.prices, (len(acted), 1))[acted])
+            self.cost_sum, self.prices.take(acts[rec], axis=0).ravel())
         self.vq_sum = _add_in_order(self.vq_sum, vqs[:, rec].T)
         self.vq = vqs[:, -1]
         marks = range(b0 // every * every + every, b0 + m + 1, every)
@@ -462,7 +468,7 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
     n = cfg.num_users
     success = np.array(cfg.success_prob)[:, None]
     successor = tally.table.successor
-    at = np.zeros(n, dtype=np.intp)        # offsets; 0 is the start state
+    at = [0] * n        # offsets; 0 is the start state
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
         if b0:
@@ -471,16 +477,15 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
         if codes.shape != (2, n, m) or codes.min() < 0 or codes.max() > 2:
             raise ValueError(
                 f"slot {b0}: plan must be two ({n}, {m}) arrays of codes 0, 1, 2")
-        hit = np.vstack([g.random(m) for g in channel_gens]) < success
-        events = event_code(codes[0].astype(np.intp), codes[1], hit)
-
-        post = np.empty((n, m), dtype=np.intp)
-        for k, row in enumerate(events.tolist()):
-            s = int(at[k])
-            post[k] = [s := successor[s + e] for e in row]
-        pairs = np.concatenate((at[:, None], post[:, :-1]), axis=1) + events
-        at = post[:, -1]
-        tally.add(b0, pairs)
+        hit = np.array([g.random(m) for g in channel_gens]) < success
+        events = event_code(codes[0], codes[1], hit)
+        walked = np.empty((n, m + 1), dtype=np.intp)
+        walked[:, 0] = at
+        for k, (s, row) in enumerate(zip(at, events.tolist())):
+            walked[k, 1:] = [s := successor[s + e] for e in row]
+        at = walked[:, -1].tolist()
+        walked[:, :-1] += events        # each slot's (state, event) pair
+        tally.add(b0, walked[:, :-1])
 
 
 def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:
@@ -489,21 +494,23 @@ def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:
     Lindley's (1952) prefix-sum form when ``_inexact_limit`` finds every
     limit exact, else by the slot loop's expression; both give the same
     doubles."""
-    limits = tally.cfg.aoi_limit
-    if _inexact_limit(tally.cfg) is not None:
-        vqs = np.empty(ages.shape)
-        for out, v, lim, row in zip(vqs, tally.vq.tolist(), limits, ages.tolist()):
+    vqs = np.empty(ages.shape)
+    if not tally.exact:
+        for out, v, lim, row in zip(vqs, tally.vq.tolist(),
+                                    tally.cfg.aoi_limit, ages.tolist()):
             out[:] = [v := (d if (d := v - lim) > 0.0 else 0.0) + a for a in row]
         return vqs
     # The served backlog u = v - age follows u' = max(u + age - limit, 0),
     # so u = S - min(-u0, cummin S) with S the running sum of the previous
     # slots' age - limit, S = 0 at the first.
-    limit = np.array(limits)[:, None]
-    total = np.zeros(ages.shape)
-    np.cumsum(ages[:, :-1] - limit, axis=1, out=total[:, 1:])
-    floor = np.minimum(-np.maximum(tally.vq[:, None] - limit, 0.0),
-                       np.minimum.accumulate(total, axis=1))
-    return total - floor + ages
+    vqs[:, 0] = 0.0
+    np.cumsum(ages[:, :-1] - tally.limit, axis=1, out=vqs[:, 1:])
+    floor = np.minimum.accumulate(vqs, axis=1)
+    np.minimum(-np.maximum(tally.vq[:, None] - tally.limit, 0.0), floor,
+               out=floor)
+    vqs -= floor
+    vqs += ages
+    return vqs
 
 
 # ──────────────────────────────────────────────────────────────────────────

@@ -16,7 +16,10 @@
 - ``exact_metrics`` solves the same chain in rational arithmetic on the
   double inputs (``fractions.Fraction``) and ``exact_cost`` prices it, to
   settle ties and limit boundaries that rounding decides in floating point.
-  They are meant for caps 2-6 (at most 16 states).
+  They are meant for caps 2-6 (at most 16 states);
+- ``grid_points`` builds the whole search grid at once and ``select``
+  prices and masks a whole table at once, the twins of ``ofrp``'s
+  blockwise ``_grid_block`` and ``_select``.
 """
 
 from __future__ import annotations
@@ -264,3 +267,31 @@ def exact_cost(alpha: float, u: float, q: float, ue: float, theta: Fraction,
     price = sample_cost + transmit_cost
     return (theta * alpha * ue * price
             + (1 - theta) * alpha * (q * transmit_cost + u * price))
+
+
+# ──────────────────────────────────────────────────────────────────────────
+#  the whole grid
+# ──────────────────────────────────────────────────────────────────────────
+
+def grid_points(step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sample_occupied, retransmit_old, sample_empty) over the grid, in scan
+    order: sample_occupied major, then retransmit_old (with u + q <= 1),
+    then sample_empty > 0."""
+    n = ofrp.search_intervals(step)
+    rows = np.arange(n + 1, 0, -1)          # retransmit_old values per u
+    iu = np.repeat(np.arange(n + 1), rows)
+    iq = np.arange(len(iu)) - np.repeat(np.cumsum(rows) - rows, rows)
+    return (np.repeat(iu / n, n), np.repeat(iq / n, n),
+            np.tile(np.arange(1, n + 1) / n, len(iu)))
+
+
+def select(table: tuple[np.ndarray, np.ndarray], points: tuple, alpha: float,
+           limit: float, sample_cost: float, transmit_cost: float) -> int | None:
+    """Index of the first least-cost grid point meeting the limit, in scan
+    order, or None if none does: a masked argmin over the whole table."""
+    avg_aoi, theta = table
+    cost = np.where(avg_aoi <= limit,
+                    ofrp._cost_rate(alpha, *points, theta, sample_cost,
+                                    transmit_cost), np.inf)
+    at = int(np.argmin(cost))
+    return at if cost[at] < np.inf else None

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from aoisched.model import (ActionVector, InfeasibleError, SystemConfig,
 from aoisched.simulate import run
 from chain_oracle import (DIRECT_SOLVE_MAX_STATES, assemble, build_chain,
                           direct_stationary, exact_cost, exact_metrics,
-                          finalize, layout, solve_stationary)
+                          finalize, grid_points, layout, select,
+                          solve_stationary)
 
 
 def make_config(**overrides):
@@ -339,10 +341,16 @@ def test_users_with_one_channel_and_limit_share_a_scan(monkeypatch):
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.1, 0.05, 0.02])
 def test_grid_points_follow_the_scan_order(step):
+    """The oracle's whole grid, and ``_grid_block`` over it whole and over
+    blocks cut anywhere, list the points in scan order."""
     n = round(1 / step)
-    expected = [(iu / n, iq / n, iue / n) for iu in range(n + 1)
-                for iq in range(n + 1 - iu) for iue in range(1, n + 1)]
-    assert np.array_equal(np.column_stack(ofrp._grid_points(step)), expected)
+    expected = np.array([(iu / n, iq / n, iue / n) for iu in range(n + 1)
+                         for iq in range(n + 1 - iu) for iue in range(1, n + 1)])
+    assert np.array_equal(np.column_stack(grid_points(step)), expected)
+    cuts = [0, 1, n, n + 1, len(expected) // 3, len(expected)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        assert np.array_equal(np.column_stack(ofrp._grid_block(n, lo, hi)),
+                              expected[lo:hi])
 
 
 def test_too_fine_a_grid_is_refused_before_allocation():
@@ -415,7 +423,7 @@ def dense_rows(coeff, cap):
 
 def dense_table(alpha, p, cap, step):
     """Every grid point's chain solved densely: (avg_aoi, empty_fraction)."""
-    u, q, ue = ofrp._grid_points(step)
+    u, q, ue = grid_points(step)
     _, aoi_vec, empty_vec, _ = layout(cap)
     pi = dense_rows(ofrp._coefficients(alpha, u, q, ue, p), cap)
     return pi @ aoi_vec, pi @ empty_vec
@@ -429,7 +437,7 @@ def reference_pick(alpha, p, cap, step, limit, prices, dense):
     point that the dense values put within 1e-9 of the limit, or of the
     best surely feasible cost, is solved in exact arithmetic on the double
     inputs, so ties and limit boundaries are settled exactly."""
-    u, q, ue = ofrp._grid_points(step)
+    u, q, ue = grid_points(step)
     aoi = list(dense[0])
     cost = list(ofrp._cost_rate(alpha, u, q, ue, dense[1], *prices))
     if cap <= 6:
@@ -491,9 +499,8 @@ def test_grid_table_matches_dense_oracle(alpha, p, cap, step, seed):
     # a limit on a dense entry puts that point on the feasibility boundary
     rng = np.random.default_rng(seed)
     limit = float(dense[0][rng.integers(len(dense[0]))])
-    points = ofrp._grid_points(step)
     for prices in ((1.0, 5.0), (0.0, 0.0), (3.0, 1.0)):
-        at = ofrp._select(table, points, alpha, limit, *prices)
+        at = ofrp._select(table, step, alpha, limit, *prices)
         assert_reference_pick(at, table, reference_pick(
             alpha, p, cap, step, limit, prices, dense), limit)
 
@@ -505,13 +512,13 @@ def test_exact_oracle_settles_a_limit_the_dense_solve_rounds_onto():
     point is infeasible.  The table's 1.8400000000000003 says so, and the
     pick is the next sample_empty, 0.3."""
     alpha, p, cap, step, limit = 1.0, 0.8, 2, 0.1, 1.8399999999999999
-    points = ofrp._grid_points(step)
+    points = grid_points(step)
     assert [float(v[1]) for v in points] == [0.0, 0.0, 0.2]
     assert dense_table(alpha, p, cap, step)[0][1] == limit
     assert exact_metrics(alpha, 0.0, 0.0, 0.2, p, cap)[0] > limit
     table = ofrp.grid_table(alpha, p, cap, step)
     assert table[0][1] > limit
-    at = ofrp._select(table, points, alpha, limit, 1.0, 5.0)
+    at = ofrp._select(table, step, alpha, limit, 1.0, 5.0)
     assert at == 2
     assert at == reference_pick(alpha, p, cap, step, limit, (1.0, 5.0),
                                 dense_table(alpha, p, cap, step))[0]
@@ -533,7 +540,7 @@ def test_optimize_picks_the_dense_argmin(case):
                       aoi_limit=case["limit"], sample_cost=sample_cost,
                       transmit_cost=transmit_cost)
     user = ofrp.optimize(cfg, step=case["step"]).users[0]
-    u, q, ue = ofrp._grid_points(case["step"])
+    u, q, ue = grid_points(case["step"])
     assert (user.sample_occupied, user.retransmit_old, user.sample_empty) == \
         (u[expected], q[expected], ue[expected])
 
@@ -547,9 +554,9 @@ def test_limit_on_a_dense_entry_takes_the_exact_pick():
     winner = reference_pick(alpha, p, cap, step, 4.0, prices, dense)[0]
     limit = float(dense[0][winner])
     expected = reference_pick(alpha, p, cap, step, limit, prices, dense)[0]
-    points = ofrp._grid_points(step)
+    points = grid_points(step)
     table = ofrp.grid_table(alpha, p, cap, step)
-    assert ofrp._select(table, points, alpha, limit, *prices) == expected
+    assert ofrp._select(table, step, alpha, limit, *prices) == expected
     cfg = make_config(success_prob=p, aoi_cap=cap, aoi_limit=limit)
     user = ofrp.optimize(cfg, step=step).users[0]
     assert (user.sample_occupied, user.retransmit_old, user.sample_empty) == \
@@ -575,8 +582,8 @@ def test_a_full_tie_takes_the_smallest_triple():
     alpha, step = 0.5, 0.05
     table = ofrp.grid_table(alpha, 1.0, 10, step)
     assert np.all(table[1] == 1.0)
-    points = ofrp._grid_points(step)
-    at = ofrp._select(table, points, alpha, 5.0, 1.0, 5.0)
+    points = grid_points(step)
+    at = ofrp._select(table, step, alpha, 5.0, 1.0, 5.0)
     assert np.count_nonzero(points[2] == points[2][at]) == 231
     assert (points[0][at], points[1][at]) == (0.0, 0.0)
 
@@ -589,9 +596,10 @@ def test_p1_tie_resolves_to_the_smallest_triple():
 
 
 def test_grid_table_works_in_bounded_blocks():
-    """A step-0.01 table's traced peak stays near its own 8 MB of output and
-    the grid's points: the recursion runs on blocks of points, not the
-    whole grid at once (which peaks at about 358 MB)."""
+    """A step-0.01 table's traced peak stays near its own 8 MB of output:
+    the recursion runs on blocks of points in one reused work buffer, and
+    the points come from index arithmetic, not whole-grid arrays (the whole
+    grid at once peaks at about 358 MB, the whole-grid points at 33 MB)."""
     ofrp.grid_table.cache_clear()
     tracemalloc.start()
     try:
@@ -599,7 +607,67 @@ def test_grid_table_works_in_bounded_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2 ** 20
+    assert peak <= 12 * 2 ** 20
+
+
+def test_optimize_at_the_preset_step_stays_small():
+    """A whole step-0.01 ``optimize`` from an empty table cache, two users
+    on two channels and so two tables (16 MB), prices and masks the tables
+    block by block: its traced peak stays below 20 MB (pricing each whole
+    table at once peaks at about 44 MB)."""
+    cfg = dataclasses.replace(load_spec("fig5a").base, success_prob=(0.8, 0.6))
+    ofrp.grid_table.cache_clear()
+    tracemalloc.start()
+    try:
+        ofrp.optimize(cfg, step=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2 ** 20
+
+
+@pytest.mark.parametrize("cap, step", [(3, 0.1), (10, 0.05), (20, 0.05),
+                                       (30, 0.1)])
+def test_grid_table_bits_do_not_depend_on_the_block_size(monkeypatch, cap, step):
+    """Blocks of 8 points give the same table, bit for bit, as the default
+    blocks: every entry has the bits of one call per segment."""
+    table = ofrp.grid_table.__wrapped__(0.5, 0.37, cap, step)
+    monkeypatch.setattr(ofrp, "_BLOCK_BUDGET", 8 * cap)
+    for default, small in zip(table, ofrp.grid_table.__wrapped__(
+            0.5, 0.37, cap, step)):
+        assert np.array_equal(default, small)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.sampled_from([1.0, 0.5, 1 / 3]),
+       p=st.one_of(st.sampled_from([0.0, 1.0, 0.8]), st.floats(0.0, 1.0)),
+       cap=st.integers(2, 10),
+       step=st.sampled_from([0.5, 0.25, 0.2, 0.1]),
+       at=st.integers(0, 10 ** 6),
+       prices=st.sampled_from([(1.0, 5.0), (0.0, 0.0), (1.0, 0.0), (3.0, 1.0)]),
+       block=st.integers(1, 40))
+@example(alpha=1.0, p=1.0, cap=10, step=0.1, at=0, prices=(1.0, 5.0), block=7)
+@example(alpha=0.5, p=0.8, cap=6, step=0.1, at=5, prices=(0.0, 0.0), block=3)
+def test_blockwise_pick_matches_the_whole_table_oracle(alpha, p, cap, step, at,
+                                                        prices, block):
+    """``_select`` priced a few points at a time against the oracle's
+    masked argmin over the whole table, with the limit on a table entry:
+    blocks this small put picks and exact ties (zero prices, success_prob
+    1) across block boundaries."""
+    table = ofrp.grid_table(alpha, p, cap, step)
+    limit = float(table[0][at % len(table[0])])
+    expected = select(table, grid_points(step), alpha, limit, *prices)
+    with mock.patch.object(ofrp, "_PICK_BLOCK", block):
+        assert ofrp._select(table, step, alpha, limit, *prices) == expected
+
+
+def test_last_bit_tie_keeps_its_pick():
+    """At cap 3 the empty fraction does not depend on retransmit_old, so
+    (0, 0, 1) and (0, 0.5, 1) cost the same in exact arithmetic, but the
+    table's empty fractions differ by one ulp and the pick is the cheaper
+    double, (0, 0.5, 1), as the whole-table oracle picks."""
+    assert ofrp._scan_user(0.4025746085300167, 0.8, 3, 2.5268608977872384,
+                           1.0, 0.0, 0.5, 0)[:3] == (0.0, 0.5, 1.0)
 
 
 # ── the boundary recursion's full stationary vector ───────────────────────
@@ -619,7 +687,7 @@ def test_grid_table_works_in_bounded_blocks():
 def test_expanded_stationary_matches_dense_oracle(alpha, p, cap, step):
     """Per state, within 1e-12 of the dense solve at every grid point."""
     assume(cap <= 12 or step >= 0.2)    # the dense oracle grows as cap**6
-    u, q, ue = ofrp._grid_points(step)
+    u, q, ue = grid_points(step)
     coeff = ofrp._coefficients(alpha, u, q, ue, p)
     expanded = ofrp._expanded_stationary(coeff, cap)
     assert expanded.shape == (len(u), len(transition_table(cap).states))
@@ -634,7 +702,7 @@ def test_expanded_stationary_balances_the_sparse_chain(cap, p):
     point keeps its copy with r = 0.01: at p = 0 and cap 200 y_cap's factor
     r**198 underflows, and the mass sits on the walk from (1, cap)."""
     u, q, ue = (np.append(v, last) for v, last in zip(
-        ofrp._grid_points(0.25), (0.99, 0.0, 0.5)))
+        grid_points(0.25), (0.99, 0.0, 0.5)))
     coeff = ofrp._coefficients(np.append(np.full(len(u) - 1, 0.7), 1.0),
                                u, q, ue, p)
     pi = ofrp._expanded_stationary(coeff, cap)

@@ -186,8 +186,8 @@ def engine_cases(draw, min_cap=3, burn_in=False):
     return cfg, ofrp.OfrpParams(users=tuple(users)), draw(st.integers(0, 3))
 
 
-# Both streams cross draw-block boundaries: the channel's at slots 8192 and
-# 16384, the policy's (two draws per slot) every 4096 slots.
+# Both streams cross draw-block boundaries: the channel's every 2,048 slots,
+# the policy's (two draws per slot) every 1,024.
 _LONG_CASE = (
     make_config(num_users=2, success_prob=[0.6, 0.9], aoi_cap=6,
                 aoi_limit=[3.0, 4.5], horizon=2 * 8192 + 17, v_weight=40.0,
@@ -262,7 +262,7 @@ class NeverDecided(dpp.DppPolicy):
 # sha256 of repr(SimStats) for DppPolicy runs at replica 1, recorded when
 # the engine still asked DppPolicy.decide every slot.  Any change in the
 # order of float operations (delta scores, virtual queues, their sums or the
-# cost sum) changes a digest.  All horizons cross the 8,192-slot block.
+# cost sum) changes a digest.  All horizons cross a 2,048-slot block.
 _DPP_DIGESTS = {
     "fig9-prices": (
         dict(success_prob=0.7, horizon=20_000, seed=746004), False,
@@ -630,7 +630,7 @@ def test_every_block_is_checked_on_both_paths(monkeypatch):
     for policy in (dpp.DppPolicy(), ofrp.OfrpPolicy(params), SlotBySlot(params)):
         checked.clear()
         run(policy, cfg)
-        assert checked == [0, 8192, 16384]
+        assert checked == list(range(0, cfg.horizon, simulate._DRAW_BLOCK))
 
 
 def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
@@ -645,8 +645,9 @@ def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
         return vqs if len(blocks) < 2 else np.nextafter(vqs, np.inf)
 
     monkeypatch.setattr(simulate, "_queues", one_ulp_off)
-    with pytest.raises(RuntimeError, match="^block at slot 8192: "):
-        run(dpp.DppPolicy(), make_config(horizon=3 * 8192))
+    with pytest.raises(RuntimeError,
+                       match=f"^block at slot {simulate._DRAW_BLOCK}: "):
+        run(dpp.DppPolicy(), make_config(horizon=3 * simulate._DRAW_BLOCK))
     assert len(blocks) == 2
 
 
