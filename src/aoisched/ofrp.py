@@ -530,11 +530,11 @@ class OfrpPolicy(Policy):
 
     def plan(self, n_slots):
         u_sched, u_act = self._rng.random(2 * n_slots).reshape(n_slots, 2).T
-        users = len(self._bounds)
+        n = len(self._bounds)
         user = np.minimum(
-            np.searchsorted(self._cum_alpha, u_sched, side="right"), users - 1)
+            np.searchsorted(self._cum_alpha, u_sched, side="right"), n - 1)
         below = (u_act[:, None] < self._bounds[user]).T.view(np.int8)
-        mine = user == np.arange(users)[:, None]
+        mine = user == np.arange(n)[:, None]
         return mine * below[0], mine * (2 * below[2] - below[1])  # 1, 2 or 0
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
