@@ -30,7 +30,6 @@ and, at small caps, an exact rational one.
 from __future__ import annotations
 
 import bisect
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -519,27 +518,25 @@ class OfrpPolicy(Policy):
         users = self.params.users
         if len(users) != cfg.num_users:
             raise ValueError("params sized for a different number of users")
-        self._cum_alpha = list(itertools.accumulate(user.alpha for user in users))
+        self._cum_alpha = np.cumsum([user.alpha for user in users])
         # per user, the action draw's bounds to sample if empty, if occupied,
-        # and to sample or resend if occupied
+        # and to sample or resend if occupied, as an (n, 3, 1) array
         self._bounds = np.array([(u.sample_empty, u.sample_occupied,
                                   u.sample_occupied + u.retransmit_old)
-                                 for u in users])
+                                 for u in users])[:, :, None]
         self._rng = rng
         self._draws = uniform_stream(rng)
 
     def plan(self, n_slots):
         u_sched, u_act = self._rng.random(2 * n_slots).reshape(n_slots, 2).T
         n = len(self._bounds)
-        user = np.minimum(
-            np.searchsorted(self._cum_alpha, u_sched, side="right"), n - 1)
-        below = (u_act[:, None] < self._bounds[user]).T.view(np.int8)
+        user = np.minimum(self._cum_alpha.searchsorted(u_sched, "right"), n - 1)
+        below = (u_act < self._bounds).view(np.int8)
         mine = user == np.arange(n)[:, None]
-        return mine * below[0], mine * (2 * below[2] - below[1])  # 1, 2 or 0
+        return mine * below[:, 0], mine * (2 * below[:, 2] - below[:, 1])  # 1, 2 or 0
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
-        u_sched = next(self._draws)
-        u_act = next(self._draws)
+        u_sched, u_act = next(self._draws), next(self._draws)
         user = min(bisect.bisect_right(self._cum_alpha, u_sched),
                    len(self._cum_alpha) - 1)
         params = self.params.users[user]

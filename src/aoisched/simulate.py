@@ -19,16 +19,15 @@ through each user's cache flag declares its actions ahead through
 ``Policy.plan`` and is walked a block of slots at a time; every other policy
 runs slot by slot, the drift-plus-penalty rule scored by the loop itself
 from one fused table row per user and slot.  Both paths check every
-realized action and rebuild each block's virtual queues from the ages, as
-exact prefix sums when every ``aoi_limit`` is n/d, d a power of two, with
-d · (horizon + 2048) · (cap + limit) < 2**53, else slot by slot.  Two users
-at cap 10 walk about 3.5M slots/s and are scored at about 1.5M (best of 5
-runs; 2-core x86, Python 3.11, numpy 2.4).
+realized action and rebuild each block's virtual queues from the ages
+(``_queues``).  Two users at cap 10 walk about 4.2M slots/s and are scored
+at about 1.4M (best of 15 runs; 2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import logging
 import math
@@ -37,8 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import (EVENTS, ActionVector, SystemConfig, TransitionTable,
-                    event_code, transition_table)
+from .model import EVENTS, ActionVector, SystemConfig, event_code, transition_table
 
 log = logging.getLogger(__name__)
 
@@ -170,32 +168,25 @@ class SimStats:
 # ──────────────────────────────────────────────────────────────────────────
 
 def _generators(cfg: SystemConfig, replica: int) -> list[np.random.Generator]:
-    """``[policy generator, channel generator of user 0, 1, ...]`` for a run.
-
-    The only seeding recipe in the package: every run of the same (seed,
-    replica) gets the same per-user channel streams, whatever the policy.
-    """
+    """``[policy generator, channel generator of user 0, 1, ...]`` for a run,
+    the package's only seeding recipe: every run of one (seed, replica) gets
+    the same per-user channel streams, whatever the policy."""
     root = np.random.SeedSequence(cfg.seed, spawn_key=(replica,))
     return [np.random.default_rng(s) for s in root.spawn(1 + cfg.num_users)]
 
 
 def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
-    """Endless uniform doubles from ``rng``, drawn ``_DRAW_BLOCK`` at a time.
-
-    PCG64 doubles do not depend on how the draws are chunked, so the first n
-    values equal ``rng.random(n)``.
-    """
+    """Endless uniform doubles from ``rng``, drawn ``_DRAW_BLOCK`` at a time;
+    PCG64 doubles do not depend on the chunks, so the first n are
+    ``rng.random(n)``."""
     return itertools.chain.from_iterable(
         rng.random(_DRAW_BLOCK).tolist() for _ in itertools.repeat(None))
 
 
 def channel_uniforms(cfg: SystemConfig, replica: int = 0,
                      horizon: int | None = None) -> np.ndarray:
-    """The (num_users, horizon) channel draws run() will consume.
-
-    Exposed so tests can replay the exact same randomness through the
-    reference stepper.
-    """
+    """The (num_users, horizon) channel draws run() will consume, so tests
+    can replay the same randomness through the reference stepper."""
     horizon = cfg.horizon if horizon is None else horizon
     return np.vstack([g.random(horizon) for g in _generators(cfg, replica)[1:]])
 
@@ -216,14 +207,13 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     A policy whose ``plan`` returns actions is table-walked (``_walk``);
     every other policy runs slot by slot (``_slot_loop``).  Both paths step
     each user through ``model.transition_table`` and feed one ``_Tally``;
-    test suites cross-check the two paths and ``model.step_users``.  On
-    both paths every action is checked: one that violates the scheduling
-    constraints raises ValueError naming the slot.
-    """
+    test suites cross-check the two paths and ``model.step_users``.  Every
+    action is checked: one that breaks a scheduling rule raises ValueError
+    naming the slot."""
     policy_gen, *channel_gens = _generators(cfg, replica)
     policy.reset(cfg, policy_gen)
     plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))
-    tally = _Tally(cfg, transition_table(cfg.aoi_cap), track_states)
+    tally = _Tally(cfg, track_states)
     log.debug("%s: virtual queues %s", "slot loop" if plan is None else "walk",
               "as exact prefix sums" if (inexact := _inexact_limit(cfg)) is None
               else f"slot by slot, aoi_limit {inexact!r} is not exact in prefix sums")
@@ -235,9 +225,12 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
 
 
 def _add_in_order(total, values: np.ndarray):
-    """``total`` plus the rows of ``values`` added one at a time, as a
-    running ``+=`` does; ``sum`` and ``np.sum`` may round differently."""
-    return np.add.accumulate(np.concatenate(([total], values)))[-1]
+    """``total`` plus ``values`` along its last axis one at a time, as a
+    running ``+=`` adds (``np.sum`` may round otherwise); overwrites them."""
+    if values.shape[-1]:
+        values[..., 0] += total
+        total = np.add.accumulate(values, axis=-1, out=values)[..., -1]
+    return total
 
 
 def _rejected(t: int, action: ActionVector, occupied, cfg) -> ValueError:
@@ -263,20 +256,38 @@ def _check_block(b0: int, pairs: np.ndarray, tally: _Tally) -> np.ndarray:
     return acts
 
 
+@functools.lru_cache(maxsize=4)
+def _tally_rows(cap: int, n: int, single: bool) -> tuple[np.ndarray, ...]:
+    """``_Tally``'s read-only rows for ``n`` users at ``cap`` (four kept): per
+    pair, the age reached (a float) and the action code, whose sum over a
+    slot's users has base-(n + 1) digits samples, resends, resends from an
+    empty cache; per sum, whether it breaks a rule, samples and resends."""
+    table = transition_table(cap)
+    empty, sampled, resent, _ = table.kind
+    b = n + 1
+    sums = np.arange(b ** 3)
+    samples, resends = sums % b, sums // b % b
+    bad = (samples > 1) | (resends > 1) | (sums >= b * b) | single & (samples + resends > 1)
+    rows = (table.age[table.next_state].astype(float),
+            sampled + b * resent + b * b * (resent & empty), bad,
+            np.stack((samples, resends), 1) > 0)
+    for a in rows:
+        a.flags.writeable = False
+    return rows
+
+
 class _Tally:
-    """What both paths accumulate, fed a block of slots at a time.
+    """What both paths accumulate, fed a block of slots at a time: per-user
+    visit counts of the recorded slots' (state, event) pairs, which give the
+    integer statistics, and float sums that add the recorded slots in slot
+    order, the cost a sample's price before a resend's."""
 
-    The integer statistics follow from per-user visit counts of the (state,
-    event) pairs of the recorded slots.  The float sums add the recorded
-    slots in slot order; the cost adds a sample's price before a resend's.
-    """
-
-    def __init__(self, cfg: SystemConfig, table: TransitionTable,
-                 track_states: bool):
+    def __init__(self, cfg: SystemConfig, track_states: bool):
         n = cfg.num_users
         self.cfg = cfg
-        self.table = table
-        self.reached = table.age[table.next_state]      # age per pair
+        self.table = table = transition_table(cfg.aoi_cap)
+        self.reached, self.code, self.bad, acting = _tally_rows(
+            cfg.aoi_cap, n, cfg.single_transmitter_mode)
         self.visits = np.zeros((n, len(table.successor)), dtype=np.int64)
         self.cost_sum = 0.0
         self.vq_sum = self.vq = np.zeros(n)
@@ -284,18 +295,7 @@ class _Tally:
         self.exact = _inexact_limit(cfg) is None
         self.trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self.freq = [dict() for _ in range(n)] if track_states else None
-        # A slot's actions as one sum of per-pair codes over its users, in
-        # base-(n + 1) digits: samples, resends, resends from an empty cache;
-        # per sum, whether it breaks a rule and the prices it adds in order.
-        empty, sampled, resent, _ = table.kind
-        b = n + 1
-        self.code = sampled + b * resent + b * b * (resent & empty)
-        sums = np.arange(b ** 3)
-        samples, resends = sums % b, sums // b % b
-        self.bad = (samples > 1) | (resends > 1) | (sums >= b * b)
-        if cfg.single_transmitter_mode:
-            self.bad |= samples + resends > 1
-        self.prices = np.where(np.stack((samples, resends), 1) > 0, [
+        self.prices = np.where(acting, [  # per slot sum, in order
             cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost], 0.0)
 
     def add(self, b0: int, pairs: np.ndarray) -> None:
@@ -309,16 +309,16 @@ class _Tally:
         rec = slice(max(0, self.cfg.burn_in - b0), m)
         for visits, row in zip(self.visits, pairs[:, rec]):
             visits += np.bincount(row, minlength=len(visits))
-        self.cost_sum = _add_in_order(
-            self.cost_sum, self.prices.take(acts[rec], axis=0).ravel())
-        self.vq_sum = _add_in_order(self.vq_sum, vqs[:, rec].T)
-        self.vq = vqs[:, -1]
         marks = range(b0 // every * every + every, b0 + m + 1, every)
         if b0 + m == horizon and horizon % every:
             marks = [*marks, horizon]
         at_marks = vqs[:, [t1 - 1 - b0 for t1 in marks]].tolist()
         for trace, v in zip(self.trace, at_marks):
-            trace.extend((t1, x / t1) for t1, x in zip(marks, v))
+            trace += [(t1, x / t1) for t1, x in zip(marks, v)]
+        self.vq = vqs[:, -1].copy()
+        self.cost_sum = _add_in_order(
+            self.cost_sum, self.prices.take(acts[rec], axis=0).ravel())
+        self.vq_sum = _add_in_order(self.vq_sum, vqs[:, rec])
         for k, freq in enumerate(self.freq or ()):
             seen, first, count = np.unique(
                 self.table.next_state[pairs[k, rec]],
@@ -330,10 +330,11 @@ class _Tally:
     def stats(self, name: str, replica: int) -> SimStats:
         cfg = self.cfg
         recorded = cfg.horizon - cfg.burn_in
-        empty, samples, resends, delivered = (
-            self.visits @ self.table.kind.T).T.tolist()
+        # kind on the left: about 3x as fast as visits @ kind.T (cap 10)
+        empty, samples, resends, delivered = (self.table.kind @ self.visits.T).tolist()
         # visits per age reached; as float weights they add exactly below 2**53
-        hist = [np.bincount(self.reached - 1, v, cfg.aoi_cap).astype(np.int64).tolist()
+        ages = self.table.age[self.table.next_state] - 1
+        hist = [np.bincount(ages, v, cfg.aoi_cap).astype(np.int64).tolist()
                 for v in self.visits]
         return SimStats(
             policy=name,
@@ -358,12 +359,26 @@ class _Tally:
         )
 
 
+@functools.lru_cache(maxsize=2)
+def _scored_rows(cap: int) -> tuple[tuple, tuple]:
+    """The slot loop's rows at ``cap``, about 110 bytes a pair (22 MB at cap
+    150; two caps kept).  Per state, ``_decide_core``'s delta-score factors
+    with aged = min(age + 1, cap): 1 - aged to sample, wait + 1 - aged (< 0)
+    to resend, 0 if empty; per pair, successor offset, age and these, as
+    floats (exact, fast)."""
+    states, successor = transition_table(cap)[:2]
+    coef = tuple((1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
+                 for o, w, a in states)
+    return coef, tuple((s, float(states[s // EVENTS][2]), *coef[s // EVENTS])
+                       for s in successor)
+
+
 def _slot_loop(policy: Policy, cfg: SystemConfig,
                channel_gens: list[np.random.Generator], tally: _Tally) -> None:
     """Step each user through the table one slot at a time.
 
     A policy whose ``penalties`` gives a pair is scored here, exactly as
-    ``dpp._decide_core`` scores, at about 1.5M slots/s for two users at cap
+    ``dpp._decide_core`` scores, at about 1.4M slots/s for two users at cap
     10; any other is asked through ``decide``, and its action checked before
     it applies.  Each block is checked after, scored queues against rebuilt.
     """
@@ -372,13 +387,7 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     p = cfg.success_prob
     single = cfg.single_transmitter_mode
     states = tally.table.states
-    # Per state, _decide_core's delta-score coefficients with aged = min(age
-    # + 1, cap): 1 - aged to sample, wait + 1 - aged (< 0) to resend, 0 if
-    # empty; per pair, successor offset, age and these, as floats (exact, fast).
-    coef = [(1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
-            for o, w, a in states]
-    step = [(s, float(states[s // EVENTS][2]), *coef[s // EVENTS])
-            for s in tally.table.successor]
+    coef, step = _scored_rows(cap)
     penalties = policy.penalties()
     scored = penalties is not None
     sample_penalty, resend_penalty = penalties or (0.0, 0.0)
@@ -391,8 +400,8 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
         # flat, slot-major, overwritten by the pairs; per-slot lists wake the GC
-        hits = (np.column_stack([g.random(m) for g in channel_gens]) < p
-                ).view(np.int8).ravel().tolist()
+        hits = list(np.stack([g.random(m) < pk for g, pk in zip(channel_gens, p)],
+                             1).tobytes())
         for h in range(0, m * n, n):
             if not scored:
                 t = b0 + h // n
@@ -459,41 +468,39 @@ def _inexact_limit(cfg: SystemConfig) -> float | None:
 def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
           cfg: SystemConfig, channel_gens: list[np.random.Generator],
           tally: _Tally) -> None:
-    """Walk each user through the table one ``_DRAW_BLOCK`` at a time.
-
-    ``plan`` is the policy's first block.  Per block, Python does one table
-    lookup per user and slot; ``_Tally.add`` then checks the realized actions
-    and rebuilds the virtual queues with ``_queues``, as for the slot loop.
-    """
+    """Walk each user through the table one ``_DRAW_BLOCK`` at a time from
+    ``plan``, the policy's first block: Python does one table lookup per user
+    and slot, and ``_Tally.add`` checks and records the block."""
     n = cfg.num_users
-    success = np.array(cfg.success_prob)[:, None]
     successor = tally.table.successor
-    at = [0] * n        # offsets; 0 is the start state
+    # each user's last (state, event) pair; at first one leading to the start
+    last = [successor.index(0)] * n
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
         if b0:
             plan = policy.plan(m)
-        codes = np.asarray(plan)
-        if codes.shape != (2, n, m) or codes.min() < 0 or codes.max() > 2:
+        try:
+            codes = np.asarray(plan)
+        except ValueError:              # arrays of different shapes
+            codes = np.empty(0)
+        if (codes.shape != (2, n, m) or codes.dtype.kind not in "biu"
+                or codes.min() < 0 or codes.max() > 2):
             raise ValueError(
                 f"slot {b0}: plan must be two ({n}, {m}) arrays of codes 0, 1, 2")
-        hit = np.array([g.random(m) for g in channel_gens]) < success
-        events = event_code(codes[0], codes[1], hit)
-        walked = np.empty((n, m + 1), dtype=np.intp)
-        walked[:, 0] = at
-        for k, (s, row) in enumerate(zip(at, events.tolist())):
-            walked[k, 1:] = [s := successor[s + e] for e in row]
-        at = walked[:, -1].tolist()
-        walked[:, :-1] += events        # each slot's (state, event) pair
-        tally.add(b0, walked[:, :-1])
+        hit = np.array([g.random(m) < pk for g, pk in zip(channel_gens, cfg.success_prob)])
+        walked = []
+        # bytes iterate as small ints, with no list of them to build
+        for row, p in zip(event_code(codes[0], codes[1], hit).astype(np.uint8), last):
+            walked += [p := successor[p] + e for e in row.tobytes()]
+        last = walked[m - 1::m]
+        tally.add(b0, np.fromiter(walked, np.intp, n * m).reshape(n, m))
 
 
 def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:
-    """Each user's virtual queue at the end of each slot of a block, from
-    the ages reached, an (n, m) array, and the queues the tally holds: in
-    Lindley's (1952) prefix-sum form when ``_inexact_limit`` finds every
-    limit exact, else by the slot loop's expression; both give the same
-    doubles."""
+    """Each user's virtual queue at the end of each slot of a block, from the
+    ages reached, an (n, m) array, and the queues the tally holds: in Lindley's
+    (1952) prefix-sum form when ``_inexact_limit`` finds every limit exact,
+    else by the slot loop's expression; both give the same doubles."""
     vqs = np.empty(ages.shape)
     if not tally.exact:
         for out, v, lim, row in zip(vqs, tally.vq.tolist(),
@@ -504,8 +511,9 @@ def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:
     # so u = S - min(-u0, cummin S) with S the running sum of the previous
     # slots' age - limit, S = 0 at the first.
     vqs[:, 0] = 0.0
-    np.cumsum(ages[:, :-1] - tally.limit, axis=1, out=vqs[:, 1:])
-    floor = np.minimum.accumulate(vqs, axis=1)
+    np.subtract(ages[:, :-1], tally.limit, out=vqs[:, 1:])
+    np.cumsum(vqs[:, 1:], axis=1, out=vqs[:, 1:])
+    floor = np.fmin.accumulate(vqs, axis=1)     # no NaN here; faster than minimum
     np.minimum(-np.maximum(tally.vq[:, None] - tally.limit, 0.0), floor,
                out=floor)
     vqs -= floor
@@ -548,24 +556,19 @@ def _stdev(values) -> float:
 
 def summarize(stats: list[SimStats]) -> ReplicaSummary:
     n = len(stats)
-    users = range(len(stats[0].avg_aoi))
     sd_cost = _stdev(s.avg_cost for s in stats)
+
+    def per_user(field: str, of=_mean) -> tuple[float, ...]:
+        return tuple(map(of, zip(*(getattr(s, field) for s in stats))))
     return ReplicaSummary(
-        n_replicas=n,
-        mean_cost=_mean(s.avg_cost for s in stats),
-        stdev_cost=sd_cost,
-        stderr_cost=sd_cost / math.sqrt(n),
-        mean_aoi=tuple(_mean(s.avg_aoi[k] for s in stats) for k in users),
-        stderr_aoi=tuple(
-            _stdev(s.avg_aoi[k] for s in stats) / math.sqrt(n) for k in users),
-        mean_vqueue=tuple(_mean(s.avg_vqueue[k] for s in stats) for k in users),
-        mean_empty_fraction=tuple(
-            _mean(s.empty_fraction[k] for s in stats) for k in users),
-        mean_sample_freq=tuple(
-            _mean(s.sample_freq[k] for s in stats) for k in users),
-        mean_retransmit_freq=tuple(
-            _mean(s.retransmit_freq[k] for s in stats) for k in users),
-    )
+        n_replicas=n, mean_cost=_mean(s.avg_cost for s in stats),
+        stdev_cost=sd_cost, stderr_cost=sd_cost / math.sqrt(n),
+        mean_aoi=per_user("avg_aoi"),
+        stderr_aoi=tuple(sd / math.sqrt(n) for sd in per_user("avg_aoi", _stdev)),
+        mean_vqueue=per_user("avg_vqueue"),
+        mean_empty_fraction=per_user("empty_fraction"),
+        mean_sample_freq=per_user("sample_freq"),
+        mean_retransmit_freq=per_user("retransmit_freq"))
 
 
 def _replica_task(args) -> SimStats:

@@ -1,7 +1,12 @@
 """Unit tests for the per-slot update laws and the core types."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
+
+import aoisched
 
 from aoisched.model import (ActionVector, SystemConfig, UserState, aoi_step,
                             initial_states, probability_grid, slot_cost,
@@ -288,3 +293,21 @@ def test_probability_grid():
 def test_probability_grid_rejects_bad_steps(step):
     with pytest.raises(ValueError):
         probability_grid(step)
+
+
+# ── package-wide ──────────────────────────────────────────────────────────
+
+def test_every_module_cache_is_bounded():
+    """Each module-level cache in the package is an ``lru_cache`` with a
+    fixed ``maxsize``: no run leaves an unbounded cache behind."""
+    caches = {}
+    for info in pkgutil.iter_modules(aoisched.__path__):
+        module = importlib.import_module(f"aoisched.{info.name}")
+        caches.update({f"{info.name}.{name}": value
+                       for name, value in vars(module).items()
+                       if hasattr(value, "cache_info")})
+    assert {"model.transition_table", "ofrp.grid_table", "ofrp.metrics",
+            "simulate._tally_rows", "simulate._scored_rows"} <= set(caches)
+    unbounded = [name for name, cache in caches.items()
+                 if cache.cache_info().maxsize is None]
+    assert unbounded == []

@@ -1,6 +1,7 @@
 """Tests for the fresh-or-old policy: chain encoding, metrics, grid search."""
 
 import dataclasses
+import itertools
 import logging
 import os
 import re
@@ -253,6 +254,59 @@ def test_policy_action_split():
     # acts every slot: samples when empty, resends when holding a packet
     assert stats.sample_freq[0] + stats.retransmit_freq[0] == 1.0
     assert stats.retransmit_freq[0] > 0.3
+
+
+class ScriptedDraws:
+    """Stands in for the policy's generator: ``random(size)`` returns the
+    next ``size`` values of ``draws``, cycled."""
+
+    def __init__(self, draws):
+        self.draws = itertools.cycle(draws)
+
+    def random(self, size):
+        return np.fromiter(self.draws, float, size)
+
+
+def test_plan_matches_decide_through_the_last_user_clamp():
+    """``plan`` gives every slot the action ``decide`` gives from the same
+    draws, empty cache or occupied, for draws on each bound.  The alphas sum
+    to 1 - 2**-53 in floats, so a scheduling draw of 1 - 2**-53 lies past
+    every cumulative alpha and goes to the last user."""
+    users = (ofrp.OfrpUserParams(0.3, 0.4, 0.3, 0.6),
+             ofrp.OfrpUserParams(0.6, 0.2, 0.5, 0.9),
+             ofrp.OfrpUserParams(0.1, 0.0, 1.0, 1.0))
+    cum = list(itertools.accumulate(u.alpha for u in users))
+    assert cum[-1] == 1 - 2**-53
+    edges = [0.0, 1 - 2**-53]
+    for x in (*cum, *(b for u in users for b in (
+            u.sample_empty, u.sample_occupied,
+            u.sample_occupied + u.retransmit_old))):
+        edges += [x, np.nextafter(x, 0.0)]
+    edges = sorted(e for e in set(edges) if 0.0 <= e < 1.0)
+    rng = np.random.default_rng(4)
+    draws = [d for pair in itertools.product(edges, edges) for d in pair]
+    draws += rng.random(2 * 500).tolist()
+    slots = len(draws) // 2
+    cfg = make_config(num_users=3)
+    planned = ofrp.OfrpPolicy(ofrp.OfrpParams(users))
+    planned.reset(cfg, ScriptedDraws(draws))
+    plan = planned.plan(slots)
+    for cached in (False, True):
+        asked = ofrp.OfrpPolicy(ofrp.OfrpParams(users))
+        asked.reset(cfg, ScriptedDraws(draws))
+        codes = np.zeros((3, slots), dtype=np.int8)
+        for t in range(slots):
+            sampler, resender = asked.decide(t, [1] * 3, [0] * 3,
+                                             [cached] * 3, [0.0] * 3)
+            if sampler is not None:
+                codes[sampler, t] = 1
+            if resender is not None:
+                codes[resender, t] = 2
+        assert np.array_equal(plan[cached], codes)
+    # the last user samples whenever empty and resends whenever occupied
+    last = np.array(draws[::2]) >= cum[-1]
+    assert last.sum() > 1
+    assert (plan[0][2, last] == 1).all() and (plan[1][2, last] == 2).all()
 
 
 # ── grid search ───────────────────────────────────────────────────────────

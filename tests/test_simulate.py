@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +209,18 @@ _TIE_CASE = (
     0)
 
 
+def _block_seam_examples(test):
+    """Examples whose runs end or start recording at a block seam: horizon
+    2·B and 2·B + 1, burn-in B - 1 and B, with B = ``simulate._DRAW_BLOCK``,
+    so that the walk carries each user's state across whole blocks."""
+    b = simulate._DRAW_BLOCK
+    for horizon, burn_in, track_states in ((2 * b, 0, False), (2 * b + 1, 0, True),
+                                           (2 * b + 1, b - 1, True), (2 * b, b, True)):
+        test = example(case=(replace(_LONG_CASE[0], horizon=horizon, burn_in=burn_in),
+                             *_LONG_CASE[1:]), track_states=track_states)(test)
+    return test
+
+
 @pytest.mark.parametrize("policy_factory", [
     pytest.param(lambda params: dpp.DppPolicy(), id="DppPolicy"),
     pytest.param(ofrp.OfrpPolicy, id="OfrpPolicy"),
@@ -224,6 +237,7 @@ _TIE_CASE = (
 # At cap 2 no packet stays cached, so every resend coefficient is 0.
 @example(case=(replace(_LONG_CASE[0], aoi_cap=2, aoi_limit=(1.5, 2.0)),
                *_LONG_CASE[1:]), track_states=True)
+@_block_seam_examples
 @given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
 def test_engine_matches_reference_stepper(policy_factory, case, track_states):
     """The engine and the literal composition of update laws must produce
@@ -425,6 +439,7 @@ class SlotBySlot(ofrp.OfrpPolicy):
          track_states=False)
 @example(case=(replace(_LONG_CASE[0], aoi_limit=(math.inf, 2.0)),
                *_LONG_CASE[1:]), track_states=False)
+@_block_seam_examples
 @given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
 def test_table_walk_matches_slot_loop(case, track_states):
     """The table walk and the slot loop give the same statistics, floats,
@@ -616,6 +631,51 @@ def test_walk_rejects_the_slot_loops_first_violation(rule):
         expected = f"slot {t}: {law.value}"
     assert str(walked.value) == expected
     assert expected.startswith(f"slot {t}: ")
+
+
+class RawPlan(Policy):
+    """Hands ``run`` whatever ``make(num_users, n_slots)`` builds as its
+    plan, from the block at slot ``start`` on; an idle plan before."""
+
+    name = "raw-plan"
+
+    def __init__(self, make, start=0):
+        self.make = make
+        self.start = start
+
+    def reset(self, cfg, rng):
+        self._users, self._next = cfg.num_users, 0
+
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        raise AssertionError("asked slot by slot")
+
+    def plan(self, n_slots):
+        self._next += n_slots
+        if self._next - n_slots < self.start:
+            return (np.zeros((self._users, n_slots), dtype=np.int8),) * 2
+        return self.make(self._users, n_slots)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n, m: (np.full((n, m), 0.5),) * 2,
+    lambda n, m: (np.full((n, m), 1.0),) * 2,
+    lambda n, m: (np.zeros((n, m), dtype=np.int8), np.zeros((n, m + 1), dtype=np.int8)),
+    lambda n, m: (np.zeros((n, m), dtype=np.int8),) * 3,
+    lambda n, m: (np.zeros((n + 1, m), dtype=np.int8),) * 2,
+    lambda n, m: (np.full((n, m), 3, dtype=np.int8),) * 2,
+    lambda n, m: (np.full((n, m), -1),) * 2,
+    lambda n, m: (np.full((n, m), None),) * 2,
+], ids=["fractional", "float", "ragged", "three-arrays", "wrong-users",
+        "code-3", "negative", "objects"])
+@pytest.mark.parametrize("start", [0, simulate._DRAW_BLOCK])
+def test_walk_rejects_a_malformed_plan(make, start):
+    """A plan that is not two (n, m) arrays of integer codes 0, 1, 2 is
+    refused with the slot of its block, not run."""
+    cfg = make_config(horizon=simulate._DRAW_BLOCK + 10)
+    m = simulate._DRAW_BLOCK if start == 0 else 10
+    with pytest.raises(ValueError, match=re.escape(
+            f"slot {start}: plan must be two (2, {m}) arrays of codes 0, 1, 2")):
+        run(RawPlan(make, start), cfg)
 
 
 def test_every_block_is_checked_on_both_paths(monkeypatch):
