@@ -7,10 +7,12 @@ and per-age histograms — whose rows are deterministically ordered and carry a
 hash of the fully resolved configuration, so re-running a scenario reproduces
 the files byte for byte.
 
-Policy tokens: ``dpp`` (drift-plus-penalty, simulated), ``ofrp`` /``forp``
+Policy tokens: ``dpp`` (drift-plus-penalty, simulated), ``ofrp`` / ``forp``
 (randomized policies at their grid-optimized parameters, simulated), and
 ``ofrp-analytic`` / ``forp-analytic`` (chain/closed-form predictions, no
-simulation).
+simulation).  ``optimize_experiment`` writes a third file, the optimized
+parameters per user.  Both writers walk the sweep through one generator,
+``_sweep``, and take each analytic per-user number from ``_predicted``.
 """
 
 from __future__ import annotations
@@ -282,10 +284,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 #  sweep execution
 # ──────────────────────────────────────────────────────────────────────────
 
+# The columns that every CSV opens with: each writer's base_cells.
+_HEAD = ["schema_version", "scenario", "config_hash", "axis", "axis_value",
+         "policy"]
+
+
 def _results_header(num_users: int) -> list[str]:
-    head = ["schema_version", "scenario", "config_hash", "axis", "axis_value",
-            "policy", "status", "replicas", "horizon", "grid_step",
-            "avg_cost", "stderr_cost"]
+    head = _HEAD + ["status", "replicas", "horizon", "grid_step", "avg_cost",
+                    "stderr_cost"]
     for k in range(1, num_users + 1):
         head += [f"avg_aoi_u{k}", f"stderr_aoi_u{k}", f"theta_u{k}",
                  f"sample_freq_u{k}", f"retransmit_freq_u{k}",
@@ -294,9 +300,19 @@ def _results_header(num_users: int) -> list[str]:
 
 
 def _hist_header(num_users: int) -> list[str]:
-    return (["schema_version", "scenario", "config_hash", "axis", "axis_value",
-             "policy", "aoi"]
-            + [f"freq_u{k}" for k in range(1, num_users + 1)])
+    return _HEAD + ["aoi"] + [f"freq_u{k}" for k in range(1, num_users + 1)]
+
+
+def _sweep(spec: ExperimentSpec, tokens, say, verb: str = ""):
+    """Yield (value, cfg, optimum, token) per row in CSV order, saying each
+    row's progress line first.  ``optimum(module)`` runs ``module.optimize``
+    once per value, so a token and its analytic twin share one search."""
+    for value in spec.sweep_values:
+        cfg = apply_axis(spec.base, spec.sweep_axis, value)
+        optimum = functools.cache(lambda m: m.optimize(cfg, spec.grid_step))
+        for token in tokens:
+            say(f"[{spec.scenario}] {verb}{spec.sweep_axis}={value:g} {token}")
+            yield value, cfg, optimum, token
 
 
 def _make_policy(token: str, optimum):
@@ -311,40 +327,24 @@ def _make_policy(token: str, optimum):
     raise ValueError(f"{token!r} is not a simulated policy token")
 
 
-def _forp_user(params: forp.ForpParams, cfg: SystemConfig,
-               i: int) -> tuple[float, float]:
-    """Closed-form (average age, cost rate) of user ``i`` under fresh-only."""
-    alpha = params.alpha[i]
-    phi = params.sample_prob[i]
+def _predicted(module, params, cfg: SystemConfig, i: int) -> tuple:
+    """User ``i``'s analytic (average age, empty fraction, sample frequency,
+    resend frequency, cost rate) at ``params``, the optimum of ``module``:
+    the fresh-or-old chain's metrics, or the fresh-only closed forms, which
+    leave the empty fraction blank and never resend."""
+    if module is ofrp:
+        user = params.users[i]
+        m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
+                         cfg.sample_cost, cfg.transmit_cost)
+        theta = m.empty_fraction
+        sample_freq = (theta * user.alpha * user.sample_empty
+                       + (1.0 - theta) * user.alpha * user.sample_occupied)
+        resend_freq = (1.0 - theta) * user.alpha * user.retransmit_old
+        return m.avg_aoi, theta, sample_freq, resend_freq, m.avg_cost
+    alpha, phi = params.alpha[i], params.sample_prob[i]
     delta = forp.delivery_rate(alpha, phi, cfg.success_prob[i])
-    return (forp.avg_aoi_closed_form(delta, cfg.aoi_cap),
+    return (forp.avg_aoi_closed_form(delta, cfg.aoi_cap), "", alpha * phi, 0.0,
             forp.user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost))
-
-
-def _analytic_row_tail(token: str, cfg: SystemConfig, optimum):
-    """(avg_cost, per-user columns) the chain analysis predicts at ``optimum``."""
-    users = []
-    total = 0.0
-    if token == "ofrp-analytic":
-        params = optimum(ofrp)
-        for i, user in enumerate(params.users):
-            m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
-                             cfg.sample_cost, cfg.transmit_cost)
-            theta = m.empty_fraction
-            total += m.avg_cost
-            sample_freq = (theta * user.alpha * user.sample_empty
-                           + (1.0 - theta) * user.alpha * user.sample_occupied)
-            resend_freq = (1.0 - theta) * user.alpha * user.retransmit_old
-            users.append([m.avg_aoi, "", theta, sample_freq, resend_freq, ""])
-        return total, users
-    if token == "forp-analytic":
-        params = optimum(forp)
-        for i, (alpha, phi) in enumerate(zip(params.alpha, params.sample_prob)):
-            aoi, cost = _forp_user(params, cfg, i)
-            total += cost
-            users.append([aoi, "", "", alpha * phi, 0.0, ""])
-        return total, users
-    raise ValueError(f"{token!r} is not an analytic policy token")
 
 
 def run_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
@@ -361,43 +361,37 @@ def run_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
 
     rows: list[list] = []
     hist_rows: list[list] = []
-    for value in spec.sweep_values:
-        cfg = apply_axis(spec.base, spec.sweep_axis, value)
-        # a simulated token and its analytic twin share one optimization
-        optimum = functools.cache(lambda m: m.optimize(cfg, spec.grid_step))
-        for token in spec.policies:
-            analytic = token.endswith("-analytic")
-            digest = config_hash(spec, cfg, token, 0 if analytic else n_rep)
-            base_cells = [SCHEMA_VERSION, spec.scenario, digest,
-                          spec.sweep_axis, value, token]
-            say(f"[{spec.scenario}] {spec.sweep_axis}={value:g} {token}")
-            try:
-                if analytic:
-                    total, users = _analytic_row_tail(token, cfg, optimum)
-                    row = base_cells + ["ok", 0, cfg.horizon, spec.grid_step,
-                                       total, ""]
-                    for cells in users:
-                        row += cells
-                    rows.append(row)
-                    continue
+    for value, cfg, optimum, token in _sweep(spec, spec.policies, say):
+        analytic = token.endswith("-analytic")
+        n = 0 if analytic else n_rep
+        base_cells = [SCHEMA_VERSION, spec.scenario,
+                      config_hash(spec, cfg, token, n), spec.sweep_axis,
+                      value, token]
+        try:
+            if analytic:
+                module = ofrp if token == "ofrp-analytic" else forp
+                params, cost, spread, users = optimum(module), 0.0, "", []
+                for i in range(k):
+                    aoi, theta, sample_freq, resend_freq, user_cost = (
+                        _predicted(module, params, cfg, i))
+                    cost += user_cost
+                    users += [aoi, "", theta, sample_freq, resend_freq, ""]
+            else:
                 policy = _make_policy(token, optimum)
-            except InfeasibleError as exc:
-                row = base_cells + [f"infeasible: {exc}", 0, cfg.horizon,
-                                    spec.grid_step, "", ""]
-                row += ["", "", "", "", "", ""] * k
-                rows.append(row)
-                continue
+        except InfeasibleError as exc:
+            rows.append(base_cells + [f"infeasible: {exc}", 0, cfg.horizon,
+                                      spec.grid_step] + [""] * (2 + 6 * k))
+            continue
+        if not analytic:
             stats, summary = run_replicas(policy, cfg, n_rep, threads)
-            row = base_cells + ["ok", n_rep, cfg.horizon, spec.grid_step,
-                                summary.mean_cost, summary.stderr_cost]
-            for i in range(k):
-                row += [summary.mean_aoi[i], summary.stderr_aoi[i],
-                        summary.mean_empty_fraction[i],
-                        summary.mean_sample_freq[i],
-                        summary.mean_retransmit_freq[i],
-                        summary.mean_vqueue[i]]
-            rows.append(row)
+            cost, spread = summary.mean_cost, summary.stderr_cost
+            users = [column[i] for i in range(k) for column in (
+                summary.mean_aoi, summary.stderr_aoi,
+                summary.mean_empty_fraction, summary.mean_sample_freq,
+                summary.mean_retransmit_freq, summary.mean_vqueue)]
             hist_rows.extend(_histogram_rows(base_cells, cfg, stats))
+        rows.append(base_cells + ["ok", n, cfg.horizon, spec.grid_step, cost,
+                                  spread] + users)
 
     results_path = out / f"{spec.scenario}_results.csv"
     hist_path = out / f"{spec.scenario}_hist.csv"
@@ -427,11 +421,10 @@ def _histogram_rows(base_cells: list, cfg: SystemConfig,
 # ──────────────────────────────────────────────────────────────────────────
 
 def _params_header() -> list[str]:
-    return ["schema_version", "scenario", "config_hash", "axis", "axis_value",
-            "policy", "user", "status", "alpha", "sample_occupied",
-            "retransmit_old", "sample_empty", "sample_prob",
-            "analytic_aoi", "analytic_cost", "sim_aoi", "sim_total_cost",
-            "sim_theta"]
+    return _HEAD + ["user", "status", "alpha", "sample_occupied",
+                    "retransmit_old", "sample_empty", "sample_prob",
+                    "analytic_aoi", "analytic_cost", "sim_aoi",
+                    "sim_total_cost", "sim_theta"]
 
 
 def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
@@ -441,46 +434,37 @@ def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
     simulation per point."""
     say = log or (lambda *_: None)
     out = resolve_out_dir(out_dir, spec.out_dir)
-    wanted = []
-    for token in spec.policies:
-        short = token.split("-")[0]
-        if short in ("ofrp", "forp") and short not in wanted:
-            wanted.append(short)
+    shorts = dict.fromkeys(token.split("-")[0] for token in spec.policies)
+    wanted = [short for short in shorts if short in ("ofrp", "forp")]
     if not wanted:
         raise SpecError(
             "policies: nothing to optimize (need an ofrp or forp token)")
 
     rows: list[list] = []
-    for value in spec.sweep_values:
-        cfg = apply_axis(spec.base, spec.sweep_axis, value)
-        optimum = functools.cache(lambda m: m.optimize(cfg, spec.grid_step))
-        for token in wanted:
-            digest = config_hash(spec, cfg, token, 1)
-            base_cells = [SCHEMA_VERSION, spec.scenario, digest,
-                          spec.sweep_axis, value, token]
-            say(f"[{spec.scenario}] optimize {spec.sweep_axis}={value:g} {token}")
-            try:
-                policy = _make_policy(token, optimum)
-            except InfeasibleError as exc:
-                rows.append(base_cells + [exc.user, f"infeasible: {exc}"]
-                            + [""] * 10)
-                continue
-            params = optimum(ofrp if token == "ofrp" else forp)
-            stats = run(policy, cfg)
-            for i in range(cfg.num_users):
-                if token == "ofrp":
-                    user = params.users[i]
-                    m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
-                                     cfg.sample_cost, cfg.transmit_cost)
-                    cells = [user.alpha, user.sample_occupied,
-                             user.retransmit_old, user.sample_empty, "",
-                             m.avg_aoi, m.avg_cost]
-                else:
-                    cells = [params.alpha[i], "", "", "",
-                             params.sample_prob[i], *_forp_user(params, cfg, i)]
-                rows.append(base_cells + [i, "ok"] + cells
-                            + [stats.avg_aoi[i], stats.avg_cost,
-                               stats.empty_fraction[i]])
+    for value, cfg, optimum, token in _sweep(spec, wanted, say, "optimize "):
+        base_cells = [SCHEMA_VERSION, spec.scenario,
+                      config_hash(spec, cfg, token, 1), spec.sweep_axis,
+                      value, token]
+        try:
+            policy = _make_policy(token, optimum)
+        except InfeasibleError as exc:
+            rows.append(base_cells + [exc.user, f"infeasible: {exc}"]
+                        + [""] * 10)
+            continue
+        module = ofrp if token == "ofrp" else forp
+        params = optimum(module)
+        stats = run(policy, cfg)
+        for i in range(cfg.num_users):
+            if module is ofrp:
+                user = params.users[i]
+                knobs = [user.alpha, user.sample_occupied, user.retransmit_old,
+                         user.sample_empty, ""]
+            else:
+                knobs = [params.alpha[i], "", "", "", params.sample_prob[i]]
+            aoi, _, _, _, cost = _predicted(module, params, cfg, i)
+            rows.append(base_cells + [i, "ok"] + knobs + [
+                aoi, cost, stats.avg_aoi[i], stats.avg_cost,
+                stats.empty_fraction[i]])
 
     path = out / f"{spec.scenario}_params.csv"
     _write_csv(path, _params_header(), rows)

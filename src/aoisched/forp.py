@@ -5,7 +5,7 @@ transmits it, or stays silent; cached copies are never resent.  The age seen
 by the monitor is then a renewal process with per-slot delivery probability
 delta = alpha * sample_prob * success_prob, whose stationary law is a
 truncated geometric distribution with an atom at the cap.  Everything here is
-closed form, and the parameter search walks the probability grid exactly.
+closed form, and the search takes each user's first feasible grid value.
 The policy is simulated as the fresh-or-old policy that samples with the
 same probability whatever the cache holds and never resends (``as_ofrp``),
 so the closed forms here also serve as its analytic oracle.
@@ -91,10 +91,10 @@ def total_cost(params: ForpParams, cfg: SystemConfig) -> float:
 def optimize(cfg: SystemConfig, step: float = 0.01) -> ForpParams:
     """Smallest-cost sampling probabilities meeting every user's age limit.
 
-    Scans the probability grid per user under uniform scheduling
-    (alpha = 1/K).  The cost rate grows monotonically with the sampling
-    probability, so the winner must be the smallest feasible grid value; the
-    scan asserts that equivalence as a self-check.  Raises InfeasibleError,
+    Under uniform scheduling (alpha = 1/K) a user's cost rate
+    (c_s + c_tr)·alpha·phi never decreases as phi grows, so each user takes
+    the first value of the probability grid that meets its limit: the
+    cheapest, with ties going to the smallest phi.  Raises InfeasibleError,
     naming the first offending user, when even sample_prob = 1 cannot meet
     the limit.
     """
@@ -102,31 +102,14 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> ForpParams:
     alpha = 1.0 / k
     grid = probability_grid(step)
     chosen: list[float] = []
-    for user in range(k):
-        p = cfg.success_prob[user]
-        limit = cfg.aoi_limit[user]
-        best_phi: float | None = None
-        best_cost = float("inf")
-        first_feasible: float | None = None
+    for user, (p, limit) in enumerate(zip(cfg.success_prob, cfg.aoi_limit)):
         for phi in grid:
             aoi = avg_aoi_closed_form(delivery_rate(alpha, phi, p), cfg.aoi_cap)
-            if aoi > limit:
-                continue
-            if first_feasible is None:
-                first_feasible = phi
-            cost = user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost)
-            if cost < best_cost:
-                best_cost = cost
-                best_phi = phi
-        if best_phi is None:
-            aoi_at_one = avg_aoi_closed_form(
-                delivery_rate(alpha, 1.0, p), cfg.aoi_cap)
+            if aoi <= limit:
+                break
+        else:   # aoi is the age at the grid's last value, sample_prob 1
             raise InfeasibleError(
                 f"user {user}: even sample_prob 1.0 yields average age "
-                f"{aoi_at_one:.4f} > limit {limit:g}", user=user)
-        if best_phi != first_feasible:
-            raise RuntimeError(
-                "cost should be monotone in sample_prob; scan disagrees with "
-                f"the smallest feasible value ({best_phi} vs {first_feasible})")
-        chosen.append(best_phi)
+                f"{aoi:.4f} > limit {limit:g}", user=user)
+        chosen.append(phi)
     return ForpParams(alpha=(alpha,) * k, sample_prob=tuple(chosen))

@@ -111,6 +111,9 @@ class SystemConfig:
             if not 0.0 <= value <= math.nextafter(math.inf, 0.0):  # max double
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {value}")
+        if self.sample_cost + self.transmit_cost > math.nextafter(math.inf, 0):
+            raise ValueError(f"sample_cost + transmit_cost must be finite, "
+                             f"got {self.sample_cost} + {self.transmit_cost}")
         if self.aoi_cap < 2:
             raise ValueError("aoi_cap must be at least 2")
         if self.aoi_cap > 500:    # transition table: 124,751 states, 117 MB
@@ -179,9 +182,6 @@ class ActionVector:
         if retransmitter is not None:
             r[retransmitter] = 1
         return cls(tuple(s), tuple(r))
-
-    def acted(self, user: int) -> bool:
-        return bool(self.sample[user] or self.retransmit[user])
 
     def validate(self, occupied: Sequence[bool], cfg: SystemConfig) -> None:
         """Raise ValueError on any scheduling-constraint violation."""
@@ -379,10 +379,12 @@ def transition_table(cap: int) -> TransitionTable:
 
 
 def grid_intervals(step: float) -> int:
-    """The number n = 1/step of grid intervals; step must lie in (0, 1]
-    and divide 1 evenly."""
+    """The number n = 1/step of grid intervals; step must lie in (0, 1],
+    divide 1 evenly and give at most 10**6 intervals."""
     if not 0.0 < step <= 1.0:
         raise ValueError("step must lie in (0, 1]")
+    if 1.0 / step > 10**6 + 0.5:    # also before round() meets 1/step = inf
+        raise ValueError(f"step {step:g} is below the finest step, 1e-06")
     n = round(1.0 / step)
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"step must divide 1 evenly, got {step}")

@@ -361,7 +361,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
 def test_too_fine_ofrp_grid_is_a_field_error(tmp_path, capsys):
     """grid_step 0.001 divides 1 but gives the OFRP search 501,501,000 grid
     points; it is refused before anything is allocated.  The 1-D FORP grid
-    has no such limit."""
+    takes up to 10**6 intervals."""
     assert load_spec(tiny_doc(grid_step=0.001)).grid_step == 0.001
     for policies in (["ofrp"], ["dpp", "ofrp-analytic"]):
         with pytest.raises(SpecError,
@@ -372,6 +372,22 @@ def test_too_fine_ofrp_grid_is_a_field_error(tmp_path, capsys):
                                            policies=["ofrp"])))
     assert cli.main(["optimize", "--config", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: grid_step: ")
+
+
+def test_too_fine_forp_grid_is_a_field_error():
+    """A FORP-only scenario's grid is bounded too: grid_step 1e-9 would
+    have the FORP search build a 10**9-entry probability list."""
+    with pytest.raises(SpecError, match=r"^grid_step: step 1e-09 is below"):
+        load_spec(tiny_doc(grid_step=1e-9))
+
+
+def test_overflowing_price_sum_is_a_config_error():
+    """Each price is finite, but a sample pays both and their sum is not."""
+    doc = tiny_doc()
+    doc["config"].update(sample_cost=1.7e308, transmit_cost=1.7e308)
+    with pytest.raises(SpecError, match=r"^config: sample_cost \+ transmit_cost"
+                       r" must be finite, got 1\.7e\+308 \+ 1\.7e\+308$"):
+        load_spec(doc)
 
 
 @pytest.mark.parametrize("command, mutate, field", [

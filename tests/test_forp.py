@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoisched import forp, ofrp
 from aoisched.experiments import _make_policy
-from aoisched.model import InfeasibleError, SystemConfig
+from aoisched.model import InfeasibleError, SystemConfig, probability_grid
 from aoisched.simulate import policy_rng, run
 from chain_oracle import DIRECT_SOLVE_MAX_STATES
 
@@ -159,6 +161,53 @@ def test_optimize_infeasible_raises_with_user():
         forp.optimize(cfg)
     assert err.value.user == 0
     assert "1.2" in str(err.value)
+
+
+def least_cost_pick(cfg, step):
+    """Brute force: each user's cheapest feasible grid value, the first of
+    equal costs; InfeasibleError names the first user with none."""
+    alpha = 1.0 / cfg.num_users
+    picks = []
+    for user in range(cfg.num_users):
+        feasible = [phi for phi in probability_grid(step)
+                    if forp.avg_aoi_closed_form(forp.delivery_rate(
+                        alpha, phi, cfg.success_prob[user]), cfg.aoi_cap)
+                    <= cfg.aoi_limit[user]]
+        if not feasible:
+            raise InfeasibleError(f"user {user}", user=user)
+        costs = [forp.user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost)
+                 for phi in feasible]
+        picks.append(feasible[costs.index(min(costs))])
+    return tuple(picks)
+
+
+price = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), cap=st.integers(2, 40),
+       n=st.integers(2, 200), sample_cost=price, transmit_cost=price)
+def test_optimize_is_the_least_cost_feasible_grid_value(
+        data, k, cap, n, sample_cost, transmit_cost):
+    """The first feasible grid value is the cheapest one (step 1/n from
+    0.5 to 0.005), and both searches refuse the same user."""
+    cfg = make_config(
+        num_users=k, aoi_cap=cap, sample_cost=sample_cost,
+        transmit_cost=transmit_cost,
+        success_prob=data.draw(st.lists(st.floats(0.0, 1.0),
+                                        min_size=k, max_size=k)),
+        aoi_limit=data.draw(st.lists(st.floats(1.0, cap + 1.0),
+                                     min_size=k, max_size=k)))
+    try:
+        expected = least_cost_pick(cfg, 1 / n)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as err:
+            forp.optimize(cfg, 1 / n)
+        assert err.value.user == exc.user
+        return
+    params = forp.optimize(cfg, 1 / n)
+    assert params.sample_prob == expected
+    assert params.alpha == (1.0 / k,) * k
 
 
 def simulated(params):

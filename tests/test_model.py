@@ -9,8 +9,9 @@ import pytest
 import aoisched
 
 from aoisched.model import (ActionVector, SystemConfig, UserState, aoi_step,
-                            initial_states, probability_grid, slot_cost,
-                            step_users, vqueue_step, waiting_time_step)
+                            grid_intervals, initial_states, probability_grid,
+                            slot_cost, step_users, vqueue_step,
+                            waiting_time_step)
 
 
 def make_config(**overrides):
@@ -135,6 +136,8 @@ def test_config_accepts_per_user_sequences():
     dict(burn_in=100),                 # not < horizon
     dict(v_weight=-1),
     dict(sample_cost=-2),
+    dict(sample_cost=1.7e308, transmit_cost=1.7e308),   # each finite, sum not
+    dict(sample_cost=10 ** 308, transmit_cost=10 ** 308),
 ])
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
@@ -214,10 +217,9 @@ def test_action_validation():
     ActionVector((1, 0), (0, 1)).validate([False, True], dual)
 
 
-def test_from_pair_and_acted():
+def test_from_pair():
     act = ActionVector.from_pair(3, 1, None)
     assert act.sample == (0, 1, 0) and act.retransmit == (0, 0, 0)
-    assert act.acted(1) and not act.acted(0)
 
 
 # ── reference stepper ─────────────────────────────────────────────────────
@@ -293,6 +295,15 @@ def test_probability_grid():
 def test_probability_grid_rejects_bad_steps(step):
     with pytest.raises(ValueError):
         probability_grid(step)
+
+
+def test_grid_intervals_stop_at_a_million():
+    """Checked on grid_intervals: an unbounded probability_grid(1e-9) would
+    build its 10**9-entry list before anything failed."""
+    assert grid_intervals(1e-6) == 10 ** 6
+    for step in (1e-9, 5e-324):        # 1 / 5e-324 overflows to inf
+        with pytest.raises(ValueError, match="below the finest step"):
+            grid_intervals(step)
 
 
 # ── package-wide ──────────────────────────────────────────────────────────
