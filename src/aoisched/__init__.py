@@ -6,9 +6,9 @@ package provides:
 
 - ``model``: configuration/state types and the per-slot update laws;
 - ``simulate``: a seeded slot-level engine with paired channel randomness;
-- ``forp``: the always-fresh randomized sampling policy (simulated as a
-  special case of ``ofrp``), its closed-form analysis, and its grid
-  optimizer;
+- ``forp``: the always-fresh randomized sampling policy, its closed-form
+  analysis, and its grid optimizer, whose fresh-only points are ``ofrp``
+  parameters that never resend;
 - ``ofrp``: the fresh-or-old randomized policy (may resend the cached
   packet), its Markov-chain analysis from an O(cap) recursion on the
   chain's boundary states (no matrix is built), and its grid optimizer;
@@ -21,7 +21,6 @@ package provides:
 from . import dpp, forp, ofrp
 from .dpp import DppPolicy
 from .experiments import ExperimentSpec, SpecError, load_spec, run_experiment
-from .forp import ForpParams
 from .model import (ActionVector, InfeasibleError, SlotOutcome, SystemConfig,
                     UserState, aoi_step, initial_states, slot_cost, step_users,
                     vqueue_step, waiting_time_step)
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionVector", "CheckResult", "DppPolicy",
-    "ExperimentSpec", "ForpParams", "IdlePolicy",
+    "ExperimentSpec", "IdlePolicy",
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
     "Policy", "ReplicaSummary", "SimStats", "SlotOutcome",
     "SpecError", "SystemConfig", "UserState", "aoi_step", "channel_uniforms",

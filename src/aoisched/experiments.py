@@ -37,6 +37,8 @@ OUTPUT_ENV_VAR = "AOISCHED_OUT"
 DEFAULT_OUTPUT_DIR = "results"
 
 POLICY_TOKENS = ("dpp", "ofrp", "forp", "ofrp-analytic", "forp-analytic")
+# Each randomized token's module, by the token's name before any "-analytic".
+_MODULES = {"ofrp": ofrp, "forp": forp}
 
 # Canonical sweep axes and accepted spellings.
 _AXIS_ALIASES = {
@@ -316,14 +318,12 @@ def _sweep(spec: ExperimentSpec, tokens, say, verb: str = ""):
 
 
 def _make_policy(token: str, optimum):
-    """The simulated policy for a token, at ``optimum(ofrp)`` or
-    ``optimum(forp)``; fresh-only is simulated as its fresh-or-old twin."""
+    """The simulated policy for a token: DPP, or the randomized policy at
+    ``optimum`` of the token's module."""
     if token == "dpp":
         return dpp.DppPolicy()
-    if token == "ofrp":
-        return ofrp.OfrpPolicy(optimum(ofrp))
-    if token == "forp":
-        return ofrp.OfrpPolicy(optimum(forp).as_ofrp())
+    if token in _MODULES:
+        return ofrp.OfrpPolicy(optimum(_MODULES[token]))
     raise ValueError(f"{token!r} is not a simulated policy token")
 
 
@@ -332,8 +332,8 @@ def _predicted(module, params, cfg: SystemConfig, i: int) -> tuple:
     resend frequency, cost rate) at ``params``, the optimum of ``module``:
     the fresh-or-old chain's metrics, or the fresh-only closed forms, which
     leave the empty fraction blank and never resend."""
+    user = params.users[i]
     if module is ofrp:
-        user = params.users[i]
         m = ofrp.metrics(user, cfg.success_prob[i], cfg.aoi_cap,
                          cfg.sample_cost, cfg.transmit_cost)
         theta = m.empty_fraction
@@ -341,7 +341,7 @@ def _predicted(module, params, cfg: SystemConfig, i: int) -> tuple:
                        + (1.0 - theta) * user.alpha * user.sample_occupied)
         resend_freq = (1.0 - theta) * user.alpha * user.retransmit_old
         return m.avg_aoi, theta, sample_freq, resend_freq, m.avg_cost
-    alpha, phi = params.alpha[i], params.sample_prob[i]
+    alpha, phi = user.alpha, user.sample_empty
     delta = forp.delivery_rate(alpha, phi, cfg.success_prob[i])
     return (forp.avg_aoi_closed_form(delta, cfg.aoi_cap), "", alpha * phi, 0.0,
             forp.user_cost(alpha, phi, cfg.sample_cost, cfg.transmit_cost))
@@ -369,7 +369,7 @@ def run_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
                       value, token]
         try:
             if analytic:
-                module = ofrp if token == "ofrp-analytic" else forp
+                module = _MODULES[token.split("-")[0]]
                 params, cost, spread, users = optimum(module), 0.0, "", []
                 for i in range(k):
                     aoi, theta, sample_freq, resend_freq, user_cost = (
@@ -435,7 +435,7 @@ def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
     say = log or (lambda *_: None)
     out = resolve_out_dir(out_dir, spec.out_dir)
     shorts = dict.fromkeys(token.split("-")[0] for token in spec.policies)
-    wanted = [short for short in shorts if short in ("ofrp", "forp")]
+    wanted = [short for short in shorts if short in _MODULES]
     if not wanted:
         raise SpecError(
             "policies: nothing to optimize (need an ofrp or forp token)")
@@ -451,16 +451,13 @@ def optimize_experiment(spec: ExperimentSpec, *, out_dir: str | None = None,
             rows.append(base_cells + [exc.user, f"infeasible: {exc}"]
                         + [""] * 10)
             continue
-        module = ofrp if token == "ofrp" else forp
+        module = _MODULES[token]
         params = optimum(module)
         stats = run(policy, cfg)
-        for i in range(cfg.num_users):
-            if module is ofrp:
-                user = params.users[i]
-                knobs = [user.alpha, user.sample_occupied, user.retransmit_old,
-                         user.sample_empty, ""]
-            else:
-                knobs = [params.alpha[i], "", "", "", params.sample_prob[i]]
+        for i, user in enumerate(params.users):
+            knobs = ([user.alpha, user.sample_occupied, user.retransmit_old,
+                      user.sample_empty, ""] if module is ofrp
+                     else [user.alpha, "", "", "", user.sample_empty])
             aoi, _, _, _, cost = _predicted(module, params, cfg, i)
             rows.append(base_cells + [i, "ok"] + knobs + [
                 aoi, cost, stats.avg_aoi[i], stats.avg_cost,

@@ -6,18 +6,17 @@ by the monitor is then a renewal process with per-slot delivery probability
 delta = alpha * sample_prob * success_prob, whose stationary law is a
 truncated geometric distribution with an atom at the cap.  Everything here is
 closed form, and the search takes each user's first feasible grid value.
-The policy is simulated as the fresh-or-old policy that samples with the
-same probability whatever the cache holds and never resends (``as_ofrp``),
-so the closed forms here also serve as its analytic oracle.
+A fresh-only policy is the fresh-or-old point that samples with the same
+probability whatever the cache holds and never resends, so ``optimize``
+returns ``ofrp.OfrpParams``, the engine simulates it as ``ofrp.OfrpPolicy``,
+and the closed forms here also serve as that chain's analytic oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import InfeasibleError, SystemConfig, probability_grid
+from .model import InfeasibleError, SystemConfig, grid_intervals
 from .ofrp import OfrpParams, OfrpUserParams
 
 
@@ -58,58 +57,39 @@ def user_cost(alpha: float, sample_prob: float, sample_cost: float,
     return (sample_cost + transmit_cost) * alpha * sample_prob
 
 
-@dataclass(frozen=True)
-class ForpParams:
-    """Per-user scheduling and sampling probabilities."""
-
-    alpha: tuple[float, ...]
-    sample_prob: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.alpha) != len(self.sample_prob):
-            raise ValueError("alpha and sample_prob must have equal length")
-        for a in self.alpha + self.sample_prob:
-            if not 0.0 <= a <= 1.0:
-                raise ValueError(f"probabilities must lie in [0, 1], got {a}")
-        if abs(sum(self.alpha) - 1.0) > 1e-9:
-            raise ValueError("scheduling probabilities must sum to 1")
-
-    def as_ofrp(self) -> OfrpParams:
-        """The same policy as a fresh-or-old point: sample with sample_prob
-        whether or not a packet is cached, never resend."""
-        return OfrpParams(tuple(
-            OfrpUserParams(a, phi, 0.0, phi)
-            for a, phi in zip(self.alpha, self.sample_prob)))
-
-
-def total_cost(params: ForpParams, cfg: SystemConfig) -> float:
+def total_cost(params: OfrpParams, cfg: SystemConfig) -> float:
+    """Closed-form cost rate summed over users; raises ValueError unless
+    each user never resends and samples whatever the cache holds."""
+    for i, user in enumerate(params.users):
+        if user.retransmit_old or user.sample_occupied != user.sample_empty:
+            raise ValueError(f"user {i}: {user} is not a fresh-only point")
     return sum(
-        user_cost(a, phi, cfg.sample_cost, cfg.transmit_cost)
-        for a, phi in zip(params.alpha, params.sample_prob))
+        user_cost(u.alpha, u.sample_empty, cfg.sample_cost, cfg.transmit_cost)
+        for u in params.users)
 
 
-def optimize(cfg: SystemConfig, step: float = 0.01) -> ForpParams:
-    """Smallest-cost sampling probabilities meeting every user's age limit.
+def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
+    """Smallest-cost fresh-only points meeting every user's age limit.
 
     Under uniform scheduling (alpha = 1/K) a user's cost rate
     (c_s + c_tr)·alpha·phi never decreases as phi grows, so each user takes
     the first value of the probability grid that meets its limit: the
-    cheapest, with ties going to the smallest phi.  Raises InfeasibleError,
-    naming the first offending user, when even sample_prob = 1 cannot meet
-    the limit.
+    cheapest, with ties going to the smallest phi.  Each user's point is
+    ``OfrpUserParams(alpha, phi, 0.0, phi)``.  Raises InfeasibleError,
+    naming the first offending user, when even phi = 1 cannot meet the
+    limit.
     """
-    k = cfg.num_users
-    alpha = 1.0 / k
-    grid = probability_grid(step)
-    chosen: list[float] = []
+    alpha = 1.0 / cfg.num_users
+    n = grid_intervals(step)
+    users: list[OfrpUserParams] = []
     for user, (p, limit) in enumerate(zip(cfg.success_prob, cfg.aoi_limit)):
-        for phi in grid:
+        for phi in (i / n for i in range(n + 1)):   # probability_grid(step)
             aoi = avg_aoi_closed_form(delivery_rate(alpha, phi, p), cfg.aoi_cap)
             if aoi <= limit:
                 break
-        else:   # aoi is the age at the grid's last value, sample_prob 1
+        else:   # aoi is the age at the grid's last value, phi 1
             raise InfeasibleError(
                 f"user {user}: even sample_prob 1.0 yields average age "
                 f"{aoi:.4f} > limit {limit:g}", user=user)
-        chosen.append(phi)
-    return ForpParams(alpha=(alpha,) * k, sample_prob=tuple(chosen))
+        users.append(OfrpUserParams(alpha, phi, 0.0, phi))
+    return OfrpParams(tuple(users))

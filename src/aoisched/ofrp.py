@@ -39,7 +39,7 @@ import numpy as np
 
 from .model import (InfeasibleError, SystemConfig, grid_intervals,
                     transition_table)
-from .simulate import Policy, uniform_stream
+from .simulate import Policy
 
 log = logging.getLogger(__name__)
 
@@ -509,11 +509,6 @@ class OfrpPolicy(Policy):
     def __init__(self, params: OfrpParams):
         self.params = params
 
-    def __reduce__(self):
-        # the draw stream is a generator, which cannot be pickled; ``reset``
-        # rebuilds it at the start of every run
-        return type(self), (self.params,)
-
     def reset(self, cfg: SystemConfig, rng: np.random.Generator) -> None:
         users = self.params.users
         if len(users) != cfg.num_users:
@@ -525,7 +520,6 @@ class OfrpPolicy(Policy):
                                   u.sample_occupied + u.retransmit_old)
                                  for u in users])[:, :, None]
         self._rng = rng
-        self._draws = uniform_stream(rng)
 
     def plan(self, n_slots):
         u_sched, u_act = self._rng.random(2 * n_slots).reshape(n_slots, 2).T
@@ -536,7 +530,7 @@ class OfrpPolicy(Policy):
         return mine * below[:, 0], mine * (2 * below[:, 2] - below[:, 1])  # 1, 2 or 0
 
     def decide(self, t, aoi, waiting, occupied, vqueue):
-        u_sched, u_act = next(self._draws), next(self._draws)
+        u_sched, u_act = self._rng.random(2).tolist()
         user = min(bisect.bisect_right(self._cum_alpha, u_sched),
                    len(self._cum_alpha) - 1)
         params = self.params.users[user]

@@ -32,7 +32,6 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -175,14 +174,6 @@ def _generators(cfg: SystemConfig, replica: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(1 + cfg.num_users)]
 
 
-def uniform_stream(rng: np.random.Generator) -> Iterator[float]:
-    """Endless uniform doubles from ``rng``, drawn ``_DRAW_BLOCK`` at a time;
-    PCG64 doubles do not depend on the chunks, so the first n are
-    ``rng.random(n)``."""
-    return itertools.chain.from_iterable(
-        rng.random(_DRAW_BLOCK).tolist() for _ in itertools.repeat(None))
-
-
 def channel_uniforms(cfg: SystemConfig, replica: int = 0,
                      horizon: int | None = None) -> np.ndarray:
     """The (num_users, horizon) channel draws run() will consume, so tests
@@ -245,8 +236,9 @@ def _rejected(t: int, action: ActionVector, occupied, cfg) -> ValueError:
 def _check_block(b0: int, pairs: np.ndarray, tally: _Tally) -> np.ndarray:
     """Raise for the first of slots ``b0, b0 + 1, ...`` whose realized
     actions, read off each user's (state, event) pairs, break a rule; else
-    return each slot's sum of ``tally.code`` over its users."""
-    acts = tally.code[pairs].sum(0)
+    return each slot's sum of ``tally.code`` over its users, clipped to the
+    last row of ``tally.bad``."""
+    acts = np.minimum(tally.code[pairs].sum(0), len(tally.bad) - 1)
     bad = tally.bad[acts]
     if bad.any():
         t = int(bad.argmax())
@@ -261,13 +253,15 @@ def _tally_rows(cap: int, n: int, single: bool) -> tuple[np.ndarray, ...]:
     """``_Tally``'s read-only rows for ``n`` users at ``cap`` (four kept): per
     pair, the age reached (a float) and the action code, whose sum over a
     slot's users has base-(n + 1) digits samples, resends, resends from an
-    empty cache; per sum, whether it breaks a rule, samples and resends."""
+    empty cache; per sum, whether it breaks a rule, samples and resends.
+    A legal slot sums to 0, 1, n + 1 or n + 2, so the per-sum rows stop at
+    n + 3, which stands for every larger (bad) sum."""
     table = transition_table(cap)
     empty, sampled, resent, _ = table.kind
     b = n + 1
-    sums = np.arange(b ** 3)
-    samples, resends = sums % b, sums // b % b
-    bad = (samples > 1) | (resends > 1) | (sums >= b * b) | single & (samples + resends > 1)
+    sums = np.arange(b + 3)
+    samples, resends = sums % b, sums // b
+    bad = (samples > 1) | (sums > b + 1) | single & (samples + resends > 1)
     rows = (table.age[table.next_state].astype(float),
             sampled + b * resent + b * b * (resent & empty), bad,
             np.stack((samples, resends), 1) > 0)

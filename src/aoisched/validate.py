@@ -9,7 +9,7 @@ exercise the failure paths cheaply.
 
 The heavy checks simulate 10^6-slot horizons over several replicas; the
 acceptance tier, which runs the whole registry with four simulation threads
-for the Monte-Carlo checks, takes about 35-66 s on two cores.
+for the Monte-Carlo checks, takes about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def check_fresh_only_identity(threads: int = 1,
     """Closed-form age distribution of the memoryless sampling policy versus
     its solved fresh-or-cached chain over a grid of rates and caps; it
     samples every slot, so the success probability is the delivery rate."""
-    (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
+    user = ofrp.OfrpUserParams(1.0, 1.0, 0.0, 1.0)
     worst = 0.0
     count = 0
     for i in range(1, 21):
@@ -114,8 +114,8 @@ def check_fresh_only_montecarlo(threads: int = 1, tolerance: float = 0.01,
         cfg = SystemConfig(
             num_users=1, success_prob=p, sample_cost=1.0, transmit_cost=5.0,
             aoi_cap=10, aoi_limit=5.0, horizon=horizon, seed=9102)
-        params = forp.ForpParams(alpha=(1.0,), sample_prob=(phi,))
-        stats = run(ofrp.OfrpPolicy(params.as_ofrp()), cfg)
+        params = ofrp.OfrpParams((ofrp.OfrpUserParams(1.0, phi, 0.0, phi),))
+        stats = run(ofrp.OfrpPolicy(params), cfg)
         aoi_ref = forp.avg_aoi_closed_form(delta, cfg.aoi_cap)
         cost_ref = forp.total_cost(params, cfg)
         worst = max(worst,
@@ -204,7 +204,7 @@ def check_policy_cost_ordering(threads: int = 1, slack: float = 2.0,
                 ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step)),
                 cfg, replicas, threads)
             _, s_f = run_replicas(
-                ofrp.OfrpPolicy(forp.optimize(cfg, grid_step).as_ofrp()),
+                ofrp.OfrpPolicy(forp.optimize(cfg, grid_step)),
                 cfg, replicas, threads)
             pairs = ((s_dpp, s_of, "dpp vs fresh-or-old"),
                      (s_of, s_f, "fresh-or-old vs fresh-only"))
@@ -272,7 +272,7 @@ def check_old_packet_advantage(threads: int = 1, slack: float = 2.0,
     _, s_of = run_replicas(
         ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step)), cfg, replicas, threads)
     _, s_f = run_replicas(
-        ofrp.OfrpPolicy(forp.optimize(cfg, grid_step).as_ofrp()),
+        ofrp.OfrpPolicy(forp.optimize(cfg, grid_step)),
         cfg, replicas, threads)
     se = _se_diff(s_of.stderr_cost, s_f.stderr_cost)
     sigma = (s_f.mean_cost - s_of.mean_cost) / se if se > 0 else math.inf

@@ -1,9 +1,14 @@
 """The README's examples run, or parse, as documented."""
 
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
+import aoisched
 from aoisched import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -25,3 +30,24 @@ def test_readme_cli_examples_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert cli._build_parser().parse_args(argv).command == argv[0]
+
+
+RUNTIME_IMPORTS = """
+import json, sys
+import aoisched, aoisched.cli, aoisched.validate
+print(json.dumps(sorted({m.split(".")[0] for m in sys.modules}
+                        & {"scipy", "hypothesis", "pytest"})))
+"""
+
+
+def test_runtime_needs_only_numpy_and_pyyaml():
+    """The README says the package requires numpy and PyYAML: importing it,
+    its CLI and its checks loads none of the test extra."""
+    # A fresh interpreter, so modules the test run imports do not count.
+    src = str(Path(aoisched.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-c", RUNTIME_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

@@ -1,5 +1,7 @@
 """Tests for the fresh-only randomized policy and its closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,17 @@ from aoisched.experiments import _make_policy
 from aoisched.model import InfeasibleError, SystemConfig, probability_grid
 from aoisched.simulate import policy_rng, run
 from chain_oracle import DIRECT_SOLVE_MAX_STATES
+
+
+def fresh_only(*phis):
+    """Fresh-only points sampling with ``phis`` under uniform scheduling."""
+    alpha = 1.0 / len(phis)
+    return ofrp.OfrpParams(tuple(
+        ofrp.OfrpUserParams(alpha, phi, 0.0, phi) for phi in phis))
+
+
+def sample_probs(params):
+    return tuple(user.sample_empty for user in params.users)
 
 
 def make_config(**overrides):
@@ -64,10 +77,10 @@ def test_average_age_decreases_with_delivery_rate():
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
-def test_as_ofrp_chain_agrees_with_closed_form():
+def test_fresh_only_chain_agrees_with_closed_form():
     """The age marginal of the fresh-or-old chain of the fresh-only policy,
     sampling every slot, at success_prob delta is the closed form at delta."""
-    (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
+    (user,) = fresh_only(1.0).users
     for delta in (0.05, 0.37, 0.9):
         pi = ofrp.aoi_marginal(ofrp.stationary(user, delta, 8), 8)
         assert np.max(np.abs(pi - forp.stationary_closed_form(delta, 8))) < 1e-12
@@ -78,7 +91,7 @@ def test_closed_form_checks_the_expansion_above_the_dense_limit(cap):
     """The same identity past the dense oracle's size limit, over the 20
     rates of the fresh-only-identity check."""
     assert cap + (cap - 1) * (cap - 2) // 2 > DIRECT_SOLVE_MAX_STATES
-    (user,) = forp.ForpParams((1.0,), (1.0,)).as_ofrp().users
+    (user,) = fresh_only(1.0).users
     for i in range(1, 21):
         delta = i / 20.0
         pi = ofrp.aoi_marginal(ofrp.stationary(user, delta, cap), cap)
@@ -97,21 +110,19 @@ def test_closed_forms_reject_bad_arguments(fn):
 
 # ── parameters and cost ───────────────────────────────────────────────────
 
-def test_params_validation():
-    forp.ForpParams(alpha=(0.5, 0.5), sample_prob=(0.2, 0.9))
-    with pytest.raises(ValueError):
-        forp.ForpParams(alpha=(0.5, 0.5), sample_prob=(0.2,))
-    with pytest.raises(ValueError):
-        forp.ForpParams(alpha=(0.6, 0.6), sample_prob=(0.2, 0.2))
-    with pytest.raises(ValueError):
-        forp.ForpParams(alpha=(1.0,), sample_prob=(1.2,))
-
-
 def test_cost_is_price_times_action_rate():
     assert forp.user_cost(0.5, 0.4, 1.0, 5.0) == pytest.approx(1.2)
-    params = forp.ForpParams(alpha=(0.5, 0.5), sample_prob=(0.4, 0.8))
     cfg = make_config(num_users=2)
-    assert forp.total_cost(params, cfg) == pytest.approx(0.5 * 6 * 1.2)
+    assert forp.total_cost(fresh_only(0.4, 0.8), cfg) == pytest.approx(0.5 * 6 * 1.2)
+
+
+@pytest.mark.parametrize("user", [
+    ofrp.OfrpUserParams(1.0, 0.4, 0.1, 0.4),     # resends
+    ofrp.OfrpUserParams(1.0, 0.4, 0.0, 0.5),     # samples by cache state
+])
+def test_total_cost_refuses_a_point_that_is_not_fresh_only(user):
+    with pytest.raises(ValueError, match="user 0.*not a fresh-only point"):
+        forp.total_cost(ofrp.OfrpParams((user,)), make_config())
 
 
 # ── grid search ───────────────────────────────────────────────────────────
@@ -119,29 +130,25 @@ def test_cost_is_price_times_action_rate():
 def test_optimize_single_user_perfect_channel():
     # frozen oracle: smallest phi on the 0.01 grid meeting the limit is 0.17
     params = forp.optimize(make_config(success_prob=1.0))
-    assert params.sample_prob == (0.17,)
-    assert params.alpha == (1.0,)
+    assert params == fresh_only(0.17)
 
 
 def test_optimize_single_user_lossy_channel():
-    params = forp.optimize(make_config(success_prob=0.8))
-    assert params.sample_prob == (0.22,)
+    assert forp.optimize(make_config(success_prob=0.8)) == fresh_only(0.22)
 
 
 def test_optimize_two_users():
     cfg = make_config(num_users=2, success_prob=0.8, seed=3)
-    params = forp.optimize(cfg)
-    assert params.alpha == (0.5, 0.5)
-    assert params.sample_prob == (0.43, 0.43)
+    assert forp.optimize(cfg) == fresh_only(0.43, 0.43)
     cfg1 = make_config(num_users=2, success_prob=1.0)
-    assert forp.optimize(cfg1).sample_prob == (0.34, 0.34)
+    assert forp.optimize(cfg1) == fresh_only(0.34, 0.34)
 
 
 def test_optimize_respects_per_user_limits():
     cfg = make_config(num_users=2, success_prob=[1.0, 0.8],
                       aoi_limit=[5.0, 5.0])
     params = forp.optimize(cfg)
-    for phi, p in zip(params.sample_prob, cfg.success_prob):
+    for phi, p in zip(sample_probs(params), cfg.success_prob):
         delta = forp.delivery_rate(0.5, phi, p)
         assert forp.avg_aoi_closed_form(delta, 10) <= 5.0
         # one grid step less must violate the limit (minimality)
@@ -151,7 +158,7 @@ def test_optimize_respects_per_user_limits():
 
 def test_optimize_loose_limit_means_no_sampling():
     params = forp.optimize(make_config(aoi_limit=12.0))
-    assert params.sample_prob == (0.0,)
+    assert params == fresh_only(0.0)
     assert forp.total_cost(params, make_config(aoi_limit=12.0)) == 0.0
 
 
@@ -161,6 +168,21 @@ def test_optimize_infeasible_raises_with_user():
         forp.optimize(cfg)
     assert err.value.user == 0
     assert "1.2" in str(err.value)
+
+
+def test_optimize_does_not_build_the_grid():
+    """A fine step costs time, not memory: the search stops at the first
+    feasible value without listing the grid, whose 100,001 floats would
+    take about 3 MB."""
+    cfg = make_config(num_users=2)
+    tracemalloc.start()
+    try:
+        params = forp.optimize(cfg, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params == fresh_only(0.42086, 0.42086)
+    assert peak < 0.5 * 2**20
 
 
 def least_cost_pick(cfg, step):
@@ -205,26 +227,19 @@ def test_optimize_is_the_least_cost_feasible_grid_value(
             forp.optimize(cfg, 1 / n)
         assert err.value.user == exc.user
         return
-    params = forp.optimize(cfg, 1 / n)
-    assert params.sample_prob == expected
-    assert params.alpha == (1.0 / k,) * k
-
-
-def simulated(params):
-    """The fresh-only policy as the engine simulates it."""
-    return ofrp.OfrpPolicy(params.as_ofrp())
+    assert forp.optimize(cfg, 1 / n) == fresh_only(*expected)
 
 
 def test_token_policy_is_the_literal_fresh_only_rule():
     """Whatever the cache holds, the forp token's policy schedules user 0
     iff the slot's first uniform is below alpha_0 and samples iff the second
-    is below that user's sample_prob; it never resends."""
+    is below that user's sampling probability; it never resends."""
     cfg = make_config(num_users=2, success_prob=[0.6, 0.9], seed=77)
-    phi = forp.optimize(cfg).sample_prob
+    phi = sample_probs(forp.optimize(cfg))
     assert phi[0] != phi[1]
     policy = _make_policy("forp", lambda module: module.optimize(cfg, 0.01))
     policy.reset(cfg, policy_rng(cfg))
-    slots = 20_000                        # spans several refills of its buffer
+    slots = 20_000                        # about ten 2,048-slot engine blocks
     draws = policy_rng(cfg).random(2 * slots).reshape(slots, 2)
     occupied = np.random.default_rng(5).random((slots, 2)) < 0.5
     for t, ((u_sched, u_act), occ) in enumerate(zip(draws, occupied)):
@@ -237,7 +252,7 @@ def test_token_policy_is_the_literal_fresh_only_rule():
 def test_simulation_tracks_closed_form():
     phi = 0.5
     cfg = make_config(horizon=200_000, seed=912)
-    stats = run(simulated(forp.ForpParams((1.0,), (phi,))), cfg)
+    stats = run(ofrp.OfrpPolicy(fresh_only(phi)), cfg)
     delta = forp.delivery_rate(1.0, phi, 0.8)
     assert stats.avg_aoi[0] == pytest.approx(
         forp.avg_aoi_closed_form(delta, 10), rel=0.02)
@@ -247,14 +262,12 @@ def test_simulation_tracks_closed_form():
 
 def test_policy_splits_schedule_between_users():
     cfg = make_config(num_users=2, success_prob=1.0, horizon=40_000, seed=55)
-    params = forp.ForpParams(alpha=(0.5, 0.5), sample_prob=(1.0, 1.0))
-    stats = run(simulated(params), cfg)
+    stats = run(ofrp.OfrpPolicy(fresh_only(1.0, 1.0)), cfg)
     for k in range(2):
         assert stats.sample_freq[k] == pytest.approx(0.5, abs=0.02)
     assert stats.sample_freq[0] + stats.sample_freq[1] == 1.0
 
 
 def test_policy_requires_matching_user_count():
-    params = forp.ForpParams(alpha=(1.0,), sample_prob=(0.5,))
     with pytest.raises(ValueError):
-        run(simulated(params), make_config(num_users=2))
+        run(ofrp.OfrpPolicy(fresh_only(0.5)), make_config(num_users=2))

@@ -4,6 +4,7 @@ import hashlib
 import logging
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -762,13 +763,28 @@ def test_run_replicas_threaded_matches_sequential():
 
 
 def test_used_policy_ships_to_replica_workers():
-    """A policy that has already run holds a live draw stream; it must still
+    """A policy that has already run holds its run's generator; it must still
     pickle to worker processes and give the sequential results there."""
     cfg = make_config(horizon=1500)
     policy = ofrp.OfrpPolicy(_LONG_CASE[1])
     run(policy, cfg)
     par = run_replicas(policy, cfg, 3, threads=2)
     assert par == run_replicas(policy, cfg, 3, threads=1)
+
+
+def test_engine_memory_does_not_grow_with_the_cube_of_the_users():
+    """The per-sum rows a run checks and prices its slots by hold n + 4
+    entries; one row per three-digit base-(n + 1) sum would take about
+    150 MB at 150 users."""
+    cfg = make_config(num_users=150, horizon=10)
+    simulate._tally_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        run(dpp.DppPolicy(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_summarize_deterministic_policy_has_zero_spread():
