@@ -15,7 +15,8 @@ package provides:
 - ``dpp``: the drift-plus-penalty scheduler, whose decision rule is O(K) in
   single-transmitter mode and O(K²) otherwise;
 - ``experiments`` / ``cli``: YAML-driven sweeps emitting deterministic CSVs;
-- ``validate``: the end-to-end acceptance checks.
+- ``validate``: the end-to-end acceptance checks, imported on first use
+  (``import aoisched.validate``), so a run never loads them.
 """
 
 from . import dpp, forp, ofrp
@@ -27,18 +28,17 @@ from .model import (ActionVector, InfeasibleError, SlotOutcome, SystemConfig,
 from .ofrp import OfrpParams, OfrpPolicy, OfrpUserParams
 from .simulate import (IdlePolicy, Policy, ReplicaSummary, SimStats,
                        channel_uniforms, run, run_replicas, summarize)
-from .validate import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionVector", "CheckResult", "DppPolicy",
+    "ActionVector", "DppPolicy",
     "ExperimentSpec", "IdlePolicy",
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
     "Policy", "ReplicaSummary", "SimStats", "SlotOutcome",
     "SpecError", "SystemConfig", "UserState", "aoi_step", "channel_uniforms",
     "dpp", "forp", "initial_states", "load_spec", "ofrp", "run",
-    "run_checks", "run_experiment", "run_replicas", "slot_cost",
+    "run_experiment", "run_replicas", "slot_cost",
     "step_users", "summarize", "vqueue_step",
     "waiting_time_step", "__version__",
 ]

@@ -6,8 +6,11 @@ expected queue growth and transmission cost over the feasible actions.  The
 per-slot objective is separable across users, so the exhaustive minimization
 reduces to comparing one delta score per candidate action against idling —
 a decision that is O(K) in single-transmitter mode and O(K²) otherwise (it
-tries every sampler/resender pair) and provably equals brute force over the
-action set.
+tries every sampler/resender pair).  In exact arithmetic it provably equals
+brute force over the action set.  In floats the two can break a near-tie
+differently: float ``candidate_score`` sums whole-slot objectives, and two
+actions whose exact scores differ by about 1e-15 can round the other way
+round, as on 3 of 8 measured 20,000-slot runs.
 """
 
 from __future__ import annotations
@@ -113,8 +116,9 @@ def _penalties(cfg: SystemConfig) -> tuple[float, float]:
 def decide(states: Sequence[UserState], cfg: SystemConfig) -> ActionVector:
     """Cost-drift-optimal action for the given slot state.
 
-    Equals the brute-force argmin of ``candidate_score`` over
-    ``feasible_actions``, with ties resolved in canonical order.
+    In exact arithmetic, equals the brute-force argmin of
+    ``candidate_score`` over ``feasible_actions``, with ties resolved in
+    canonical order; float brute force may break a near-tie otherwise.
     """
     sampler, resender = _decide_core(
         [s.aoi for s in states], [s.waiting_time for s in states],

@@ -74,15 +74,19 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
     Under uniform scheduling (alpha = 1/K) a user's cost rate
     (c_s + c_tr)·alpha·phi never decreases as phi grows, so each user takes
     the first value of the probability grid that meets its limit: the
-    cheapest, with ties going to the smallest phi.  Each user's point is
+    cheapest, with ties going to the smallest phi; users with one
+    (success_prob, aoi_limit) share a scan.  Each user's point is
     ``OfrpUserParams(alpha, phi, 0.0, phi)``.  Raises InfeasibleError,
     naming the first offending user, when even phi = 1 cannot meet the
     limit.
     """
     alpha = 1.0 / cfg.num_users
     n = grid_intervals(step)
-    users: list[OfrpUserParams] = []
-    for user, (p, limit) in enumerate(zip(cfg.success_prob, cfg.aoi_limit)):
+    pairs = list(zip(cfg.success_prob, cfg.aoi_limit))
+    picks: dict[tuple[float, float], OfrpUserParams] = {}
+    for user, (p, limit) in enumerate(pairs):
+        if (p, limit) in picks:
+            continue
         for phi in (i / n for i in range(n + 1)):   # probability_grid(step)
             aoi = avg_aoi_closed_form(delivery_rate(alpha, phi, p), cfg.aoi_cap)
             if aoi <= limit:
@@ -91,5 +95,5 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
             raise InfeasibleError(
                 f"user {user}: even sample_prob 1.0 yields average age "
                 f"{aoi:.4f} > limit {limit:g}", user=user)
-        users.append(OfrpUserParams(alpha, phi, 0.0, phi))
-    return OfrpParams(tuple(users))
+        picks[p, limit] = OfrpUserParams(alpha, phi, 0.0, phi)
+    return OfrpParams(tuple(picks[pair] for pair in pairs))

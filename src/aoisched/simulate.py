@@ -20,8 +20,8 @@ through each user's cache flag declares its actions ahead through
 runs slot by slot, the drift-plus-penalty rule scored by the loop itself
 from one fused table row per user and slot.  Both paths check every
 realized action and rebuild each block's virtual queues from the ages
-(``_queues``).  Two users at cap 10 walk about 4.2M slots/s and are scored
-at about 1.4M (best of 15 runs; 2-core x86, Python 3.11, numpy 2.4).
+(``_queues``).  Two users at cap 10 walk about 5.4M slots/s and are scored
+at about 1.6M (best of 15 runs; 2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import functools
 import itertools
 import logging
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,30 @@ def _add_in_order(total, values: np.ndarray):
     return total
 
 
+def _add(total, values: np.ndarray, order_free: bool):
+    """``_add_in_order``, or by ``np.sum`` when ``order_free`` says every
+    partial sum is exact, so that any order gives the same double."""
+    return total + values.sum(-1) if order_free else _add_in_order(total, values)
+
+
+def _exact_prices(cfg: SystemConfig) -> bool:
+    """Whether every partial sum of a run's slot prices is exact.  A
+    sample's price s + t and a resend's t are multiples of 1/D, D the larger
+    of their denominators (powers of two), and a slot costs at most s + 2t,
+    so every partial sum is a multiple of 1/D below horizon · (s + 2t), and
+    exact while that bound times D is below 2**53."""
+    (a, da), (b, db) = [float(x).as_integer_ratio() for x in
+                        (cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost)]
+    den = max(da, db)
+    return cfg.horizon * (a * (den // da) + b * (den // db)) < 2**53
+
+
+def _packed(offsets: list[int]) -> np.ndarray:
+    """``offsets`` as a read-only intp array: packed to bytes in one call,
+    about twice as fast as ``np.fromiter``."""
+    return np.frombuffer(struct.pack(f"{len(offsets)}n", *offsets), np.intp)
+
+
 def _rejected(t: int, action: ActionVector, occupied, cfg) -> ValueError:
     """The error for slot ``t``, whose ``action`` breaks a scheduling rule."""
     try:
@@ -274,7 +299,8 @@ class _Tally:
     """What both paths accumulate, fed a block of slots at a time: per-user
     visit counts of the recorded slots' (state, event) pairs, which give the
     integer statistics, and float sums that add the recorded slots in slot
-    order, the cost a sample's price before a resend's."""
+    order, the cost a sample's price before a resend's; a sum whose every
+    partial sum is exact (``order_free``) may add in any order."""
 
     def __init__(self, cfg: SystemConfig, track_states: bool):
         n = cfg.num_users
@@ -287,6 +313,9 @@ class _Tally:
         self.vq_sum = self.vq = np.zeros(n)
         self.limit = np.array(cfg.aoi_limit)[:, None]
         self.exact = _inexact_limit(cfg) is None
+        # (cost, queues): whether every partial sum of each is exact
+        self.order_free = (_exact_prices(cfg),
+                           _inexact_limit(cfg, cfg.horizon) is None)
         self.trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
         self.freq = [dict() for _ in range(n)] if track_states else None
         self.prices = np.where(acting, [  # per slot sum, in order
@@ -302,7 +331,7 @@ class _Tally:
         every = max(1, horizon // _TRACE_POINTS)
         rec = slice(max(0, self.cfg.burn_in - b0), m)
         for visits, row in zip(self.visits, pairs[:, rec]):
-            visits += np.bincount(row, minlength=len(visits))
+            np.add.at(visits, row, 1)   # costs per visit, not per pair
         marks = range(b0 // every * every + every, b0 + m + 1, every)
         if b0 + m == horizon and horizon % every:
             marks = [*marks, horizon]
@@ -310,9 +339,10 @@ class _Tally:
         for trace, v in zip(self.trace, at_marks):
             trace += [(t1, x / t1) for t1, x in zip(marks, v)]
         self.vq = vqs[:, -1].copy()
-        self.cost_sum = _add_in_order(
-            self.cost_sum, self.prices.take(acts[rec], axis=0).ravel())
-        self.vq_sum = _add_in_order(self.vq_sum, vqs[:, rec])
+        free_cost, free_vq = self.order_free
+        self.cost_sum = _add(self.cost_sum,
+                             self.prices.take(acts[rec], axis=0).ravel(), free_cost)
+        self.vq_sum = _add(self.vq_sum, vqs[:, rec], free_vq)
         for k, freq in enumerate(self.freq or ()):
             seen, first, count = np.unique(
                 self.table.next_state[pairs[k, rec]],
@@ -372,7 +402,7 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     """Step each user through the table one slot at a time.
 
     A policy whose ``penalties`` gives a pair is scored here, exactly as
-    ``dpp._decide_core`` scores, at about 1.4M slots/s for two users at cap
+    ``dpp._decide_core`` scores, at about 1.6M slots/s for two users at cap
     10; any other is asked through ``decide``, and its action checked before
     it applies.  Each block is checked after, scored queues against rebuilt.
     """
@@ -438,18 +468,20 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
                     if d < best:
                         best, sampler, resender = d, i, j
         # user-major and contiguous: table lookups on a strided view are slow
-        tally.add(b0, np.fromiter(hits, np.intp, m * n).reshape(m, n).T.copy())
+        tally.add(b0, _packed(hits).reshape(m, n).T.copy())
         if tally.vq.tolist() != vq:
             raise RuntimeError(f"block at slot {b0}: queues {vq} rebuilt as "
                                f"{tally.vq.tolist()}")
 
 
-def _inexact_limit(cfg: SystemConfig) -> float | None:
+def _inexact_limit(cfg: SystemConfig, terms: int = 1) -> float | None:
     """The first ``aoi_limit`` whose virtual queue ``_queues`` could round
-    in prefix sums, or None.  A finite limit is n/d, d a power of two, so
-    every sum is a multiple of 1/d below (horizon + ``_DRAW_BLOCK``) · (cap
-    + limit) in size, and exact while that bound times d is below 2**53."""
-    span = cfg.horizon + _DRAW_BLOCK
+    in prefix sums, or None; with ``terms`` the horizon, the first whose
+    queues could round in a sum over the run.  A finite limit is n/d, d a
+    power of two, so every such sum is a multiple of 1/d below ``terms`` ·
+    (horizon + ``_DRAW_BLOCK``) · (cap + limit) in size (a queue is at most
+    horizon · cap), and exact while that bound times d is below 2**53."""
+    span = terms * (cfg.horizon + _DRAW_BLOCK)
     for limit in cfg.aoi_limit:
         if not math.isfinite(limit):
             return limit
@@ -487,7 +519,7 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
         for row, p in zip(event_code(codes[0], codes[1], hit).astype(np.uint8), last):
             walked += [p := successor[p] + e for e in row.tobytes()]
         last = walked[m - 1::m]
-        tally.add(b0, np.fromiter(walked, np.intp, n * m).reshape(n, m))
+        tally.add(b0, _packed(walked).reshape(n, m))
 
 
 def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:

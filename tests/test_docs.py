@@ -40,14 +40,34 @@ print(json.dumps(sorted({m.split(".")[0] for m in sys.modules}
 """
 
 
-def test_runtime_needs_only_numpy_and_pyyaml():
-    """The README says the package requires numpy and PyYAML: importing it,
-    its CLI and its checks loads none of the test extra."""
-    # A fresh interpreter, so modules the test run imports do not count.
+def _fresh_modules(code: str):
+    """What ``code`` prints as JSON, run in a fresh interpreter, so modules
+    the test run imports do not count."""
     src = str(Path(aoisched.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-c", RUNTIME_IMPORTS], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == []
+    return json.loads(done.stdout)
+
+
+def test_runtime_needs_only_numpy_and_pyyaml():
+    """The README says the package requires numpy and PyYAML: importing it,
+    its CLI and its checks loads none of the test extra."""
+    assert _fresh_modules(RUNTIME_IMPORTS) == []
+
+
+RUN_PATH_IMPORTS = """
+import json, sys
+import aoisched, aoisched.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("aoisched."))))
+"""
+
+
+def test_run_path_does_not_import_the_checks():
+    """Importing the package and its CLI leaves the acceptance checks
+    unloaded; ``aoisched validate`` imports them when it runs."""
+    loaded = _fresh_modules(RUN_PATH_IMPORTS)
+    assert "aoisched.cli" in loaded
+    assert "aoisched.validate" not in loaded

@@ -185,6 +185,21 @@ def test_optimize_does_not_build_the_grid():
     assert peak < 0.5 * 2**20
 
 
+def test_optimize_scans_once_per_distinct_user(monkeypatch):
+    """Users with one (success_prob, aoi_limit) share a scan: two identical
+    users cost the closed-form evaluations of one scan, from grid value 0
+    up to their pick, and both get that pick."""
+    calls = []
+    closed_form = forp.avg_aoi_closed_form
+    monkeypatch.setattr(forp, "avg_aoi_closed_form",
+                        lambda *args: calls.append(args) or closed_form(*args))
+    params = forp.optimize(make_config(num_users=2), 0.01)
+    phi = params.users[0].sample_empty
+    assert params == fresh_only(phi, phi)
+    assert 0.0 < phi < 1.0
+    assert len(calls) == round(phi * 100) + 1
+
+
 def least_cost_pick(cfg, step):
     """Brute force: each user's cheapest feasible grid value, the first of
     equal costs; InfeasibleError names the first user with none."""

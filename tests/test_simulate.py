@@ -787,6 +787,136 @@ def test_engine_memory_does_not_grow_with_the_cube_of_the_users():
     assert peak < 10 * 2**20
 
 
+# ── order-free sums and visit counts ──────────────────────────────────────
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), users=st.integers(0, 3),
+       sizes=st.tuples(st.integers(0, 3000), st.integers(1, 3000)),
+       log_den=st.integers(0, 40), at_bound=st.booleans())
+def test_order_free_sums_equal_in_order_sums(seed, users, sizes, log_den,
+                                             at_bound):
+    """Multiples of 1/d (d a power of two) whose sum stays below 2**53/d add
+    to the same double in any order: two blocks, the second starting from
+    the total the first carries, as ``_Tally`` adds its costs (a flat
+    block) and each user's queues (a row per user)."""
+    shape = (users,) if users else ()
+    top = (2**53 - 1) // sum(sizes)         # largest numerator of a value
+    rng = np.random.default_rng(seed)
+    blocks = [np.full(shape + (m,), top) if at_bound
+              else rng.integers(0, top, shape + (m,), endpoint=True)
+              for m in sizes]
+    blocks = [b / 2.0**log_den for b in blocks]
+    in_order = free = np.zeros(shape) if users else 0.0
+    for values in blocks:
+        in_order = simulate._add_in_order(in_order, values.copy())
+        free = simulate._add(free, values, True)
+    assert np.asarray(free).tobytes() == np.asarray(in_order).tobytes()
+
+
+def _order_free(**overrides):
+    return simulate._Tally(make_config(**overrides), False).order_free
+
+
+def test_prices_one_step_past_their_bound_are_added_in_order():
+    """horizon · (s + t + t) · D < 2**53 keeps the cost sum order-free,
+    D the prices' larger denominator."""
+    # D = 1: 4095 · 2**41 < 2**53 = 4096 · 2**41
+    assert _order_free(sample_cost=0.0, transmit_cost=2.0**40,
+                       horizon=4095)[0]
+    assert not _order_free(sample_cost=0.0, transmit_cost=2.0**40,
+                           horizon=4096)[0]
+    # D = 2: 4095 · (2**41 + 1) < 2**53; D = 4: 4095 · (2**42 + 1) is not
+    assert _order_free(sample_cost=0.5, transmit_cost=2.0**39,
+                       horizon=4095)[0]
+    assert not _order_free(sample_cost=0.5, transmit_cost=2.0**39,
+                           horizon=4096)[0]
+    assert not _order_free(sample_cost=0.25, transmit_cost=2.0**39,
+                           horizon=4095)[0]
+
+
+def test_queues_one_step_past_their_bound_are_added_in_order():
+    """horizon · (horizon + _DRAW_BLOCK) · (d·cap + n) < 2**53 keeps the
+    queue sums order-free, each limit n/d; one more slot, or a limit
+    with twice the denominator, adds them in order, while every queue is
+    still rebuilt in prefix sums."""
+    cap, n, d = 4, 2**30 + 1, 2**30
+    span = simulate._DRAW_BLOCK
+    horizon = max(h for h in range(1, 2000)
+                  if h * (h + span) * (d * cap + n) < 2**53)
+    limit = n / d
+    for h, lim, free in ((horizon, limit, True), (horizon + 1, limit, False),
+                         (horizon, 1 + 0.5 / d, False)):
+        cfg = make_config(aoi_cap=cap, aoi_limit=[lim, 3.0], horizon=h)
+        assert simulate._inexact_limit(cfg) is None
+        assert simulate._Tally(cfg, False).order_free == (True, free)
+
+
+@pytest.mark.parametrize("case, order_free", [
+    ("fig9-prices", (True, True)),
+    ("pairs-k3", (False, True)),        # sample_cost 0.3 is not n/2**k
+    ("burn-in-states", (True, True)),
+    ("inexact-limits", (True, False)),  # neither is aoi_limit 4.3
+])
+def test_recorded_digests_cover_both_ways_to_sum(case, order_free,
+                                                  monkeypatch):
+    """The recorded ``_DPP_DIGESTS`` runs pin both summations: a sum that
+    is not order-free goes through ``_add_in_order``, the cost as one flat
+    block, the queues as a row per user."""
+    overrides, track_states, digest = _DPP_DIGESTS[case]
+    assert _order_free(**overrides) == order_free
+    in_order = simulate._add_in_order
+    ndims = set()
+    monkeypatch.setattr(simulate, "_add_in_order", lambda total, values:
+                        ndims.add(values.ndim) or in_order(total, values))
+    stats = run(dpp.DppPolicy(), make_config(**overrides), 1,
+                track_states=track_states)
+    assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
+    assert ndims == {ndim for ndim, free in zip((1, 2), order_free)
+                     if not free}
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(sample_cost=0.0, transmit_cost=2.0**40, horizon=4095),
+    dict(sample_cost=0.5, transmit_cost=2.0**39, horizon=4095,
+         single_transmitter_mode=False),
+], ids=["D=1", "D=2"])
+def test_order_free_runs_match_in_order_runs_at_the_bound(overrides,
+                                                          monkeypatch):
+    """Runs whose cost sums sit at the bound give the same statistics when
+    every sum is forced through ``_add_in_order`` (v_weight 0, so that DPP
+    acts at these prices)."""
+    overrides = dict(overrides, v_weight=0.0)
+    cfg = make_config(**overrides)
+    assert _order_free(**overrides) == (True, True)
+    policies = (dpp.DppPolicy(), ofrp.OfrpPolicy(_LONG_CASE[1]))
+    free = [repr(run(policy, cfg)) for policy in policies]
+    monkeypatch.setattr(simulate, "_add", lambda total, values, _:
+                        simulate._add_in_order(total, values))
+    assert free == [repr(run(policy, cfg)) for policy in policies]
+
+
+def test_visit_counts_allocate_per_visit_not_per_pair(monkeypatch):
+    """Counting a block's visits allocates with the 2,048 visits, not the
+    table's 358,218 pairs at cap 200, where one ``bincount`` per user took
+    a 2.8 MB temporary."""
+    peaks = []
+    add = simulate._Tally.add
+
+    def traced(tally, b0, pairs):
+        tracemalloc.start()
+        try:
+            add(tally, b0, pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(simulate._Tally, "add", traced)
+    cfg = make_config(aoi_cap=200, aoi_limit=50.0, horizon=simulate._DRAW_BLOCK)
+    run(ofrp.OfrpPolicy(_LONG_CASE[1]), cfg)
+    assert len(peaks) == 1
+    assert peaks[0] < 0.5 * 2**20
+
+
 def test_summarize_deterministic_policy_has_zero_spread():
     cfg = make_config(num_users=1, horizon=300)
     stats, summary = run_replicas(IdlePolicy(), cfg, 4)
