@@ -94,7 +94,9 @@ class Policy(abc.ABC):
         """``(sample_penalty, resend_penalty)``, or None (the default) to be
         asked through ``decide``.  Asked once per run, after a plan of None;
         a pair makes every slot take the action ``dpp._decide_core`` gives
-        for the slot state, the run's configuration and these penalties."""
+        for the slot state, the run's configuration and these penalties:
+        the first in ``dpp.feasible_actions`` order with the least sum of
+        float delta scores."""
         return None
 
 
@@ -386,10 +388,10 @@ class _Tally:
 @functools.lru_cache(maxsize=2)
 def _scored_rows(cap: int) -> tuple[tuple, tuple]:
     """The slot loop's rows at ``cap``, about 110 bytes a pair (22 MB at cap
-    150; two caps kept).  Per state, ``_decide_core``'s delta-score factors
-    with aged = min(age + 1, cap): 1 - aged to sample, wait + 1 - aged (< 0)
-    to resend, 0 if empty; per pair, successor offset, age and these, as
-    floats (exact, fast)."""
+    150; two caps kept).  Per state, ``_decide_core``'s factors of queue ×
+    success_prob, with aged = min(age + 1, cap): 1 - aged to sample, wait +
+    1 - aged (< 0) to resend, here 0 if empty (no resend); per pair,
+    successor offset, age and these, as floats (exact, fast)."""
     states, successor = transition_table(cap)[:2]
     coef = tuple((1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
                  for o, w, a in states)
@@ -401,10 +403,11 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
                channel_gens: list[np.random.Generator], tally: _Tally) -> None:
     """Step each user through the table one slot at a time.
 
-    A policy whose ``penalties`` gives a pair is scored here, exactly as
-    ``dpp._decide_core`` scores, at about 1.6M slots/s for two users at cap
-    10; any other is asked through ``decide``, and its action checked before
-    it applies.  Each block is checked after, scored queues against rebuilt.
+    A policy whose ``penalties`` gives a pair is scored here with
+    ``dpp._decide_core``'s float deltas, at about 1.6M slots/s for two users
+    at cap 10: a strict < in ``dpp.feasible_actions`` order, idle and each
+    user's single actions as the user steps, then the pairs.  Any other is
+    asked through ``decide``, and its action checked before it applies.  Each block is checked after, scored queues against rebuilt.
     """
     n = cfg.num_users
     cap = cfg.aoi_cap

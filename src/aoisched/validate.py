@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import dpp, forp, ofrp
-from .model import ActionVector, SystemConfig, UserState
+from .model import SystemConfig, UserState
 from .simulate import run, run_replicas
 
 
@@ -326,16 +326,7 @@ def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
     for _ in range(snapshots):
         states, cfg = _random_snapshot(rng)
         got = dpp.decide(states, cfg)
-        best = None
-        best_score = math.inf
-        occupied = [s.cache_occupied for s in states]
-        for pair in dpp.feasible_actions(
-                occupied, cfg.single_transmitter_mode):
-            action = ActionVector.from_pair(cfg.num_users, *pair)
-            score = dpp.candidate_score(states, action, cfg)
-            if score < best_score:
-                best, best_score = action, score
-        if got != best:
+        if got != dpp.brute_force(states, cfg):
             mismatches += 1
             continue
         for lam in (0.25, 2.0, 16.0):

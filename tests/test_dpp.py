@@ -1,11 +1,13 @@
 """Tests for the drift-plus-penalty scheduler."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from aoisched import dpp
+from aoisched import dpp, validate
 from aoisched.model import ActionVector, SystemConfig, UserState
 from aoisched.simulate import run
 
@@ -16,17 +18,6 @@ def make_config(**overrides):
                 seed=9, v_weight=1.0)
     base.update(overrides)
     return SystemConfig(**base)
-
-
-def brute_force(states, cfg):
-    best, best_score = None, float("inf")
-    occupied = [s.cache_occupied for s in states]
-    for pair in dpp.feasible_actions(occupied, cfg.single_transmitter_mode):
-        action = ActionVector.from_pair(cfg.num_users, *pair)
-        score = dpp.candidate_score(states, action, cfg)
-        if score < best_score:
-            best, best_score = action, score
-    return best
 
 
 # ── scoring ───────────────────────────────────────────────────────────────
@@ -87,9 +78,9 @@ def test_matches_brute_force_on_directed_cases():
          UserState(aoi=3, waiting_time=1, cache_occupied=True, vqueue=100.0)],
     ]
     for states in cases:
-        assert dpp.decide(states, cfg) == brute_force(states, cfg)
+        assert dpp.decide(states, cfg) == dpp.brute_force(states, cfg)
         dual = replace(cfg, single_transmitter_mode=False)
-        assert dpp.decide(states, dual) == brute_force(states, dual)
+        assert dpp.decide(states, dual) == dpp.brute_force(states, dual)
 
 
 def test_matches_brute_force_randomized():
@@ -112,7 +103,49 @@ def test_matches_brute_force_randomized():
             states.append(UserState(aoi=aoi, waiting_time=wait,
                                     cache_occupied=occ,
                                     vqueue=float(rng.uniform(0, 60))))
-        assert dpp.decide(states, cfg) == brute_force(states, cfg)
+        assert dpp.decide(states, cfg) == dpp.brute_force(states, cfg)
+
+
+def test_matches_brute_force_with_an_infinite_limit():
+    """An infinite limit adds the same term to every action's score, so
+    brute force leaves it out and still agrees with the delta rule."""
+    rng = np.random.default_rng(5)
+    for _ in range(3000):
+        states, cfg = validate._random_snapshot(rng)
+        limits = list(cfg.aoi_limit)
+        limits[int(rng.integers(0, cfg.num_users))] = math.inf
+        cfg = replace(cfg, aoi_limit=tuple(limits))
+        assert dpp.decide(states, cfg) == dpp.brute_force(states, cfg)
+
+
+def _exact_score(states, action, cfg):
+    """``candidate_score`` in exact arithmetic on the same float inputs."""
+    total = Fraction(0)
+    for k, st in enumerate(states):
+        w = Fraction(cfg.success_prob[k]) * (action.sample[k] + action.retransmit[k])
+        wait = 0 if action.sample[k] else st.waiting_time
+        aged = min(st.aoi + 1, cfg.aoi_cap)
+        total += Fraction(st.vqueue) * ((wait + 1) * w + aged * (1 - w)
+                                        - Fraction(cfg.aoi_limit[k]))
+    cost = (Fraction(cfg.sample_cost) * sum(action.sample)
+            + Fraction(cfg.transmit_cost) * (sum(action.sample) + sum(action.retransmit)))
+    return total + Fraction(cfg.v_weight) * cost
+
+
+def test_float_near_tie_is_not_the_exact_argmin():
+    """Slot 102 of a 3-user run (seed 7, replica 1): sampling user 0 and
+    sampling user 2 both score -139.0 in float deltas, so the rule samples
+    user 0, though user 2 is exactly cheaper by 45 / 2**52.  The float rule,
+    not an exact oracle, is what the engine's CSVs follow."""
+    cfg = make_config(num_users=3, success_prob=[0.3, 0.6, 0.9],
+                      sample_cost=0.3, transmit_cost=2.0,
+                      aoi_limit=[4.5, 6.0, 3.5], v_weight=10.0)
+    states = [UserState(aoi=9, waiting_time=1, cache_occupied=True, vqueue=60.0),
+              UserState(aoi=2, vqueue=15.0), UserState(aoi=8, vqueue=22.5)]
+    user0, user2 = (ActionVector.from_pair(3, k, None) for k in (0, 2))
+    assert dpp.decide(states, cfg) == user0
+    assert (_exact_score(states, user0, cfg) - _exact_score(states, user2, cfg)
+            == Fraction(45, 2**52))
 
 
 def test_growing_queue_eventually_forces_action():

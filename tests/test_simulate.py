@@ -345,6 +345,32 @@ def test_decide_cannot_change_the_engines_state():
     assert repr(stats) == repr(run(dpp.DppPolicy(), cfg, track_states=True))
 
 
+@pytest.mark.parametrize("first_limit", [None, 4.3, math.inf],
+                         ids=["dyadic", "inexact", "infinite"])
+@pytest.mark.parametrize("v_weight", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("single", [True, False])
+@pytest.mark.parametrize("num_users", [2, 3, 4])
+def test_scored_runs_follow_decide_on_random_configs(num_users, single,
+                                                     v_weight, first_limit):
+    """The scored slot loop, which writes every CSV, takes ``decide``'s
+    action in every slot of random configurations: limits in halves (the
+    prefix-sum queues), or the same with a first limit whose queue is
+    rebuilt slot by slot."""
+    rng = np.random.default_rng([num_users, single, int(v_weight)])
+    cap = int(rng.integers(5, 13))
+    limits = [float(x) / 2 for x in rng.integers(3, 2 * cap + 1, num_users)]
+    if first_limit is not None:
+        limits[0] = first_limit
+    cfg = make_config(
+        num_users=num_users, aoi_cap=cap, aoi_limit=limits,
+        success_prob=[float(x) for x in rng.uniform(0.1, 1.0, num_users)],
+        sample_cost=float(rng.uniform(0.0, 3.0)),
+        transmit_cost=float(rng.uniform(0.0, 3.0)), v_weight=v_weight,
+        horizon=3000, seed=int(rng.integers(1, 10**6)),
+        single_transmitter_mode=single)
+    assert repr(run(dpp.DppPolicy(), cfg, 1)) == repr(run(DppBySlot(), cfg, 1))
+
+
 class FixedPrices(dpp.DppPolicy):
     """The drift-plus-penalty rule at given penalties, negative ones too."""
 
