@@ -94,7 +94,9 @@ def _decide_core(aoi: Sequence[int], waiting: Sequence[int],
     delta, 0.0 for an absent role.
 
     ``simulate._slot_loop`` scores ``DppPolicy`` runs with the same float
-    expressions and tie order; change both together.
+    expressions and tie order, and skips a user's deltas below
+    ``simulate._scored_rows``' gate, where neither can be negative; change all
+    three together.
     """
     d_sample: dict[int | None, float] = {None: 0.0}
     d_resend: dict[int | None, float] = {None: 0.0}

@@ -21,7 +21,7 @@ runs slot by slot, the drift-plus-penalty rule scored by the loop itself
 from one fused table row per user and slot.  Both paths check every
 realized action and rebuild each block's virtual queues from the ages
 (``_queues``).  Two users at cap 10 walk about 5.4M slots/s and are scored
-at about 1.6M (best of 15 runs; 2-core x86, Python 3.11, numpy 2.4).
+at about 1.9M (best of 15 runs; 2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -386,16 +386,29 @@ class _Tally:
 
 
 @functools.lru_cache(maxsize=2)
-def _scored_rows(cap: int) -> tuple[tuple, tuple]:
-    """The slot loop's rows at ``cap``, about 110 bytes a pair (22 MB at cap
-    150; two caps kept).  Per state, ``_decide_core``'s factors of queue ×
-    success_prob, with aged = min(age + 1, cap): 1 - aged to sample, wait +
-    1 - aged (< 0) to resend, here 0 if empty (no resend); per pair,
-    successor offset, age and these, as floats (exact, fast)."""
+def _scored_rows(cap: int, sample_penalty: float,
+                 resend_penalty: float) -> tuple[tuple, tuple]:
+    """The slot loop's rows at ``cap`` and these penalties, about 120 bytes
+    a pair (24 MB at cap 150; two kept).  Per state, ``_decide_core``'s
+    factors of queue × success_prob, with aged = min(age + 1, cap): 1 - aged
+    to sample, wait + 1 - aged (< 0) to resend, here 0 if empty (no resend);
+    per pair, successor offset, age and these, as floats (exact, fast), and
+    a gate: the least over both deltas of penalty / -factor · (1 - 2**-40),
+    inf for a factor of 0, 0 unless the penalty exceeds 1e-300 (so nothing
+    is subnormal).  Below the gate, queue × success_prob × -factor rounds to
+    at most the penalty, as two roundings of 2**-53 stay far under 2**-40,
+    so both deltas are >= +0.0 and neither can win."""
     states, successor = transition_table(cap)[:2]
+
+    def gate(pen, c):
+        if not c:
+            return math.inf
+        return pen / -c * (1 - 2**-40) if pen > 1e-300 else 0.0
     coef = tuple((1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
                  for o, w, a in states)
-    return coef, tuple((s, float(states[s // EVENTS][2]), *coef[s // EVENTS])
+    rows = [(*c, min(gate(sample_penalty, c[0]), gate(resend_penalty, c[1])))
+            for c in coef]
+    return coef, tuple((s, float(states[s // EVENTS][2]), *rows[s // EVENTS])
                        for s in successor)
 
 
@@ -404,20 +417,23 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     """Step each user through the table one slot at a time.
 
     A policy whose ``penalties`` gives a pair is scored here with
-    ``dpp._decide_core``'s float deltas, at about 1.6M slots/s for two users
+    ``dpp._decide_core``'s float deltas, at about 1.9M slots/s for two users
     at cap 10: a strict < in ``dpp.feasible_actions`` order, idle and each
-    user's single actions as the user steps, then the pairs.  Any other is
-    asked through ``decide``, and its action checked before it applies.  Each block is checked after, scored queues against rebuilt.
+    user's single actions as the user steps (those below the row's gate
+    skipped, see ``_scored_rows``), then the pairs.  Any other is asked
+    through ``decide``, and its action checked before it applies.  After
+    each block, the scored queues are checked against the rebuilt ones.
     """
     n = cfg.num_users
     cap = cfg.aoi_cap
     p = cfg.success_prob
     single = cfg.single_transmitter_mode
     states = tally.table.states
-    coef, step = _scored_rows(cap)
     penalties = policy.penalties()
     scored = penalties is not None
-    sample_penalty, resend_penalty = penalties or (0.0, 0.0)
+    # unscored: infinite penalties gate every score off
+    sample_penalty, resend_penalty = penalties or (math.inf, math.inf)
+    coef, step = _scored_rows(cap, sample_penalty, resend_penalty)
     pairs = [] if single or not scored else list(itertools.permutations(range(n), 2))
     users = tuple(zip(range(n), cfg.aoi_limit, p))
 
@@ -452,17 +468,18 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
             sampler = resender = None
             for k, lim, pk in users:
                 hits[h + k] = s = at[k] + hits[h + k]
-                at[k], a, cs, cr = step[s]
+                at[k], a, cs, cr, gate = step[s]
                 d = vq[k] - lim
                 vq[k] = v = (d if d > 0.0 else 0.0) + a
                 xp = v * pk
-                d = xp * cs + sample_penalty
-                if d < best:
-                    best, sampler, resender = d, k, None
-                if cr:
-                    d = xp * cr + resend_penalty
+                if xp >= gate:
+                    d = xp * cs + sample_penalty
                     if d < best:
-                        best, sampler, resender = d, None, k
+                        best, sampler, resender = d, k, None
+                    if cr:
+                        d = xp * cr + resend_penalty
+                        if d < best:
+                            best, sampler, resender = d, None, k
             for i, j in pairs:
                 c = coef[at[j] // EVENTS][1]
                 if c:

@@ -290,12 +290,15 @@ def check_old_packet_advantage(threads: int = 1, slack: float = 2.0,
 #  decision-rule oracle
 # ──────────────────────────────────────────────────────────────────────────
 
-def _random_snapshot(rng: np.random.Generator):
-    """A random valid (states, config) pair with up to three users."""
+def _random_snapshot(rng: np.random.Generator, cap_range=(3, 12),
+                     v_max: float = 1000.0, queue_floor: float = 0.0):
+    """A random valid (states, config) pair with up to three users: cap
+    within ``cap_range``, V 0 or below ``v_max``, each queue
+    ``queue_floor`` or above it (below 100)."""
     k = int(rng.integers(1, 4))
-    cap = int(rng.integers(3, 13))
+    cap = int(rng.integers(cap_range[0], cap_range[1] + 1))
     aoi_limit = tuple(float(x) for x in rng.uniform(1.0, cap, k))
-    v = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 1000.0))
+    v = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, v_max))
     cfg = SystemConfig(
         num_users=k,
         success_prob=tuple(float(x) for x in rng.uniform(0.05, 1.0, k)),
@@ -308,7 +311,8 @@ def _random_snapshot(rng: np.random.Generator):
         aoi = int(rng.integers(1, cap + 1))
         occupied = bool(rng.integers(0, 2)) and aoi >= 3
         wait = int(rng.integers(1, min(cap - 2, aoi - 2) + 1)) if occupied else 0
-        x = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 100.0))
+        x = (queue_floor if rng.random() < 0.15
+             else float(rng.uniform(queue_floor, 100.0)))
         states.append(UserState(aoi=aoi, waiting_time=wait,
                                 cache_occupied=occupied, vqueue=x))
     return states, cfg

@@ -86,23 +86,8 @@ def test_matches_brute_force_on_directed_cases():
 def test_matches_brute_force_randomized():
     rng = np.random.default_rng(41)
     for _ in range(300):
-        k = int(rng.integers(1, 4))
-        cap = int(rng.integers(3, 9))
-        cfg = SystemConfig(
-            num_users=k, success_prob=[float(x) for x in rng.uniform(0.1, 1, k)],
-            sample_cost=float(rng.uniform(0, 4)),
-            transmit_cost=float(rng.uniform(0, 4)),
-            aoi_cap=cap, aoi_limit=[float(x) for x in rng.uniform(1, cap, k)],
-            horizon=10, seed=1, v_weight=float(rng.uniform(0, 20)),
-            single_transmitter_mode=bool(rng.integers(0, 2)))
-        states = []
-        for _ in range(k):
-            aoi = int(rng.integers(1, cap + 1))
-            occ = bool(rng.integers(0, 2)) and aoi >= 3
-            wait = int(rng.integers(1, min(cap - 2, aoi - 2) + 1)) if occ else 0
-            states.append(UserState(aoi=aoi, waiting_time=wait,
-                                    cache_occupied=occ,
-                                    vqueue=float(rng.uniform(0, 60))))
+        states, cfg = validate._random_snapshot(
+            rng, cap_range=(3, 8), v_max=20.0, queue_floor=1.0)
         assert dpp.decide(states, cfg) == dpp.brute_force(states, cfg)
 
 

@@ -347,7 +347,9 @@ def test_decide_cannot_change_the_engines_state():
 
 @pytest.mark.parametrize("first_limit", [None, 4.3, math.inf],
                          ids=["dyadic", "inexact", "infinite"])
-@pytest.mark.parametrize("v_weight", [0.0, 1.0, 10.0])
+# 800 is the presets' V, where the gate skips most scores; 5e-324 makes
+# subnormal or zero penalties (gates 0) and 1e308 infinite ones (gates inf).
+@pytest.mark.parametrize("v_weight", [0.0, 1.0, 10.0, 800.0, 5e-324, 1e308])
 @pytest.mark.parametrize("single", [True, False])
 @pytest.mark.parametrize("num_users", [2, 3, 4])
 def test_scored_runs_follow_decide_on_random_configs(num_users, single,
@@ -405,6 +407,37 @@ def test_scored_penalties_follow_decide_through_ties(prices, single):
         (ref["sample_freq"], ref["retransmit_freq"], ref["hist"],
          ref["avg_vqueue"], ref["trace"])
     assert repr(stats.state_freq) == repr(ref["freq"])
+
+
+_PRICES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.5e-300, -5e-324, -1.0, -1e300]),
+    st.floats(-1e3, 1e308),
+    # V · cost as _penalties forms it, overflowing to inf near the top
+    st.builds(lambda v, c: v * c, st.floats(0.0, 1.7e308), st.floats(0.0, 10.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.integers(2, 40), sample_penalty=_PRICES, resend_penalty=_PRICES,
+       fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
+                          max_size=4))
+def test_scored_gate_skips_only_deltas_that_cannot_win(
+        cap, sample_penalty, resend_penalty, fractions):
+    """Below a row's gate, queue × success_prob gives both delta scores
+    >= +0.0, so the slot loop may skip them: none can beat idle's 0.0."""
+    coef, step = simulate._scored_rows(cap, sample_penalty, resend_penalty)
+    for cs, cr, gate in {row[2:] for row in step}:
+        assert gate >= 0.0
+        if math.isinf(gate):
+            assert sample_penalty == math.inf
+            assert not cr or resend_penalty == math.inf
+            continue
+        if gate == 0.0:
+            continue
+        for xp in [math.nextafter(gate, 0.0)] + [gate * f for f in fractions]:
+            assert xp < gate
+            assert xp * cs + sample_penalty >= 0.0
+            if cr:
+                assert xp * cr + resend_penalty >= 0.0
 
 
 class CodeScript(Policy):
