@@ -93,10 +93,10 @@ def _decide_core(aoi: Sequence[int], waiting: Sequence[int],
     minus idle's): the sampler's sample delta plus the resender's resend
     delta, 0.0 for an absent role.
 
-    ``simulate._slot_loop`` scores ``DppPolicy`` runs with the same float
-    expressions and tie order, and skips a user's deltas below
-    ``simulate._scored_rows``' gate, where neither can be negative; change all
-    three together.
+    ``simulate._SLOTS`` scores ``DppPolicy`` runs with the same float
+    expressions and tie order, skips a user's deltas below
+    ``simulate._scored_rows``' gate, where neither can be negative, and
+    pairs only negative deltas; change all three together.
     """
     d_sample: dict[int | None, float] = {None: 0.0}
     d_resend: dict[int | None, float] = {None: 0.0}

@@ -17,21 +17,24 @@ Each user steps through the per-cap (state, event) -> state table
 of the (state, event) pairs visited.  A policy that sees the state only
 through each user's cache flag declares its actions ahead through
 ``Policy.plan`` and is walked a block of slots at a time; every other policy
-runs slot by slot, the drift-plus-penalty rule scored by the loop itself
-from one fused table row per user and slot.  Both paths check every
-realized action and rebuild each block's virtual queues from the ages
-(``_queues``).  Two users at cap 10 walk about 5.4M slots/s and are scored
-at about 1.9M (best of 15 runs; 2-core x86, Python 3.11, numpy 2.4).
+runs slot by slot, in a loop body rendered for the run's user count with
+each user's state in local variables, the drift-plus-penalty rule scored
+by that body itself from one fused table row per user and slot.  Both
+paths check every realized action and rebuild each block's virtual queues
+from the ages (``_queues``).  Two users at cap 10 walk about 6.7M slots/s
+and are scored at about 2.9M (best of 15 runs, ``tools/engine_rates.py``;
+2-core x86, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-import itertools
+import linecache
 import logging
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,14 +210,13 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     policy_gen, *channel_gens = _generators(cfg, replica)
     policy.reset(cfg, policy_gen)
     plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))
-    tally = _Tally(cfg, track_states)
     log.debug("%s: virtual queues %s", "slot loop" if plan is None else "walk",
               "as exact prefix sums" if (inexact := _inexact_limit(cfg)) is None
               else f"slot by slot, aoi_limit {inexact!r} is not exact in prefix sums")
     if plan is None:
-        _slot_loop(policy, cfg, channel_gens, tally)
+        tally = _slot_loop(policy, cfg, channel_gens, track_states)
     else:
-        _walk(policy, plan, cfg, channel_gens, tally)
+        tally = _walk(policy, plan, cfg, channel_gens, track_states)
     return tally.stats(policy.name, replica)
 
 
@@ -387,111 +389,173 @@ class _Tally:
 
 @functools.lru_cache(maxsize=2)
 def _scored_rows(cap: int, sample_penalty: float,
-                 resend_penalty: float) -> tuple[tuple, tuple]:
+                 resend_penalty: float) -> tuple[tuple, ...]:
     """The slot loop's rows at ``cap`` and these penalties, about 120 bytes
-    a pair (24 MB at cap 150; two kept).  Per state, ``_decide_core``'s
-    factors of queue × success_prob, with aged = min(age + 1, cap): 1 - aged
-    to sample, wait + 1 - aged (< 0) to resend, here 0 if empty (no resend);
-    per pair, successor offset, age and these, as floats (exact, fast), and
-    a gate: the least over both deltas of penalty / -factor · (1 - 2**-40),
+    a pair (24 MB at cap 150; two kept): per pair, successor offset, age and
+    the successor's ``_decide_core`` factors of queue × success_prob, with
+    aged = min(age + 1, cap): 1 - aged to sample, wait + 1 - aged (< 0) to
+    resend, here 0 if empty (no resend), as floats (exact, fast); and a
+    gate: the least over both deltas of penalty / -factor · (1 - 2**-40),
     inf for a factor of 0, 0 unless the penalty exceeds 1e-300 (so nothing
-    is subnormal).  Below the gate, queue × success_prob × -factor rounds to
-    at most the penalty, as two roundings of 2**-53 stay far under 2**-40,
-    so both deltas are >= +0.0 and neither can win."""
+    is subnormal), an infinite penalty taken as the largest double (so no
+    product overflows to make inf - inf).  Below the gate, queue ×
+    success_prob × -factor rounds to at most the penalty, as two roundings
+    of 2**-53 stay far under 2**-40, so both deltas are >= +0.0 and neither
+    can win."""
     states, successor = transition_table(cap)[:2]
 
     def gate(pen, c):
         if not c:
             return math.inf
+        pen = min(pen, sys.float_info.max)
         return pen / -c * (1 - 2**-40) if pen > 1e-300 else 0.0
-    coef = tuple((1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
-                 for o, w, a in states)
+    coef = [(1.0 - min(a + 1, cap), w + 1.0 - min(a + 1, cap) if o else 0.0)
+            for o, w, a in states]
     rows = [(*c, min(gate(sample_penalty, c[0]), gate(resend_penalty, c[1])))
             for c in coef]
-    return coef, tuple((s, float(states[s // EVENTS][2]), *rows[s // EVENTS])
-                       for s in successor)
+    return tuple((s, float(states[s // EVENTS][2]), *rows[s // EVENTS])
+                 for s in successor)
+
+
+# The slot loop's body for one block, rendered by ``_slot_body``.  The first
+# column keeps a line in the modes it names: ' ' all, 'A' asked through
+# ``decide``, 'S' scored, 'P' scored with two transmitters.  Each user k
+# holds its pair offset, queue, limit and success probability in ak, vk, lk
+# and pk; a slot applies the action, then steps each user (``_USER``) while
+# scoring the next slot's idle and single actions, then its pairs: only a
+# negative sample delta (kept in S) plus a negative resend delta (in R)
+# can beat them all.
+_SLOTS = """\
+ def slots(hits, b0, at, vq, choice, step, limits, probs, sp, rp, decide, states, cfg):
+     {a}, = at
+     {v}, = vq
+     {l}, = limits
+     {p}, = probs
+     sampler, resender = choice
+     for h in range(0, len(hits), {n}):
+A        t = b0 + h // {n}
+A        occ, wait, aoi = zip({states})
+A        sampler, resender = decide(t, list(aoi), list(wait), list(occ), [{v}])
+A        if sampler is not None:
+A            sampler = _user_index(t, "sampler", sampler, {n})
+A        if resender is not None:
+A            resender = _user_index(t, "retransmitter", resender, {n})
+A            if resender == sampler or not occ[resender]{single}:
+A                raise _rejected(t, ActionVector.from_pair({n}, sampler, resender), list(occ), cfg)
+         if sampler is not None:
+             hits[h + sampler] += 8
+         if resender is not None:
+             hits[h + resender] += 16
+S        best = 0.0
+S        sampler = resender = None
+P        S = R = ()
+ {users}
+P        if R:
+P            for i, x in S:
+P                for j, y in R:
+P                    if x + y < best and i != j: best, sampler, resender = x + y, i, j
+     return [{a}], [{v}], (sampler, resender)
+"""
+_USER = """\
+         hits[h] = s = a{k} + hits[h]
+         a{k}, a, cs, cr, g = step[s]
+         d = v{k} - l{k}
+         v{k} = (d if d > 0.0 else 0.0) + a
+S        xp = v{k} * p{k}
+S        if xp >= g:
+S            d = xp * cs + sp
+P            if d < 0.0: S += ({k}, d),
+S            if d < best: best, sampler, resender = d, {k}, None
+S            if cr:
+S                d = xp * cr + rp
+P                if d < 0.0: R += ({k}, d),
+S                if d < best: best, sampler, resender = d, None, {k}
+         h += 1
+"""
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_body(n: int, single: bool, scored: bool):
+    """``_SLOTS`` rendered for ``n`` users in one mode and compiled (eight
+    kept), its source in ``linecache`` under a name that says so, for
+    tracebacks, profiles and ``inspect.getsource``."""
+    tags = " " + ("S" + "P" * (not single) if scored else "A")
+
+    def keep(template):
+        return "".join(line[1:] for line in template.splitlines(True)
+                       if line[0] in tags)
+
+    def names(c):
+        return ", ".join(f"{c}{k}" for k in range(n))
+    text = keep(_SLOTS).format(
+        n=n, a=names("a"), v=names("v"), l=names("l"), p=names("p"),
+        users="".join(keep(_USER).format(k=k) for k in range(n)),
+        states=", ".join(f"states[a{k} // EVENTS]" for k in range(n)),
+        single=" or sampler is not None" if single else "")
+    name = (f"<aoisched slot loop, {n} users, {'one' if single else 'two'} "
+            f"transmitter{'' if single else 's'}, {'scored' if scored else 'asked'}>")
+    # newest last: the eight cached bodies are the last eight rendered
+    linecache.cache.pop(name, None)
+    linecache.cache[name] = len(text), None, text.splitlines(True), name
+    ours = [f for f in linecache.cache if f.startswith("<aoisched slot loop")]
+    for stale in ours[:-8]:
+        del linecache.cache[stale]
+    scope = {}
+    exec(compile(text, name, "exec"), globals(), scope)
+    return scope["slots"]
+
+
+def _user_index(t: int, role: str, k, n: int) -> int:
+    """The ``role`` index ``k`` that ``decide`` gave for slot ``t``, as an
+    int, or the ValueError naming the slot."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"slot {t}: {role} index {k!r} is not an integer")
+    if not 0 <= k < n:
+        raise ValueError(f"slot {t}: {role} index {k} out of range")
+    return int(k)
 
 
 def _slot_loop(policy: Policy, cfg: SystemConfig,
-               channel_gens: list[np.random.Generator], tally: _Tally) -> None:
-    """Step each user through the table one slot at a time.
+               channel_gens: list[np.random.Generator],
+               track_states: bool) -> _Tally:
+    """Step each user through the table one slot at a time, in the body
+    ``_slot_body`` renders for the run's user count and mode.
 
-    A policy whose ``penalties`` gives a pair is scored here with
-    ``dpp._decide_core``'s float deltas, at about 1.9M slots/s for two users
+    A policy whose ``penalties`` gives a pair is scored there with
+    ``dpp._decide_core``'s float deltas, at about 2.9M slots/s for two users
     at cap 10: a strict < in ``dpp.feasible_actions`` order, idle and each
     user's single actions as the user steps (those below the row's gate
-    skipped, see ``_scored_rows``), then the pairs.  Any other is asked
-    through ``decide``, and its action checked before it applies.  After
-    each block, the scored queues are checked against the rebuilt ones.
+    skipped, see ``_scored_rows``), then the pairs of negative deltas, the
+    only ones that can win.  Any other is asked through ``decide``, and its
+    action checked before it applies.  After each block, the scored queues
+    are checked against the rebuilt ones.
     """
     n = cfg.num_users
-    cap = cfg.aoi_cap
     p = cfg.success_prob
-    single = cfg.single_transmitter_mode
-    states = tally.table.states
     penalties = policy.penalties()
-    scored = penalties is not None
-    # unscored: infinite penalties gate every score off
+    # asked: no score is made, so the rows' prices are moot
     sample_penalty, resend_penalty = penalties or (math.inf, math.inf)
-    coef, step = _scored_rows(cap, sample_penalty, resend_penalty)
-    pairs = [] if single or not scored else list(itertools.permutations(range(n), 2))
-    users = tuple(zip(range(n), cfg.aoi_limit, p))
-
+    # rendered first: its compiler's transient peak sits on no run arrays
+    body = _slot_body(n, cfg.single_transmitter_mode, penalties is not None)
+    tally = _Tally(cfg, track_states)
+    tables = (_scored_rows(cfg.aoi_cap, sample_penalty, resend_penalty),
+              cfg.aoi_limit, p, sample_penalty, resend_penalty, policy.decide,
+              tally.table.states, cfg)
     at, vq = [0] * n, [0.0] * n     # offsets (0 is the start state), queues
     # scored choice for slot 0: with empty queues each score is sample_penalty
-    sampler, resender = 0 if sample_penalty < 0 else None, None
+    choice = 0 if sample_penalty < 0 else None, None
     for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, cfg.horizon - b0)
         # flat, slot-major, overwritten by the pairs; per-slot lists wake the GC
         hits = list(np.stack([g.random(m) < pk for g, pk in zip(channel_gens, p)],
                              1).tobytes())
-        for h in range(0, m * n, n):
-            if not scored:
-                t = b0 + h // n
-                occ, wait, aoi = zip(*[states[s // EVENTS] for s in at])
-                sampler, resender = policy.decide(
-                    t, list(aoi), list(wait), list(occ), vq.copy())
-                if sampler is not None and not 0 <= sampler < n:
-                    raise ValueError(f"slot {t}: sampler index {sampler} out of range")
-                if resender is not None and not 0 <= resender < n:
-                    raise ValueError(f"slot {t}: retransmitter index {resender} out of range")
-                if resender is not None and (resender == sampler or not occ[resender]
-                                             or single and sampler is not None):
-                    raise _rejected(t, ActionVector.from_pair(n, sampler, resender),
-                                    list(occ), cfg)
-            if sampler is not None:
-                hits[h + sampler] += 8
-            if resender is not None:
-                hits[h + resender] += 16
-            # apply the action, making the next slot's scored choice on the way
-            best = 0.0
-            sampler = resender = None
-            for k, lim, pk in users:
-                hits[h + k] = s = at[k] + hits[h + k]
-                at[k], a, cs, cr, gate = step[s]
-                d = vq[k] - lim
-                vq[k] = v = (d if d > 0.0 else 0.0) + a
-                xp = v * pk
-                if xp >= gate:
-                    d = xp * cs + sample_penalty
-                    if d < best:
-                        best, sampler, resender = d, k, None
-                    if cr:
-                        d = xp * cr + resend_penalty
-                        if d < best:
-                            best, sampler, resender = d, None, k
-            for i, j in pairs:
-                c = coef[at[j] // EVENTS][1]
-                if c:
-                    d = ((vq[i] * p[i] * coef[at[i] // EVENTS][0] + sample_penalty)
-                         + (vq[j] * p[j] * c + resend_penalty))
-                    if d < best:
-                        best, sampler, resender = d, i, j
+        at, vq, choice = body(hits, b0, at, vq, choice, *tables)
         # user-major and contiguous: table lookups on a strided view are slow
         tally.add(b0, _packed(hits).reshape(m, n).T.copy())
         if tally.vq.tolist() != vq:
             raise RuntimeError(f"block at slot {b0}: queues {vq} rebuilt as "
                                f"{tally.vq.tolist()}")
+    return tally
 
 
 def _inexact_limit(cfg: SystemConfig, terms: int = 1) -> float | None:
@@ -513,11 +577,12 @@ def _inexact_limit(cfg: SystemConfig, terms: int = 1) -> float | None:
 
 def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
           cfg: SystemConfig, channel_gens: list[np.random.Generator],
-          tally: _Tally) -> None:
+          track_states: bool) -> _Tally:
     """Walk each user through the table one ``_DRAW_BLOCK`` at a time from
     ``plan``, the policy's first block: Python does one table lookup per user
     and slot, and ``_Tally.add`` checks and records the block."""
     n = cfg.num_users
+    tally = _Tally(cfg, track_states)
     successor = tally.table.successor
     # each user's last (state, event) pair; at first one leading to the start
     last = [successor.index(0)] * n
@@ -540,6 +605,7 @@ def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
             walked += [p := successor[p] + e for e in row.tobytes()]
         last = walked[m - 1::m]
         tally.add(b0, _packed(walked).reshape(n, m))
+    return tally
 
 
 def _queues(tally: _Tally, ages: np.ndarray) -> np.ndarray:

@@ -318,7 +318,8 @@ def test_every_module_cache_is_bounded():
                        for name, value in vars(module).items()
                        if hasattr(value, "cache_info")})
     assert {"model.transition_table", "ofrp.grid_table", "ofrp.metrics",
-            "simulate._tally_rows", "simulate._scored_rows"} <= set(caches)
+            "simulate._tally_rows", "simulate._scored_rows",
+            "simulate._slot_body"} <= set(caches)
     unbounded = [name for name, cache in caches.items()
                  if cache.cache_info().maxsize is None]
     assert unbounded == []

@@ -1,10 +1,14 @@
 """Tests for the slot-level simulation engine."""
 
 import hashlib
+import inspect
+import linecache
 import logging
 import math
 import re
+import traceback
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -351,13 +355,13 @@ def test_decide_cannot_change_the_engines_state():
 # subnormal or zero penalties (gates 0) and 1e308 infinite ones (gates inf).
 @pytest.mark.parametrize("v_weight", [0.0, 1.0, 10.0, 800.0, 5e-324, 1e308])
 @pytest.mark.parametrize("single", [True, False])
-@pytest.mark.parametrize("num_users", [2, 3, 4])
+@pytest.mark.parametrize("num_users", [1, 2, 3, 4, 5, 6])
 def test_scored_runs_follow_decide_on_random_configs(num_users, single,
                                                      v_weight, first_limit):
     """The scored slot loop, which writes every CSV, takes ``decide``'s
     action in every slot of random configurations: limits in halves (the
     prefix-sum queues), or the same with a first limit whose queue is
-    rebuilt slot by slot."""
+    rebuilt slot by slot.  Each user count has its own rendered body."""
     rng = np.random.default_rng([num_users, single, int(v_weight)])
     cap = int(rng.integers(5, 13))
     limits = [float(x) / 2 for x in rng.integers(3, 2 * cap + 1, num_users)]
@@ -417,6 +421,10 @@ _PRICES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
+# An infinite sample penalty by a resend gate near the top of the doubles:
+# queue × success_prob × sample factor could overflow to -inf there.
+@example(cap=20, sample_penalty=math.inf, resend_penalty=9.461542815073427e306,
+         fractions=[0.0])
 @given(cap=st.integers(2, 40), sample_penalty=_PRICES, resend_penalty=_PRICES,
        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1,
                           max_size=4))
@@ -424,7 +432,7 @@ def test_scored_gate_skips_only_deltas_that_cannot_win(
         cap, sample_penalty, resend_penalty, fractions):
     """Below a row's gate, queue × success_prob gives both delta scores
     >= +0.0, so the slot loop may skip them: none can beat idle's 0.0."""
-    coef, step = simulate._scored_rows(cap, sample_penalty, resend_penalty)
+    step = simulate._scored_rows(cap, sample_penalty, resend_penalty)
     for cs, cr, gate in {row[2:] for row in step}:
         assert gate >= 0.0
         if math.isinf(gate):
@@ -629,6 +637,27 @@ def test_rejects_out_of_range_sampler():
         run(ScriptedPolicy([(5, None)]), cfg)
 
 
+@pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("role", ["sampler", "retransmitter"])
+def test_rejects_an_index_that_is_not_an_integer(role, index):
+    """``1.0`` cannot index a user and ``True`` is no user number: both are
+    refused naming the slot, as an out-of-range index is."""
+    pair = (index, None) if role == "sampler" else (None, index)
+    with pytest.raises(ValueError, match=re.escape(
+            f"slot 0: {role} index {index!r} is not an integer")):
+        run(ScriptedPolicy([pair]), make_config(horizon=10))
+
+
+def test_accepts_numpy_integer_indices():
+    """Indices may be numpy integers; they act as the same ints do."""
+    cfg = make_config(success_prob=0.0, horizon=10)
+    script = [(None, None), (None, None), (1, None), (None, 1), (0, None)]
+    as_numpy = [tuple(None if k is None else np.int64(k) for k in pair)
+                for pair in script]
+    assert repr(run(ScriptedPolicy(as_numpy), cfg, track_states=True)) == \
+        repr(run(ScriptedPolicy(script), cfg, track_states=True))
+
+
 def test_rejects_retransmit_without_cache():
     cfg = make_config(horizon=10)
     with pytest.raises(ValueError, match="no cached packet"):
@@ -769,6 +798,54 @@ def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
                        match=f"^block at slot {simulate._DRAW_BLOCK}: "):
         run(dpp.DppPolicy(), make_config(horizon=3 * simulate._DRAW_BLOCK))
     assert len(blocks) == 2
+
+
+# ── the rendered slot loop ────────────────────────────────────────────────
+
+_MODES = [(single, scored) for single in (True, False) for scored in (True, False)]
+
+
+@pytest.mark.parametrize("num_users", range(1, 9))
+def test_slot_bodies_compile_cleanly(num_users):
+    """Every mode's body renders and compiles with warnings as errors, so a
+    warning from any supported Python's compiler fails here."""
+    simulate._slot_body.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for single, scored in _MODES:
+            body = simulate._slot_body(num_users, single, scored)
+            assert body.__code__.co_argcount == 13
+
+
+def test_rendered_slot_loop_shows_its_source():
+    """The rendered body's lines are in ``linecache`` under a name that
+    gives its user count and mode, so ``inspect.getsource`` and tracebacks
+    show them."""
+    body = simulate._slot_body(3, False, True)
+    name = body.__code__.co_filename
+    assert name == "<aoisched slot loop, 3 users, two transmitters, scored>"
+    text = inspect.getsource(body)
+    assert text == "".join(linecache.getlines(name))
+    assert text.startswith("def slots(")
+    for line in ("    a0, a1, a2, = at\n", "        a2, a, cs, cr, g = step[s]\n",
+                 "            if d < 0.0: S += (2, d),\n",
+                 "    return [a0, a1, a2], [v0, v1, v2], (sampler, resender)\n"):
+        assert line in text
+
+
+class FailingDecide(DppBySlot):
+    def decide(self, t, aoi, waiting, occupied, vqueue):
+        raise LookupError("no decision")
+
+
+def test_traceback_through_the_slot_loop_shows_the_rendered_line():
+    with pytest.raises(LookupError) as failed:
+        run(FailingDecide(), make_config(num_users=2, single_transmitter_mode=False))
+    frames = [f for f in traceback.extract_tb(failed.value.__traceback__)
+              if f.filename.startswith("<aoisched slot loop")]
+    assert [f.filename for f in frames] == [
+        "<aoisched slot loop, 2 users, two transmitters, asked>"]
+    assert frames[0].line.startswith("sampler, resender = decide(t, ")
 
 
 # ── recording windows and aggregates ──────────────────────────────────────
