@@ -22,23 +22,20 @@ package provides:
 from . import dpp, forp, ofrp
 from .dpp import DppPolicy
 from .experiments import ExperimentSpec, SpecError, load_spec, run_experiment
-from .model import (ActionVector, InfeasibleError, SlotOutcome, SystemConfig,
-                    UserState, aoi_step, initial_states, slot_cost, step_users,
-                    vqueue_step, waiting_time_step)
+from .model import (ActionVector, InfeasibleError, SystemConfig, UserState,
+                    aoi_step, slot_cost, vqueue_step, waiting_time_step)
 from .ofrp import OfrpParams, OfrpPolicy, OfrpUserParams
-from .simulate import (IdlePolicy, Policy, ReplicaSummary, SimStats,
-                       channel_uniforms, run, run_replicas, summarize)
+from .simulate import (Policy, ReplicaSummary, SimStats, run, run_replicas,
+                       summarize)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionVector", "DppPolicy",
-    "ExperimentSpec", "IdlePolicy",
+    "ActionVector", "DppPolicy", "ExperimentSpec",
     "InfeasibleError", "OfrpParams", "OfrpPolicy", "OfrpUserParams",
-    "Policy", "ReplicaSummary", "SimStats", "SlotOutcome",
-    "SpecError", "SystemConfig", "UserState", "aoi_step", "channel_uniforms",
-    "dpp", "forp", "initial_states", "load_spec", "ofrp", "run",
+    "Policy", "ReplicaSummary", "SimStats",
+    "SpecError", "SystemConfig", "UserState", "aoi_step",
+    "dpp", "forp", "load_spec", "ofrp", "run",
     "run_experiment", "run_replicas", "slot_cost",
-    "step_users", "summarize", "vqueue_step",
-    "waiting_time_step", "__version__",
+    "summarize", "vqueue_step", "waiting_time_step", "__version__",
 ]

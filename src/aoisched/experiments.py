@@ -82,7 +82,7 @@ def _read_source(source) -> tuple[dict, str]:
     path = Path(source)
     try:    # a name too long for the file system raises from is_file too
         if path.suffix in (".yaml", ".yml") or path.is_file():
-            text = path.read_text()
+            text = path.read_text(encoding="utf-8")
         else:
             box = resources.files("aoisched.scenarios") / f"{source}.yaml"
             if not box.is_file():
@@ -91,9 +91,13 @@ def _read_source(source) -> tuple[dict, str]:
                     f"presets are {', '.join(available_presets())}")
             text = box.read_text()
             origin = f"preset:{source}"
+        doc = yaml.safe_load(text)
     except OSError as exc:
         raise SpecError(f"cannot read scenario file {source}: {exc}") from exc
-    doc = yaml.safe_load(text)
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{origin}: not UTF-8 text ({exc})") from exc
+    except yaml.YAMLError as exc:
+        raise SpecError(f"{origin}: malformed YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecError(f"{origin}: top level must be a mapping")
     return doc, origin

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import InfeasibleError, SystemConfig, grid_intervals
-from .ofrp import OfrpParams, OfrpUserParams
+from .ofrp import OfrpParams, OfrpUserParams, _per_user
 
 
 def delivery_rate(alpha: float, sample_prob: float, success_prob: float) -> float:
@@ -75,25 +75,21 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
     (c_s + c_tr)·alpha·phi never decreases as phi grows, so each user takes
     the first value of the probability grid that meets its limit: the
     cheapest, with ties going to the smallest phi; users with one
-    (success_prob, aoi_limit) share a scan.  Each user's point is
-    ``OfrpUserParams(alpha, phi, 0.0, phi)``.  Raises InfeasibleError,
-    naming the first offending user, when even phi = 1 cannot meet the
-    limit.
+    (success_prob, aoi_limit) share a scan (``ofrp._per_user``).  Each
+    user's point is ``OfrpUserParams(alpha, phi, 0.0, phi)``.  Raises
+    InfeasibleError, naming the first offending user, when even phi = 1
+    cannot meet the limit.
     """
-    alpha = 1.0 / cfg.num_users
     n = grid_intervals(step)
-    pairs = list(zip(cfg.success_prob, cfg.aoi_limit))
-    picks: dict[tuple[float, float], OfrpUserParams] = {}
-    for user, (p, limit) in enumerate(pairs):
-        if (p, limit) in picks:
-            continue
-        for phi in (i / n for i in range(n + 1)):   # probability_grid(step)
+
+    def first_feasible(alpha, p, limit, user):
+        for phi in (i / n for i in range(n + 1)):   # 0, step, ..., 1
             aoi = avg_aoi_closed_form(delivery_rate(alpha, phi, p), cfg.aoi_cap)
             if aoi <= limit:
-                break
-        else:   # aoi is the age at the grid's last value, phi 1
-            raise InfeasibleError(
-                f"user {user}: even sample_prob 1.0 yields average age "
-                f"{aoi:.4f} > limit {limit:g}", user=user)
-        picks[p, limit] = OfrpUserParams(alpha, phi, 0.0, phi)
-    return OfrpParams(tuple(picks[pair] for pair in pairs))
+                return OfrpUserParams(alpha, phi, 0.0, phi)
+        # aoi is the age at the grid's last value, phi 1
+        raise InfeasibleError(
+            f"user {user}: even sample_prob 1.0 yields average age "
+            f"{aoi:.4f} > limit {limit:g}", user=user)
+
+    return _per_user(cfg, first_feasible)

@@ -10,9 +10,10 @@ a fresh packet, resend the cached packet, or stay silent; transmissions
 succeed independently with a per-source probability.
 
 This module defines the configuration and state types, the per-slot update
-laws, the slot cost, a straightforward reference stepper, and the per-cap
-transition table that composes the update laws once for both the simulation
-engine and the fresh-or-old chain.
+laws, the slot cost, and the per-cap transition table that composes the
+update laws once for both the simulation engine and the fresh-or-old chain.
+The tests keep a reference stepper that composes the laws slot by slot
+(``tests/engine_oracle.py``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -37,8 +39,10 @@ class InfeasibleError(RuntimeError):
 
 def _as_tuple(value, n: int, name: str) -> tuple[float, ...]:
     """Broadcast a scalar to ``n`` entries, or validate a length-``n`` sequence."""
-    values = (value,) * n if isinstance(value, (int, float)) else tuple(value)
-    if any(isinstance(v, bool) for v in values):
+    # numbers.Real covers numpy's integer and floating scalars too; a string
+    # is a sequence whose entries float() would read ("57" as 5 and 7)
+    values = (value,) * n if isinstance(value, numbers.Real) else tuple(value)
+    if any(isinstance(v, (bool, str, bytes)) for v in values):
         raise ValueError(f"{name} must be numbers, got {value!r}")
     try:
         out = tuple(float(v) for v in values)
@@ -206,14 +210,6 @@ class ActionVector:
                     "single-transmitter mode allows at most one acting user")
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
-    """What one slot produced: per-user delivery flags and the realized cost."""
-
-    delivered: tuple[bool, ...]
-    cost: float
-
-
 # ──────────────────────────────────────────────────────────────────────────
 #  per-slot update laws
 # ──────────────────────────────────────────────────────────────────────────
@@ -271,44 +267,6 @@ def vqueue_step(vqueue: float, next_aoi: int, limit: float) -> float:
 
 
 # ──────────────────────────────────────────────────────────────────────────
-#  reference stepper
-# ──────────────────────────────────────────────────────────────────────────
-
-def step_users(states: Sequence[UserState], action: ActionVector,
-               channel: Sequence[float], cfg: SystemConfig,
-               ) -> tuple[list[UserState], SlotOutcome]:
-    """Advance every user by one slot, composing the update laws literally.
-
-    ``channel`` supplies one uniform draw per user; user k's transmission
-    succeeds when it acts and ``channel[k] < success_prob[k]``.  This is the
-    slow, obviously-correct counterpart of the transition table both paths
-    of the simulation engine step through, and is used to cross-check it.
-    """
-    action.validate([st.cache_occupied for st in states], cfg)
-    new_states: list[UserState] = []
-    delivered_flags: list[bool] = []
-    for k, st in enumerate(states):
-        sampled = bool(action.sample[k])
-        acted = sampled or bool(action.retransmit[k])
-        delivered = acted and channel[k] < cfg.success_prob[k]
-        wait_tx = 0 if sampled else st.waiting_time
-        nxt = aoi_step(st.aoi, wait_tx, delivered, cfg.aoi_cap)
-        occ, wt = waiting_time_step(
-            st.cache_occupied, st.waiting_time, sampled=sampled,
-            delivered=delivered, next_aoi=nxt, cap=cfg.aoi_cap)
-        new_states.append(UserState(
-            aoi=nxt, waiting_time=wt, cache_occupied=occ,
-            vqueue=vqueue_step(st.vqueue, nxt, cfg.aoi_limit[k])))
-        delivered_flags.append(delivered)
-    return new_states, SlotOutcome(tuple(delivered_flags), slot_cost(action, cfg))
-
-
-def initial_states(cfg: SystemConfig) -> list[UserState]:
-    """Start-of-run state: age 1, empty cache, empty virtual queue."""
-    return [UserState(aoi=1) for _ in range(cfg.num_users)]
-
-
-# ──────────────────────────────────────────────────────────────────────────
 #  transition table
 # ──────────────────────────────────────────────────────────────────────────
 
@@ -342,8 +300,8 @@ def transition_table(cap: int) -> TransitionTable:
     empty caches first, so the start state (False, 0, 1) is index 0.  A
     user's state is held in offset form, ``EVENTS`` times its index, so
     ``s + e`` is the pair of event ``e`` at offset ``s``; ``successor[s +
-    e]``, composed from ``aoi_step`` and ``waiting_time_step`` as
-    ``step_users`` composes them, is the offset it leads to, and ``kind``
+    e]``, the next age by ``aoi_step`` and then the cache by
+    ``waiting_time_step``, is the offset it leads to, and ``kind``
     flags whether the pair starts from an empty cache, samples, resends and
     delivers.  Events that break an action rule lead where the laws take
     them; the engine rejects them.  At most four caps are kept.  Cap 64
@@ -390,8 +348,3 @@ def grid_intervals(step: float) -> int:
         raise ValueError(f"step must divide 1 evenly, got {step}")
     return n
 
-
-def probability_grid(step: float) -> list[float]:
-    """Evenly spaced probabilities 0, step, ..., 1 (step must divide 1)."""
-    n = grid_intervals(step)
-    return [i / n for i in range(n + 1)]

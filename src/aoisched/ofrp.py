@@ -411,24 +411,23 @@ def _select(table: tuple[np.ndarray, np.ndarray], step: float, alpha: float,
 
 def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
                sample_cost: float, transmit_cost: float, step: float,
-               user_index: int) -> tuple[float, float, float, float, float]:
-    """Cheapest (sample_occupied, retransmit_old, sample_empty) for one user.
+               user_index: int) -> OfrpUserParams:
+    """One user's cheapest (sample_occupied, retransmit_old, sample_empty).
 
-    Returns (u, q, ue, avg_aoi, avg_cost).  Prices the ``grid_table`` points
-    and takes the first least-cost point meeting the limit in scan order, so
-    points whose costs are equal doubles resolve to the smallest triple.
-    At success_prob = 1 the cache is never used and every (u, q) pair with
-    one sample_empty ties: the table's empty fraction there is exactly 1,
-    their costs are equal doubles, and the pick is (0, 0, sample_empty).
-    An exact tie whose doubles differ in the last bit goes to the cheaper
-    double.
+    Prices the ``grid_table`` points and takes the first least-cost point
+    meeting the limit in scan order, so points whose costs are equal
+    doubles resolve to the smallest triple.  At success_prob = 1 the cache
+    is never used and every (u, q) pair with one sample_empty ties: the
+    table's empty fraction there is exactly 1, their costs are equal
+    doubles, and the pick is (0, 0, sample_empty).  An exact tie whose
+    doubles differ in the last bit goes to the cheaper double.
     """
     # sample_empty = 0 never delivers anything fresh: the age saturates at the
     # cap, the cache stays empty in steady state, and the cost rate is 0.
     # Those points are feasible exactly when the limit admits the cap, in
     # which case the all-zero triple is the scan's first (and cheapest) hit.
     if limit >= cap:
-        return (0.0, 0.0, 0.0, float(cap), 0.0)
+        return OfrpUserParams(alpha, 0.0, 0.0, 0.0)
     if alpha * success_prob == 0.0:
         raise InfeasibleError(
             f"user {user_index}: deliveries are impossible "
@@ -446,18 +445,34 @@ def _scan_user(alpha: float, success_prob: float, cap: int, limit: float,
             user=user_index)
     best = tuple(float(v[0]) for v in _grid_block(
         search_intervals(step), at, at + 1))
+    user = OfrpUserParams(alpha, *best)
 
     # Confirm through the scalar path: the table's reduction against the
     # expansion's per-state vector; a gap beyond TAU means one has drifted.
-    m = metrics(OfrpUserParams(alpha, *best), success_prob, cap,
-                sample_cost, transmit_cost)
+    m = metrics(user, success_prob, cap, sample_cost, transmit_cost)
     cost = _cost_rate(alpha, *best, theta[at], sample_cost, transmit_cost)
     if abs(m.avg_cost - cost) > 1e-9 or abs(m.avg_aoi - avg_aoi[at]) > TAU:
         raise RuntimeError(
             f"grid scan inconsistency at {best}: table (avg_aoi, cost) "
             f"{(float(avg_aoi[at]), float(cost))!r} vs scalar "
             f"{(m.avg_aoi, m.avg_cost)!r}")
-    return (*best, m.avg_aoi, m.avg_cost)
+    return user
+
+
+def _per_user(cfg: SystemConfig, pick) -> OfrpParams:
+    """Uniform scheduling (alpha = 1/K) with each user's point from
+    ``pick(alpha, success_prob, aoi_limit, user)``: the per-user search of
+    both randomized policies.  Users with one (success_prob, aoi_limit)
+    share the first one's pick, and users are picked in order, so an
+    InfeasibleError from ``pick`` names the first user it refuses."""
+    alpha, picks = 1.0 / cfg.num_users, {}   # pair -> (first user, params)
+    pairs = list(zip(cfg.success_prob, cfg.aoi_limit))
+    for i, pair in enumerate(pairs):
+        if pair in picks:
+            log.debug("user %d: reuses user %d's pick", i, picks[pair][0])
+        else:
+            picks[pair] = i, pick(alpha, *pair, i)
+    return OfrpParams(tuple(picks[pair][1] for pair in pairs))
 
 
 def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
@@ -471,16 +486,9 @@ def optimize(cfg: SystemConfig, step: float = 0.01) -> OfrpParams:
     no grid point can meet, ValueError if ``search_intervals`` refuses step.
     """
     search_intervals(step)
-    alpha, picks = 1.0 / cfg.num_users, {}   # pair -> (first user, params)
-    for i, pair in enumerate(zip(cfg.success_prob, cfg.aoi_limit)):
-        if pair in picks:
-            log.debug("user %d: reuses user %d's pick", i, picks[pair][0])
-            continue
-        u, q, ue, _, _ = _scan_user(alpha, pair[0], cfg.aoi_cap, pair[1],
-                                    cfg.sample_cost, cfg.transmit_cost, step, i)
-        picks[pair] = i, OfrpUserParams(alpha, u, q, ue)
-    return OfrpParams(users=tuple(
-        picks[pair][1] for pair in zip(cfg.success_prob, cfg.aoi_limit)))
+    return _per_user(cfg, lambda alpha, p, limit, user: _scan_user(
+        alpha, p, cfg.aoi_cap, limit, cfg.sample_cost, cfg.transmit_cost,
+        step, user))
 
 
 def total_cost(params: OfrpParams, cfg: SystemConfig) -> float:

@@ -103,44 +103,6 @@ class Policy(abc.ABC):
         return None
 
 
-class IdlePolicy(Policy):
-    """Never acts; ages drift to the cap."""
-
-    name = "idle"
-
-    def reset(self, cfg, rng):
-        self._users = cfg.num_users
-
-    def decide(self, t, aoi, waiting, occupied, vqueue):
-        return None, None
-
-    def plan(self, n_slots):
-        idle = np.zeros((self._users, n_slots), dtype=np.int8)
-        return idle, idle
-
-
-class AlwaysSamplePolicy(Policy):
-    """Samples a fresh packet for one fixed user every slot."""
-
-    name = "always-sample"
-
-    def __init__(self, user: int = 0):
-        self.user = user
-
-    def reset(self, cfg, rng):
-        self._users = cfg.num_users
-
-    def decide(self, t, aoi, waiting, occupied, vqueue):
-        return self.user, None
-
-    def plan(self, n_slots):
-        if not 0 <= self.user < self._users:
-            return None     # the slot loop reports the bad index
-        sample = np.zeros((self._users, n_slots), dtype=np.int8)
-        sample[self.user] = 1
-        return sample, sample
-
-
 # ──────────────────────────────────────────────────────────────────────────
 #  run statistics
 # ──────────────────────────────────────────────────────────────────────────
@@ -180,19 +142,6 @@ def _generators(cfg: SystemConfig, replica: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in root.spawn(1 + cfg.num_users)]
 
 
-def channel_uniforms(cfg: SystemConfig, replica: int = 0,
-                     horizon: int | None = None) -> np.ndarray:
-    """The (num_users, horizon) channel draws run() will consume, so tests
-    can replay the same randomness through the reference stepper."""
-    horizon = cfg.horizon if horizon is None else horizon
-    return np.vstack([g.random(horizon) for g in _generators(cfg, replica)[1:]])
-
-
-def policy_rng(cfg: SystemConfig, replica: int = 0) -> np.random.Generator:
-    """The private generator handed to the policy for this run."""
-    return _generators(cfg, replica)[0]
-
-
 # ──────────────────────────────────────────────────────────────────────────
 #  the engine
 # ──────────────────────────────────────────────────────────────────────────
@@ -204,9 +153,9 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     A policy whose ``plan`` returns actions is table-walked (``_walk``);
     every other policy runs slot by slot (``_slot_loop``).  Both paths step
     each user through ``model.transition_table`` and feed one ``_Tally``;
-    test suites cross-check the two paths and ``model.step_users``.  Every
-    action is checked: one that breaks a scheduling rule raises ValueError
-    naming the slot."""
+    the tests cross-check the two paths and the reference stepper of
+    ``tests/engine_oracle.py``.  Every action is checked: one that breaks a
+    scheduling rule raises ValueError naming the slot."""
     policy_gen, *channel_gens = _generators(cfg, replica)
     policy.reset(cfg, policy_gen)
     plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))

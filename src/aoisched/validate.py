@@ -9,7 +9,7 @@ exercise the failure paths cheaply.
 
 The heavy checks simulate 10^6-slot horizons over several replicas; the
 acceptance tier, which runs the whole registry with four simulation threads
-for the Monte-Carlo checks, takes about 40 s on two cores.
+for the Monte-Carlo checks, takes about 15 s on two cores.
 """
 
 from __future__ import annotations

@@ -71,3 +71,28 @@ def test_run_path_does_not_import_the_checks():
     loaded = _fresh_modules(RUN_PATH_IMPORTS)
     assert "aoisched.cli" in loaded
     assert "aoisched.validate" not in loaded
+
+
+ENGINE_ORACLE_NAMES = ["AlwaysSamplePolicy", "IdlePolicy", "SlotOutcome",
+                       "channel_uniforms", "initial_states", "policy_rng",
+                       "probability_grid", "step_users"]
+
+SURFACE = """
+import json, sys
+import aoisched, aoisched.model, aoisched.simulate
+print(json.dumps({
+    "unresolved": [n for n in aoisched.__all__ if not hasattr(aoisched, n)],
+    "oracle": sorted(f"{m.__name__}.{n}" for m in (aoisched, aoisched.model,
+                                                   aoisched.simulate)
+                     for n in %r if hasattr(m, n)),
+    "loaded": sorted(m for m in sys.modules if m.endswith("_oracle")),
+}))
+""" % ENGINE_ORACLE_NAMES
+
+
+def test_package_surface_leaves_the_engine_oracle_out():
+    """Every name in ``aoisched.__all__`` resolves, the engine's test-only
+    twins (``tests/engine_oracle.py``) are not attributes of the package,
+    and importing it loads no oracle module."""
+    assert _fresh_modules(SURFACE) == {"unresolved": [], "oracle": [],
+                                       "loaded": []}

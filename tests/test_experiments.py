@@ -98,6 +98,9 @@ def test_axis_aliases():
                  "grid_step: integer too large", id="huge-grid_step"),
     pytest.param(lambda d: d["sweep"].update(values=[0.5, 10 ** 400]),
                  "sweep.values[1]: integer too large", id="huge-sweep.values"),
+    # a quoted value would be read one character per user
+    pytest.param(lambda d: d["config"].update(aoi_limit="57"),
+                 "aoi_limit must be numbers", id="string-aoi_limit"),
     # YAML's true and false are ints to isinstance, but not numbers here
     *(pytest.param(mutate, fragment, id=f"bool-{fragment}") for mutate, fragment in [
         (lambda d: d["config"].update(num_users=True), "config.num_users"),
@@ -126,6 +129,30 @@ def test_preset_name_wins_over_a_directory_of_that_name(tmp_path, monkeypatch):
     (tmp_path / "fig5a").mkdir()
     monkeypatch.chdir(tmp_path)
     assert load_spec("fig5a").scenario == "fig5a"
+
+
+UNREADABLE = [
+    pytest.param(b"config: {num_users: 2", "malformed YAML", id="truncated"),
+    pytest.param(b"scenario: \xff\xfe\n", "not UTF-8", id="not-utf8"),
+]
+
+
+@pytest.mark.parametrize("content, fragment", UNREADABLE)
+def test_unreadable_spec_file_is_a_spec_error(content, fragment, tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(content)
+    with pytest.raises(SpecError, match=re.escape(f"{bad}: {fragment}")):
+        load_spec(bad)
+
+
+@pytest.mark.parametrize("content, fragment", UNREADABLE)
+def test_cli_reports_an_unreadable_spec_file(content, fragment, tmp_path,
+                                             capsys):
+    """No traceback: exit 2 and one ``error:`` line naming the file."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(content)
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {fragment}")
 
 
 def test_packaged_presets_all_parse():

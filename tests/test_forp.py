@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from aoisched import forp, ofrp
 from aoisched.experiments import _make_policy
-from aoisched.model import InfeasibleError, SystemConfig, probability_grid
-from aoisched.simulate import policy_rng, run
+from aoisched.model import InfeasibleError, SystemConfig
+from aoisched.simulate import run
 from chain_oracle import DIRECT_SOLVE_MAX_STATES
+from engine_oracle import policy_rng, probability_grid
 
 
 def fresh_only(*phis):

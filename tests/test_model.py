@@ -9,9 +9,9 @@ import pytest
 import aoisched
 
 from aoisched.model import (ActionVector, SystemConfig, UserState, aoi_step,
-                            grid_intervals, initial_states, probability_grid,
-                            slot_cost, step_users, vqueue_step,
+                            grid_intervals, slot_cost, vqueue_step,
                             waiting_time_step)
+from engine_oracle import initial_states, probability_grid, step_users
 
 
 def make_config(**overrides):
@@ -120,6 +120,14 @@ def test_config_broadcasts_scalars():
     assert cfg.aoi_limit == (4.0, 4.0)
 
 
+@pytest.mark.parametrize("scalar", [np.int64, np.float64, np.float32])
+def test_config_broadcasts_numpy_scalars(scalar):
+    """A numpy scalar is a scalar, as the Python float it equals is."""
+    cfg = make_config(success_prob=scalar(1), aoi_limit=scalar(5))
+    assert cfg == make_config(success_prob=1.0, aoi_limit=5.0)
+    assert {type(v) for v in cfg.success_prob + cfg.aoi_limit} == {float}
+
+
 def test_config_accepts_per_user_sequences():
     cfg = make_config(success_prob=[0.5, 0.9], aoi_limit=(3, 6))
     assert cfg.success_prob == (0.5, 0.9)
@@ -168,6 +176,8 @@ def test_config_rejects_bad_values(overrides):
     ("seed", False),
     ("success_prob", True),
     pytest.param("aoi_limit", [5.0, True], id="aoi_limit-bool-entry"),
+    pytest.param("aoi_limit", "57", id="aoi_limit-string"),
+    pytest.param("success_prob", ["0.5", "0.9"], id="success_prob-strings"),
     ("sample_cost", True),
     ("v_weight", False),
 ])

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from aoisched import forp, ofrp
 from aoisched.experiments import load_spec
 from aoisched.model import (ActionVector, InfeasibleError, SystemConfig,
-                            UserState, step_users, transition_table)
+                            UserState, transition_table)
 from aoisched.simulate import run
 from chain_oracle import (DIRECT_SOLVE_MAX_STATES, assemble, build_chain,
                           direct_stationary, exact_cost, exact_metrics,
                           finalize, grid_points, layout, select,
                           solve_stationary)
+from engine_oracle import step_users
 
 
 def make_config(**overrides):
@@ -99,8 +100,8 @@ unit = st.floats(0.0, 1.0)
 @settings(max_examples=60, deadline=None)
 @given(cap=st.integers(2, 12), alpha=unit, u=unit, q=unit, ue=unit, p=unit)
 def test_chain_rows_match_the_reference_stepper(cap, alpha, u, q, ue, p):
-    """Every row is the one-slot law of ``model.step_users``: each action
-    weighted by its probability, each channel outcome by p or 1 - p."""
+    """Every row is the one-slot law of ``engine_oracle.step_users``: each
+    action weighted by its probability, each channel outcome by p or 1 - p."""
     user = ofrp.OfrpUserParams(alpha, u, q * (1.0 - u), ue)
     matrix = build_chain(user, p, cap)
     states = transition_table(cap).states
@@ -393,6 +394,19 @@ def test_users_with_one_channel_and_limit_share_a_scan(monkeypatch):
         assert err.value.user == first
 
 
+@pytest.mark.parametrize("module", [ofrp, forp], ids=["ofrp", "forp"])
+def test_both_searches_log_each_reused_pick(module, caplog):
+    """Both optimizers run through ``ofrp._per_user``, which says at DEBUG
+    which earlier user's pick each repeated (success_prob, aoi_limit) took."""
+    cfg = make_config(num_users=4, success_prob=(0.8, 0.9, 0.8, 0.8),
+                      aoi_cap=6, aoi_limit=4.0)
+    caplog.set_level(logging.DEBUG, logger="aoisched.ofrp")
+    users = module.optimize(cfg, step=0.1).users
+    assert [m for m in caplog.messages if "reuses" in m] == [
+        "user 2: reuses user 0's pick", "user 3: reuses user 0's pick"]
+    assert users[0] == users[2] == users[3] != users[1]
+
+
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.1, 0.05, 0.02])
 def test_grid_points_follow_the_scan_order(step):
     """The oracle's whole grid, and ``_grid_block`` over it whole and over
@@ -645,8 +659,8 @@ def test_a_full_tie_takes_the_smallest_triple():
 def test_p1_tie_resolves_to_the_smallest_triple():
     """The scan keeps the first of the tied (u, q) pairs at success_prob 1;
     a dense re-solve's rounding used to pick (0, 0.3, 0.4) here."""
-    assert ofrp._scan_user(1.0, 1.0, 6, 2.5, 1.0, 5.0, 0.05, 0)[:3] == \
-        (0.0, 0.0, 0.4)
+    assert ofrp._scan_user(1.0, 1.0, 6, 2.5, 1.0, 5.0, 0.05, 0) == \
+        ofrp.OfrpUserParams(1.0, 0.0, 0.0, 0.4)
 
 
 def test_grid_table_works_in_bounded_blocks():
@@ -720,8 +734,9 @@ def test_last_bit_tie_keeps_its_pick():
     (0, 0, 1) and (0, 0.5, 1) cost the same in exact arithmetic, but the
     table's empty fractions differ by one ulp and the pick is the cheaper
     double, (0, 0.5, 1), as the whole-table oracle picks."""
-    assert ofrp._scan_user(0.4025746085300167, 0.8, 3, 2.5268608977872384,
-                           1.0, 0.0, 0.5, 0)[:3] == (0.0, 0.5, 1.0)
+    alpha = 0.4025746085300167
+    assert ofrp._scan_user(alpha, 0.8, 3, 2.5268608977872384, 1.0, 0.0, 0.5,
+                           0) == ofrp.OfrpUserParams(alpha, 0.0, 0.5, 1.0)
 
 
 # ── the boundary recursion's full stationary vector ───────────────────────

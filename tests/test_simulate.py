@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import dpp, ofrp, simulate
-from aoisched.model import ActionVector, SystemConfig, initial_states, step_users
-from aoisched.simulate import (AlwaysSamplePolicy, IdlePolicy, Policy,
-                               channel_uniforms, policy_rng, run,
-                               run_replicas, summarize)
+from aoisched.model import ActionVector, SystemConfig
+from aoisched.simulate import Policy, run, run_replicas, summarize
+from engine_oracle import (AlwaysSamplePolicy, IdlePolicy, channel_uniforms,
+                           initial_states, policy_rng, step_users)
 
 
 def make_config(**overrides):
