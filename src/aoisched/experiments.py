@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, replace
@@ -91,7 +92,9 @@ def _read_source(source) -> tuple[dict, str]:
                     f"presets are {', '.join(available_presets())}")
             text = box.read_text()
             origin = f"preset:{source}"
-        doc = yaml.safe_load(text)
+        stream = io.StringIO(text)
+        stream.name = origin        # PyYAML's error marks name the source
+        doc = yaml.safe_load(stream)
     except OSError as exc:
         raise SpecError(f"cannot read scenario file {source}: {exc}") from exc
     except UnicodeDecodeError as exc:

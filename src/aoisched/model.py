@@ -39,10 +39,14 @@ class InfeasibleError(RuntimeError):
 
 def _as_tuple(value, n: int, name: str) -> tuple[float, ...]:
     """Broadcast a scalar to ``n`` entries, or validate a length-``n`` sequence."""
-    # numbers.Real covers numpy's integer and floating scalars too; a string
-    # is a sequence whose entries float() would read ("57" as 5 and 7)
-    values = (value,) * n if isinstance(value, numbers.Real) else tuple(value)
-    if any(isinstance(v, (bool, str, bytes)) for v in values):
+    # numbers.Real covers numpy's integer and floating scalars too, and a 0-d
+    # array is its scalar; a string is a sequence whose entries float() would
+    # read ("57" as 5 and 7)
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    values = ((value,) * n if isinstance(value, (numbers.Real, np.bool_))
+              else tuple(value))
+    if any(isinstance(v, (bool, np.bool_, str, bytes)) for v in values):
         raise ValueError(f"{name} must be numbers, got {value!r}")
     try:
         out = tuple(float(v) for v in values)
@@ -110,7 +114,7 @@ class SystemConfig:
                 raise ValueError(f"aoi_limit must be at least 1, got {a}")
         for name in ("sample_cost", "transmit_cost", "v_weight"):
             value = getattr(self, name)
-            if isinstance(value, bool):
+            if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0.0 <= value <= math.nextafter(math.inf, 0.0):  # max double
                 raise ValueError(

@@ -20,17 +20,20 @@ diagonal, so the balance equations reduce to an O(cap) recursion,
 ``_boundary_masses``.  ``stationary`` expands it onto every state, and
 ``metrics``, the source of every number in a CSV, reads that vector.
 ``grid_table`` reduces it to (average age, empty fraction) at every grid
-point, once per (alpha, success_prob, cap, step).  ``_select`` takes the
-first cheapest point meeting the limit in scan order, and ``_scan_user``
-re-evaluates the pick through ``metrics`` and raises if the table's age or
-cost disagree.  The tests check the recursion against a dense LAPACK solve
-and, at small caps, an exact rational one.
+point, once per (alpha, success_prob, cap, step).  The recursion is
+elementwise arithmetic in a fixed order and ``metrics`` makes no BLAS call,
+so no CPU or BLAS kernel moves a bit of a table or an analytic number.
+``_select`` takes the first cheapest point meeting the limit in scan order,
+and ``_scan_user`` re-evaluates the pick through ``metrics`` and raises if
+the table's age or cost disagree.  The tests check the recursion against a
+dense LAPACK solve and, at small caps, an exact rational one.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,7 +183,7 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
         return OfrpMetrics(float(cap), 1.0, 0.0)
     pi = _solve(user, success_prob, cap)
     avg_aoi = (float(cap) if success_prob == 0.0
-               else float(pi @ transition_table(cap).age))
+               else math.fsum(pi * transition_table(cap).age))
     theta = float(pi[:cap].sum())
     return OfrpMetrics(avg_aoi, theta, _cost_rate(
         user.alpha, user.sample_occupied, user.retransmit_old,
@@ -191,20 +194,10 @@ def metrics(user: OfrpUserParams, success_prob: float, cap: int,
 #  grid search
 # ──────────────────────────────────────────────────────────────────────────
 
-# Doubles per (cap, points) work array of the boundary recursion, and grid
-# points per priced block of the pick (32 KB arrays): blocks stay in cache.
+# Grid points per recursion block times cap (its 5 cap - 5 row work buffer
+# is 1.3 MB), and per priced block of the pick (32 KB): blocks stay in cache.
 _BLOCK_BUDGET = 1 << 15
 _PICK_BLOCK = 1 << 12
-
-# A table entry's last bits depend on its call: numpy's broadcast power
-# squares r exactly over more than 8192 // 3 columns, by SIMD pow over fewer,
-# and BLAS orders the last n mod 8 columns of an n-column product apart, from
-# cap 18 apart again when the product is small (under 10**6 multiply-adds or
-# 400 columns).  So segments of _SEGMENT // cap points are cut into blocks a
-# multiple of 8 long but for the last, which ends the segment and is long
-# enough to be computed as the segment is, and squares are taken as over the
-# segment: every entry has the bits of one call per segment.
-_SEGMENT = 1 << 18
 
 # Asserted bound on |table - metrics| for the pick's avg_aoi: one reduction of
 # the boundary recursion against the other.  Both are within 1e-12 of a dense
@@ -235,15 +228,16 @@ def _grid_block(n: int, lo: int, hi: int) -> tuple:
     return u / n, (pair - first[u]) / n, (ue + 1) / n
 
 
-def _boundary_masses(coeff: tuple, cap: int, work: np.ndarray,
-                     squares: bool = False) -> tuple:
-    """Unnormalized stationary masses (x, y, Y, R, powers, ages, stuck) of a
-    block of m chains (cap >= 3), one per entry of the ``_coefficients``
-    arrays c0..c6, in O(cap) array steps: powers holds r**0 .. r**K, ages[j
-    - 3, k] the age on the k-th state of the walk from (1, j).  x, y and
-    powers are rows of ``work``, a (4 cap - 3, m) array filled in place; its
-    last cap rows are left free for the caller; ``squares`` takes r**2 as
-    r * r.
+def _boundary_masses(coeff: tuple, cap: int, work: np.ndarray) -> tuple:
+    """Unnormalized stationary masses (x, y, Y, R, powers, walks, capped,
+    stuck) of a block of m chains (cap >= 3), one per entry of the
+    ``_coefficients`` arrays c0..c6, in O(cap) elementwise row steps in a
+    fixed order (rows are added by Python's ``sum``: numpy would sum a
+    one-point block pairwise): powers holds r**0 .. r**K, walks[a - 2] the
+    mass on the cached states aged a (3 <= a < cap; walks[0] = 0), and
+    capped the mass the walks from (1, j < cap) bring to age cap.  x, y,
+    powers and walks are rows of ``work``, a (5 cap - 5, m) array filled in
+    place.
 
     The balance equations are solved on the boundary states: empty(a), mass
     x_a, and the wait-1 cached states (1, j), 3 <= j <= cap, mass y_j.  By
@@ -263,7 +257,8 @@ def _boundary_masses(coeff: tuple, cap: int, work: np.ndarray,
         ((c3 + c5) R + r**K) y_cap = c1 (x_{cap-1} + x_cap)
                           + c4 sum_{i<cap} y_i sum_{k=cap-i-1}^{K-1} r**k
 
-    y_cap's factor is 1 - c4 R without the cancellation.  With each x_a
+    y_cap's factor is 1 - c4 R without the cancellation, and the double sum
+    is walks[K - 1] (the mass aged cap - 1) plus capped.  With each x_a
     carried as an (x_1, Y) coefficient pair, xx and xy, the balance at
     empty(1) fixes both as sums of non-negative terms: x_1 = c0 X_Y + c3 R
     and Y = c1 sum_{a>=2} xx_a, X_Y the Y coefficient of X = sum x_a.
@@ -274,56 +269,66 @@ def _boundary_masses(coeff: tuple, cap: int, work: np.ndarray,
     """
     c0, c1, c2, c3, c4, c5, r = coeff
     k = cap - 2
-    powers, x, y, xy = np.split(work, (k + 1, k + 1 + cap, 2 * k + 1 + cap))
-    np.power(r, np.arange(k + 1.0)[:, None], out=powers)     # r**0 .. r**K
-    if squares and k > 1:
-        np.multiply(r, r, out=powers[2])
-    tail = powers[:k].sum(axis=0)                            # R
+    powers, suffix, x, y, xy = np.split(work, np.cumsum((k + 1, k, cap, k)))
+    powers[0] = 1.0
+    for i in range(k):                          # r**0 .. r**K
+        np.multiply(powers[i], r, out=powers[i + 1])
+    suffix[-1] = powers[k - 1]                  # sum_{i <= k' < K} r**k'
+    for i in range(k - 2, -1, -1):
+        np.add(suffix[i + 1], powers[i], out=suffix[i])
+    tail = suffix[0]                            # R
     factor = (c3 + c5) * tail + powers[k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x[0], x[1], xy[0], xy[1] = 1.0, c1 + c2, 0.0, c5    # x holds xx
+        np.multiply(c5, powers[1:k], out=xy[2:-1])
         for a in range(2, cap - 1):
-            x[a], xy[a] = c2 * x[a - 1], c2 * xy[a - 1] + c5 * powers[a - 1]
+            np.multiply(c2, x[a - 1], out=x[a])
+            xy[a] += c2 * xy[a - 1]
         x[-1] = c2 * x[-2] / (c0 + c1)
         xy[-1] = (c2 * xy[-2] + powers[k]) / (c0 + c1)
         total_y = c1 * sum(x[1:])
         x *= c0 * sum(xy) + c3 * tail
         x += np.multiply(xy, total_y, out=xy)
-        walking = 0.0
-        for j in range(k - 1):      # y_(j + 3)
-            y[j] = c1 * x[j + 1] + c4 * walking
-            walking = r * walking + y[j]
-        # event 4 leads from any state aged cap - 1 or more to (1, cap)
-        ages = np.minimum(np.arange(3, cap + 1)[:, None] + np.arange(k), cap)
-        fed = np.matmul(ages[:-1] >= cap - 1, powers[:k], out=xy[:k - 1])
-        fed *= y[:-1]
-        y[-1] = (c1 * (x[-2] + x[-1]) + c4 * sum(fed)) / factor
+        # y_(j+3) = c1 x_(j+2) + c4 walks[j], walks[j+1] = r walks[j] + y_(j+3)
+        walks, kept = xy[:k], r + c4
+        walks[0] = 0.0
+        np.multiply(c1, x[1:k], out=y[:-1])
+        for j in range(k - 1):
+            np.multiply(kept, walks[j], out=walks[j + 1])
+            walks[j + 1] += y[j]
+        y[:-1] += c4 * walks[:-1]
+        # (1, j) reaches the cap after cap - j steps: y_j suffix[cap - j]
+        capped = sum(np.multiply(suffix[:0:-1], y[:-1], out=suffix[:0:-1]))
+        y[-1] = (c1 * (x[-2] + x[-1]) + c4 * (walks[-1] + capped)) / factor
     stuck_empty = c2 == 1.0
     stuck = stuck_empty | (factor < np.finfo(float).tiny)
     x[:, stuck] = y[:, stuck] = 0.0
     x[-1, stuck_empty] = y[-1, stuck & ~stuck_empty] = 1.0
-    return x, y, np.where(stuck, y[-1], total_y), tail, powers, ages, stuck
+    return (x, y, np.where(stuck, y[-1], total_y), tail, powers, walks,
+            capped, stuck)
 
 
-def _boundary_recursion(coeff: tuple, cap: int, work: np.ndarray,
-                        squares: bool) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_recursion(coeff: tuple, cap: int,
+                        work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary (avg_aoi, empty_fraction) of a block of chains, one per
     entry of the ``_coefficients`` arrays, from ``_boundary_masses``: the
-    mass is X + R Y, the empty fraction X over it, and the age sum adds
-    y_j sum_k r**k min(j + k, cap) to sum_a a x_a."""
+    mass is X + R Y, the empty fraction X over it, and the age sum is
+    sum_a a x_a plus a times the walks' mass aged a < cap, plus cap times
+    their mass at the cap, capped + R y_cap."""
     c0, c1, c2 = coeff[:3]
     if cap == 2:
         # no cached states: x_1 = c0 and x_2 = c1 + c2 balance empty(1)
         return (c0 + 2.0 * (c1 + c2)) / (c0 + c1 + c2), np.ones_like(c0)
-    x, y, total_y, tail, powers, ages, stuck = _boundary_masses(
-        coeff, cap, work, squares)
+    x, y, total_y, tail, _, walks, capped, stuck = _boundary_masses(
+        coeff, cap, work)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        empty = x.sum(axis=0)
+        walks += x[1:-1]                # all the mass aged 2 .. cap - 1
+        walks *= np.arange(2.0, cap)[:, None]
+        aged = (x[0] + sum(walks) + cap * x[-1]
+                + cap * (capped + tail * y[-1]))
+        empty = sum(x)
         mass = empty + tail * total_y
-        walks = np.matmul(ages, powers[:-1], out=work[-cap:-2])
-        walks *= y
-        avg_aoi = (np.arange(1.0, cap + 1) @ x + walks.sum(axis=0)) / mass
-        return np.where(stuck, float(cap), avg_aoi), empty / mass
+        return np.where(stuck, float(cap), aged / mass), empty / mass
 
 
 def _expanded_stationary(coeff: tuple, cap: int) -> np.ndarray:
@@ -338,8 +343,8 @@ def _expanded_stationary(coeff: tuple, cap: int) -> np.ndarray:
     if cap == 2:
         pi = np.stack((coeff[0], coeff[1] + coeff[2]))
     else:
-        x, y, _, _, powers, _, _ = _boundary_masses(
-            coeff, cap, np.empty((4 * cap - 3, len(coeff[0]))))
+        x, y, _, _, powers, *_ = _boundary_masses(
+            coeff, cap, np.empty((5 * cap - 5, len(coeff[0]))))
         _, wait, age = np.array(transition_table(cap).states[cap:]).T
         # y's rows, then its suffix sums: row cap - 2 + i is sum_(i' >= i) y_i'
         rows = np.concatenate((y, np.cumsum(y[::-1], axis=0)[::-1]))
@@ -353,12 +358,12 @@ def grid_table(alpha: float, success_prob: float, cap: int,
                step: float) -> tuple[np.ndarray, np.ndarray]:
     """Stationary (avg_aoi, empty_fraction) at every grid point, in scan order.
 
-    ``_boundary_recursion`` solves blocks of about ``_BLOCK_BUDGET // cap``
+    ``_boundary_recursion`` solves blocks of ``_BLOCK_BUDGET // cap``
     points, read off their scan indices, from the balance equations on the
-    chain's boundary states, in one work buffer (1 MB below cap 18) that
-    every block reuses: exact in exact arithmetic, and within 1e-12 of a
-    dense LAPACK solve in floating point at caps 2-30.  ``_scan_user``
-    confirms each pick through ``metrics``.
+    chain's boundary states, in one work buffer that every block reuses:
+    exact in exact arithmetic, and within 1e-12 of a dense LAPACK solve in
+    floating point at caps 2-30, with the same bits on any CPU or BLAS
+    kernel.  ``_scan_user`` confirms each pick through ``metrics``.
 
     The chains depend on neither the age limit nor the prices, so one table
     serves a whole a_max or cost sweep.  The arrays are read-only because
@@ -369,20 +374,14 @@ def grid_table(alpha: float, success_prob: float, cap: int,
     started = time.perf_counter()
     n = search_intervals(step)
     size = (n + 1) * (n + 2) // 2 * n
-    block = max(8, _BLOCK_BUDGET // cap // 8 * 8)
-    last = 8 if cap < 18 else max(408, 10**6 // ((cap - 2) * (cap - 3)) + 8)
-    buffer = np.empty((4 * cap - 3) * (block + last))
+    block = max(1, _BLOCK_BUDGET // cap)
+    buffer = np.empty((5 * cap - 5) * block)
     avg_aoi, empty_fraction = np.empty(size), np.empty(size)
-    for lo in range(0, size, max(1, _SEGMENT // cap)):
-        end = min(lo + max(1, _SEGMENT // cap), size)
-        squares = end - lo > 8192 // 3
-        while lo < end:
-            hi = end if end - lo < block + last else lo + block
-            avg_aoi[lo:hi], empty_fraction[lo:hi] = _boundary_recursion(
-                _coefficients(alpha, *_grid_block(n, lo, hi), success_prob),
-                cap, buffer[:(4 * cap - 3) * (hi - lo)].reshape(-1, hi - lo),
-                squares)
-            lo = hi
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        avg_aoi[lo:hi], empty_fraction[lo:hi] = _boundary_recursion(
+            _coefficients(alpha, *_grid_block(n, lo, hi), success_prob),
+            cap, buffer[:(5 * cap - 5) * (hi - lo)].reshape(-1, hi - lo))
     avg_aoi.flags.writeable = False
     empty_fraction.flags.writeable = False
     log.debug("grid_table cap=%d: boundary recursion over %d points, %.3f s",

@@ -155,6 +155,16 @@ def test_cli_reports_an_unreadable_spec_file(content, fragment, tmp_path,
     assert capsys.readouterr().err.startswith(f"error: {bad}: {fragment}")
 
 
+def test_cli_yaml_error_marks_name_the_file(tmp_path, capsys):
+    """PyYAML's marks name the scenario file, not ``<unicode string>``."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("config: {num_users: 2\n")
+    assert cli.main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f'in "{bad}", line 2, column 1' in err
+    assert "<unicode string>" not in err
+
+
 def test_packaged_presets_all_parse():
     names = available_presets()
     assert {"fig5a", "fig6", "fig7", "fig9", "vsweep"} <= set(names)

@@ -180,10 +180,21 @@ def test_config_rejects_bad_values(overrides):
     pytest.param("success_prob", ["0.5", "0.9"], id="success_prob-strings"),
     ("sample_cost", True),
     ("v_weight", False),
+    pytest.param("success_prob", np.True_, id="success_prob-numpy-bool"),
+    pytest.param("success_prob", [np.True_, 0.5],
+                 id="success_prob-numpy-bool-entry"),
+    pytest.param("aoi_limit", np.array(True), id="aoi_limit-0d-bool-array"),
+    pytest.param("sample_cost", np.True_, id="sample_cost-numpy-bool"),
 ])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=field):
         make_config(**{field: value})
+
+
+def test_config_broadcasts_a_zero_dimensional_array_like_a_scalar():
+    cfg = make_config(success_prob=np.array(0.5), aoi_limit=np.array(6))
+    assert cfg.success_prob == (0.5, 0.5) and cfg.aoi_limit == (6.0, 6.0)
+    assert all(type(v) is float for v in cfg.success_prob + cfg.aoi_limit)
 
 
 def test_config_keeps_numpy_integers_as_given():

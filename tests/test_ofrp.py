@@ -697,13 +697,16 @@ def test_optimize_at_the_preset_step_stays_small():
 @pytest.mark.parametrize("cap, step", [(3, 0.1), (10, 0.05), (20, 0.05),
                                        (30, 0.1)])
 def test_grid_table_bits_do_not_depend_on_the_block_size(monkeypatch, cap, step):
-    """Blocks of 8 points give the same table, bit for bit, as the default
-    blocks: every entry has the bits of one call per segment."""
+    """Blocks of 1, 7 and 8 points give the same table, bit for bit, as the
+    default blocks: each entry is computed by elementwise operations in a
+    fixed order.  A numpy reduction over a block would fail the one-point
+    blocks, whose single column numpy sums pairwise."""
     table = ofrp.grid_table.__wrapped__(0.5, 0.37, cap, step)
-    monkeypatch.setattr(ofrp, "_BLOCK_BUDGET", 8 * cap)
-    for default, small in zip(table, ofrp.grid_table.__wrapped__(
-            0.5, 0.37, cap, step)):
-        assert np.array_equal(default, small)
+    for points in (1, 7, 8):
+        monkeypatch.setattr(ofrp, "_BLOCK_BUDGET", points * cap)
+        for default, small in zip(table, ofrp.grid_table.__wrapped__(
+                0.5, 0.37, cap, step)):
+            assert np.array_equal(default, small)
 
 
 @settings(max_examples=60, deadline=None)

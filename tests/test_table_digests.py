@@ -1,14 +1,21 @@
 """The OFRP grid tables and expanded stationary vectors stay bit-identical.
 
 Each case hashes both ``ofrp.grid_table`` arrays and ``_expanded_stationary``
-over the same grid points, in order, with sha256.  The digests were recorded
-before the search moved to small in-place blocks, so any change to how the
-table is computed that moves one bit of it fails here.
+over the same grid points, in order, with sha256.  Neither calls BLAS, and
+their sums are added in an order that the code and the arrays' shapes set,
+never the CPU, so the digests pin bits that hold under any BLAS or numpy
+SIMD kernel; the last test checks that on this host's kernels.  Any change
+to how the table is computed that moves one bit of it fails here.
 """
 
 import hashlib
 import itertools
+import os
+import platform
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,45 +58,45 @@ _DIGESTS = {
     (3, 1.0, 0.1): "e2eea607c6cba3ef9d5245db38af1c4cbaa657232996833a544ee025fa0f0362",
     (3, 1.0, 0.05): "110746ae907038c0a500408d5a97d41889e1d6e201e13eada3667ba7527c2f7a",
     (10, 0.0, 0.5): "c909340189f4e3a4053a4228f412305e6a28f3a9e6d447d087e38b22b6eaf2c7",
-    (10, 0.0, 0.1): "a6ef52797ad3fc5e0ad155778ba244ff536a1b33885ac9845e3d74f359fe9e96",
-    (10, 0.0, 0.05): "37610efa748ac17d3d8937a480ad1e4f0175a1dc777d871a8bd8a75258113b5a",
-    (10, 1e-12, 0.5): "d76cd1ec4be54a2f1d79c3f5c5aa90ead7ed84791a5f762567fe12b28c2f5847",
-    (10, 1e-12, 0.1): "ef792ca9a7749ee5706cc8dd0f40ca44f28e4bd3f8facba83c7cf7c23601cefc",
-    (10, 1e-12, 0.05): "c1084d314f9a094d62d19f110e7c6c09c85809617d97243268c258155a0ea1ac",
-    (10, 0.37, 0.5): "2cc73faf4dc9e126777200b67d55ddd0bc6effae0aac782383b927b6826a5d68",
-    (10, 0.37, 0.1): "dbb49da81daf9d0d5e349c0ff5d3b2ae5ed8917c64daeaad98fa2b5eca768c78",
-    (10, 0.37, 0.05): "5de0faded554f01575433dc67d1fae9efab2ec12acff9a0c0ee4bdd1089583d4",
+    (10, 0.0, 0.1): "463c4d4daa23d23c766be73c7b5a5a4de0104bdda26f3d92d97e4b717c20b0ea",
+    (10, 0.0, 0.05): "3be7395f09acf593aaedabcec94f01e28a85390e93fa79a5d2041b62b07bc05a",
+    (10, 1e-12, 0.5): "074dcea4fe62ab7395683662cb7843a0e72d0a148e2c97d9197dc29f044303e1",
+    (10, 1e-12, 0.1): "266089f582d16e00bd4d799bfdbd2e1d29c22b3f13953828fd00836da740cef9",
+    (10, 1e-12, 0.05): "b153fd2915830ff86e3ce3f830b35abc1c003a06c6f2b1ab8ead7d4dd5fcb3c2",
+    (10, 0.37, 0.5): "caade716305eb882ce1b6f334aadfe5a942680d5bc1daf671ca340479c368ebd",
+    (10, 0.37, 0.1): "770c5c80bb353f407ac05def2b47139c5017fdcbf615412823e78c742b514311",
+    (10, 0.37, 0.05): "157e2d8ad00241224538fa6719172915325421fa02c1a40ee670da0051a4957e",
     (10, 1.0, 0.5): "39a81e2719e357b68c1d519d7f2936ee0862a045fb155deee5448bd7a241da3f",
-    (10, 1.0, 0.1): "49805be278abc74bb8b33de221c66d36f6ab1cf2d7f671067c080ef6a8df65d9",
-    (10, 1.0, 0.05): "3a95d7aa4ddf42a8eab82481dbb6299576a76a18dd00c431d4b40de28a9d1df7",
-    (30, 0.0, 0.5): "14fcb8945156795ce6d1d6cca6a3931460d2b932c47bfafd2a39ed8bc5525ba2",
-    (30, 0.0, 0.1): "cef8a4386abf1446b0e826787615434bb8fd58306feb7ad96ed2ab2d77c3a4c5",
-    (30, 0.0, 0.05): "5e9f4dc0f04d9471a45d00a6ef8657f400fc7db46f9749a006f15e8fe192048f",
-    (30, 1e-12, 0.5): "35bc154c01c65ed2d8a48992fbfc66c2722ed861066d1c0f54ba98df6500248f",
-    (30, 1e-12, 0.1): "b614b4afc2b8ff457ea13c64879b2df2bcd917b15ecfbd56e1379d648271df3b",
-    (30, 1e-12, 0.05): "3e26a3d52ffd3400d4c6ed00cb89ade026a7c899acb481789b0d24fc02226cb4",
-    (30, 0.37, 0.5): "76a5722b8b40a846306b6b09f498bca6627610fa6232e5de1ad7ab6cca2f966d",
-    (30, 0.37, 0.1): "1086cfa6fafec2a384b194696a06892bb97898d11a9dae43bab85aaded5a9529",
-    (30, 0.37, 0.05): "b6282a48afab914b4cf7f9dd38e8a8b4f5d9c63246d5a6f6fdcbbb5f478c8987",
-    (30, 1.0, 0.5): "e8d0fc7d57657f6553974583e82d8978d0ca98b5f83ef3f519767f5e11069e07",
-    (30, 1.0, 0.1): "8c0a75cd682a0e4574ba8c8a5b87d20e838e8e195a1e8695eb9f86e92f4089d1",
-    (30, 1.0, 0.05): "6e720a4c56fa3e33e00452519147b7522e6d3cd75f866ec27ac830819434a1c2",
-    (64, 0.0, 0.5): "30bfe9f3873c8932cc0ef4ac098ccc6e0403adbc3deeafafd70ef764c897b2fa",
-    (64, 0.0, 0.1): "8d9a732e7fd16b13886f8443b1fdb93fb2288cd363a453c80ddfe7885c7bf6a5",
-    (64, 0.0, 0.05): "eecfc87de5945f47a2c41c22957afa9010e1d4769d6a29b35a6f6f8c6cd2a8c1",
-    (64, 1e-12, 0.5): "4fc77a407be1a45e7f76fb0256e31b1047024396736f0c76d932bd357faf2852",
-    (64, 1e-12, 0.1): "f49e167769cbebabe254d308375ebdb31dea12a21ada7f680a12c81da9304941",
-    (64, 1e-12, 0.05): "32a3d2db2a45b6281a9330250ec3d538dc7ef7519b9c4a4b62136209750c51df",
-    (64, 0.37, 0.5): "e83aba134bff9e9cd2896ae6176faa6e61db145519bfbc23a3bc441cabb3e946",
-    (64, 0.37, 0.1): "4bcfbe20052e2200280a649b30aaad8fe4f8347a0f628fbc81ca6d7a70ea8543",
-    (64, 0.37, 0.05): "393e1c1b0da7a69cc56bc550b87bd5adecf6f69ca525c3cbe457246514626b2c",
-    (64, 1.0, 0.5): "23b5bd2cbadff35bb27695f4453c481a3977c3b17ddb13464903e0a24b7d7600",
-    (64, 1.0, 0.1): "81574cfd063b8d9736d693683d62d8c4e6c4c25c31579395829400c3231d8841",
-    (64, 1.0, 0.05): "20b48e6b262f0d3694e347835a6db68ae9fe426d05a2a75a9f66f2acb86d3361",
-    (10, 0.0, 0.01): "6ee384cd267f2acefe444331f8641fb047b830c1434c116cfd0c588ee5ae6c66",
-    (10, 1e-12, 0.01): "d8f134a09e5484716b13a8c3a3179efd565cab5865a3fb0496103a57becec9dd",
-    (10, 0.37, 0.01): "c9fa7a5a97aee5adcf2f23db42e2471031ff9f0c69daf60c579fd9b9b32835b2",
-    (10, 1.0, 0.01): "66b1806020727be7df3049039b4e5b36b2f5b6d67a68371d881ad77c3658dc5e",
+    (10, 1.0, 0.1): "427af9a52a1c8156269fb12e38f6d3195b2a73c12a9937add3da169adc0c396e",
+    (10, 1.0, 0.05): "9e8cb60ea910766cbf686470970d230eebb9dc2a208dd0985336d212bd25aa6a",
+    (30, 0.0, 0.5): "f6c064fe967cba2b579c830ec6e2436f43ba2c1582c742a528afb2139993d658",
+    (30, 0.0, 0.1): "7f206970afd1053c2b4b5c2b94152e5a4c87d8619b6beba45cc05a376b3d4bd0",
+    (30, 0.0, 0.05): "d79ca02ec2918643bf1115d019030352dc00ddb1b91befbf423963bc00f9ac16",
+    (30, 1e-12, 0.5): "9a3c71ffb4e50625fe15ab35748edf5cd345d3c5d2cd053d0facee804d6f7dd9",
+    (30, 1e-12, 0.1): "264201900b801ae75bb89c2cdc60d4f2a737818db7d0d7b36a07cdd782047d0a",
+    (30, 1e-12, 0.05): "381115090a031c664a260e479ae5498f10629821191e67412ca937a434873cbb",
+    (30, 0.37, 0.5): "44b00045f60e350bb9e29e444cd552dec4e0b1721097fdc383462b45d4747e2c",
+    (30, 0.37, 0.1): "57bd8e6ea41e88ad975ae3d105af8f43f281793e6ff097c7fda6bfc74ac322a4",
+    (30, 0.37, 0.05): "8c8bdc1e40963f940d0510792bbfc57b5a82c748274443973793d7f1cc6a4fa2",
+    (30, 1.0, 0.5): "025851f70d89cd30df4cde6dd68a5e4429c0251058e681d52e8ac016d7921db6",
+    (30, 1.0, 0.1): "871a2e9ad0829170379b095ba023a907669ca9d678bd987625cd746d8044855a",
+    (30, 1.0, 0.05): "defcbbaf43a0c20994368498bc1bce26229d8d66579a7557ad687d4c75c18d09",
+    (64, 0.0, 0.5): "f8e68007e61cd72ddd65204dbbf329dbed0a8777fe9dceb62b2768330db92866",
+    (64, 0.0, 0.1): "d1ca418f82a43aa6e9a42654a2e7930628329e9862b3e1d2707aa0423909e748",
+    (64, 0.0, 0.05): "9495759ca9669d76c67d582e0bee790901c905aebc866a51c1f4e670e43df0f3",
+    (64, 1e-12, 0.5): "87db3e09ec68d95d4774c5363adc22598bb72c2e01ea46b9d3cc4359a291e55f",
+    (64, 1e-12, 0.1): "d45d54830846d7cd75954545ed2bf8b779827627c4d8247fe50bfedc3a36e266",
+    (64, 1e-12, 0.05): "5a361c3bd9617bd6f41c019ed753b1534515990091b7db9cd91747469bea5592",
+    (64, 0.37, 0.5): "e7ea1548e9a49e5e4c623a63bcf65cbf86b38a7a838be90738d4923d1e8aa0a0",
+    (64, 0.37, 0.1): "23b77f126b68a425cfd9599261b79549a89d8fdfc46ac015875f8ccd1f703fb5",
+    (64, 0.37, 0.05): "93953e9069f9404eba461fbc63418ceb4317d97584d90b3408a1e3052713d30e",
+    (64, 1.0, 0.5): "5ed381618a42cd98acdcd59da8beae5d8c9e57995bd2c7eb6a40e8c52d422806",
+    (64, 1.0, 0.1): "253054acac2c6bec0c81f5b150ba47dffe220bee41d38bf48d289264159a7b28",
+    (64, 1.0, 0.05): "cf3aa4f713fbb0bf84fb361709afbb68b0610b3554def6e5317ee9cf636ba276",
+    (10, 0.0, 0.01): "be4b5a96adb4f7fffdf566de08952657c1980db706bd69d1802482bb02ab8721",
+    (10, 1e-12, 0.01): "fcdabf1386c1b562b12e6172b83f4fab36dd98388d13d38db5757c6b6a72ba5e",
+    (10, 0.37, 0.01): "15164acf058516af3aaa160ef321ef08cd4ddfb6827ff54d8d0abb6433b7ec57",
+    (10, 1.0, 0.01): "009c267aa15fb84e9e7e70b13d2fd7b41a76575604101630cccd69f9f14d25f2",
 }
 
 
@@ -119,3 +126,55 @@ def _digest(alpha, p, cap, step):
                          ids=[f"cap{c}-p{p!r}-step{s}" for c, p, s in _CASES])
 def test_tables_keep_their_recorded_digests(cap, p, step):
     assert _digest(0.5, p, cap, step) == _DIGESTS[cap, p, step]
+
+
+# One sha256 over small tables and a few ``metrics`` triples, printed by a
+# fresh interpreter.
+_PORTABLE = """
+import hashlib
+from aoisched import ofrp
+sha = hashlib.sha256()
+for cap in (3, 10, 30):
+    for p in (0.0, 0.37, 1.0):
+        for column in ofrp.grid_table(0.5, p, cap, 0.1):
+            sha.update(column.tobytes())
+for u, p, cap in ((ofrp.OfrpUserParams(0.5, 0.4, 0.2, 0.6), 0.8, 10),
+                  (ofrp.OfrpUserParams(1.0, 0.3, 0.5, 0.9), 0.35, 30),
+                  (ofrp.OfrpUserParams(1 / 3, 0.0, 0.7, 0.05), 0.0, 64),
+                  (ofrp.OfrpUserParams(0.5, 0.1, 0.1, 0.7), 1.0, 17)):
+    sha.update(repr(ofrp.metrics(u, p, cap, 1.0, 5.0)).encode())
+print(sha.hexdigest())
+"""
+
+
+def _kernel_settings():
+    """The default kernels, OpenBLAS's Prescott kernel (SSE3, which any
+    current x86-64 CPU runs), and numpy without the SIMD targets it
+    dispatched to on this host: each setting only drops to older kernels
+    than the host's."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:     # numpy 1.x
+        from numpy.core._multiarray_umath import (__cpu_dispatch__,
+                                                  __cpu_features__)
+    dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    settings = [{}, {"OPENBLAS_CORETYPE": "Prescott"}]
+    if dispatched:
+        settings.append({"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)})
+    return settings
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the kernel settings name x86-64 kernels")
+def test_tables_and_metrics_have_the_same_bits_under_every_kernel():
+    src = str(Path(ofrp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = {}
+    for setting in _kernel_settings():
+        env = dict(os.environ, PYTHONPATH=path, **setting)
+        done = subprocess.run([sys.executable, "-c", _PORTABLE], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        digests[repr(setting)] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
