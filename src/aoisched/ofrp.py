@@ -530,10 +530,9 @@ class OfrpPolicy(Policy):
 
     def plan(self, n_slots):
         u_sched, u_act = self._rng.random(2 * n_slots).reshape(n_slots, 2).T
-        n = len(self._bounds)
-        user = np.minimum(self._cum_alpha.searchsorted(u_sched, "right"), n - 1)
+        user = (self._cum_alpha[:-1, None] <= u_sched).sum(0)
         below = (u_act < self._bounds).view(np.int8)
-        mine = user == np.arange(n)[:, None]
+        mine = user == np.arange(len(self._bounds))[:, None]
         return mine * below[:, 0], mine * (2 * below[:, 2] - below[:, 1])  # 1, 2 or 0
 
     def decide(self, t, aoi, waiting, occupied, vqueue):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dpp, forp, ofrp
 from .model import SystemConfig, UserState
-from .simulate import run, run_replicas
+from .simulate import _block, run, run_replicas
 
 
 @dataclass
@@ -319,11 +319,11 @@ def _random_snapshot(rng: np.random.Generator, cap_range=(3, 12),
 
 
 def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
-                          seed: int = 3301) -> CheckResult:
+                          runs: int = 30, seed: int = 3301) -> CheckResult:
     """The decision rule (O(K) in single-transmitter mode, O(K²) otherwise)
     must reproduce exhaustive minimization of the slot objective on random
     snapshots, and be invariant to jointly scaling all virtual queues and V
-    by a power of two."""
+    by a power of two; scored runs, which write the CSVs, equal asked ones."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     scale_mismatches = 0
@@ -338,12 +338,20 @@ def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
             if dpp.decide(scaled, replace(cfg, v_weight=cfg.v_weight * lam)) \
                     != got:
                 scale_mismatches += 1
-    passed = mismatches == 0 and scale_mismatches == 0
+    asked, run_mismatches = dpp.DppPolicy(), 0
+    asked.penalties = lambda: None          # asked through decide every slot
+    for i in range(runs):                   # the first crosses a block seam
+        cfg = _random_snapshot(rng)[1]
+        cfg = replace(cfg, horizon=int(rng.integers(100, 1000)) + (i == 0) * _block(cfg))
+        run_mismatches += repr(run(dpp.DppPolicy(), cfg)) != repr(run(asked, cfg))
+    passed = mismatches == 0 and scale_mismatches == 0 and run_mismatches == 0
     return CheckResult(
         "decision-oracle", passed,
         f"{snapshots} random snapshots: {mismatches} disagreements with "
-        f"exhaustive search, {scale_mismatches} scale-invariance breaks",
-        {"mismatches": mismatches, "scale_mismatches": scale_mismatches})
+        f"exhaustive search, {scale_mismatches} scale-invariance breaks; "
+        f"{runs} scored runs: {run_mismatches} differ from asked ones",
+        {"mismatches": mismatches, "scale_mismatches": scale_mismatches,
+         "runs": runs, "run_mismatches": run_mismatches})
 
 
 # ──────────────────────────────────────────────────────────────────────────

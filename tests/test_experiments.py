@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import aoisched
-from aoisched import cli, ofrp, validate
+from aoisched import cli, dpp, ofrp, validate
 from aoisched.experiments import (ExperimentSpec, SpecError, apply_axis,
                                   available_presets, config_hash, load_spec,
                                   optimize_experiment, resolve_out_dir,
@@ -506,3 +506,15 @@ def test_decision_oracle_budget_is_injectable():
     result = validate.check_decision_oracle(snapshots=5)
     assert result.passed
     assert "5 random snapshots" in result.detail
+
+
+def test_decision_oracle_runs_the_scored_loop_against_decide(monkeypatch):
+    """The check's runs compare whole scored runs with ``decide``'s: a twin
+    that never acts fails it."""
+    result = validate.check_decision_oracle(snapshots=0, runs=4)
+    assert result.passed and result.values["runs"] == 4
+    assert "4 scored runs: 0 differ" in result.detail
+    monkeypatch.setattr(dpp.DppPolicy, "decide",
+                        lambda self, *state: (None, None))
+    result = validate.check_decision_oracle(snapshots=0, runs=4)
+    assert not result.passed and result.values["run_mismatches"] > 0

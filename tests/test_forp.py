@@ -255,7 +255,7 @@ def test_token_policy_is_the_literal_fresh_only_rule():
     assert phi[0] != phi[1]
     policy = _make_policy("forp", lambda module: module.optimize(cfg, 0.01))
     policy.reset(cfg, policy_rng(cfg))
-    slots = 20_000                        # about ten 2,048-slot engine blocks
+    slots = 20_000                        # about five 4,096-slot engine blocks
     draws = policy_rng(cfg).random(2 * slots).reshape(slots, 2)
     occupied = np.random.default_rng(5).random((slots, 2)) < 0.5
     for t, ((u_sched, u_act), occ) in enumerate(zip(draws, occupied)):

@@ -614,15 +614,16 @@ def test_optimize_picks_the_dense_argmin(case):
 
 
 def test_limit_on_a_dense_entry_takes_the_exact_pick():
-    """The dense winner's own age as the limit: the table's value may sit
-    an ulp either side of it, the exact oracle settles the side, and both
-    ``_select`` and ``optimize`` make the exact pick."""
+    """The winner's own age, exact and rounded to a double, as the limit
+    (a dense solve's would move with the BLAS kernel): the table's value
+    may sit an ulp either side of it, the exact oracle settles the side,
+    and both ``_select`` and ``optimize`` make the exact pick."""
     alpha, p, cap, step, prices = 1.0, 0.8, 6, 0.1, (1.0, 5.0)
     dense = dense_table(alpha, p, cap, step)
     winner = reference_pick(alpha, p, cap, step, 4.0, prices, dense)[0]
-    limit = float(dense[0][winner])
-    expected = reference_pick(alpha, p, cap, step, limit, prices, dense)[0]
     points = grid_points(step)
+    limit = float(exact_metrics(alpha, *(v[winner] for v in points), p, cap)[0])
+    expected = reference_pick(alpha, p, cap, step, limit, prices, dense)[0]
     table = ofrp.grid_table(alpha, p, cap, step)
     assert ofrp._select(table, step, alpha, limit, *prices) == expected
     cfg = make_config(success_prob=p, aoi_cap=cap, aoi_limit=limit)

@@ -8,7 +8,10 @@ slots, for two users at cap 10 on fig9's configuration (success probability
   prefix sums;
 - walk, inexact limit: the same with aoi_limit 4.3, queues slot by slot;
 - scored DPP: ``DppPolicy``, scored by the slot loop;
-- asked: ``OfrpPolicy`` with its plan withheld, asked through ``decide``.
+- asked: ``OfrpPolicy`` with its plan withheld, asked through ``decide``;
+
+and for the walk and scored DPP again at cap 30 with aoi_limit 10, fig6's
+configuration.  The header line gives the engine's block in slots.
 
 Run from the repository root::
 
@@ -27,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aoisched import dpp, ofrp  # noqa: E402
 from aoisched.model import SystemConfig  # noqa: E402
-from aoisched.simulate import run  # noqa: E402
+from aoisched.simulate import _block, run  # noqa: E402
 
 
 class AskedOfrp(ofrp.OfrpPolicy):
@@ -56,13 +59,17 @@ def main(argv=None) -> None:
                 transmit_cost=5.0, aoi_cap=10, aoi_limit=5.0,
                 horizon=args.slots, seed=746004, v_weight=800.0)
     params = ofrp.OfrpParams(users=(ofrp.OfrpUserParams(0.5, 0.4, 0.3, 0.6),) * 2)
+    fig6 = {**fig9, "aoi_cap": 30, "aoi_limit": 10.0}
     cases = [
         ("walk, exact limit", ofrp.OfrpPolicy(params), fig9),
         ("walk, inexact limit", ofrp.OfrpPolicy(params), {**fig9, "aoi_limit": 4.3}),
         ("scored DPP", dpp.DppPolicy(), fig9),
         ("asked", AskedOfrp(params), fig9),
+        ("walk, cap 30", ofrp.OfrpPolicy(params), fig6),
+        ("scored DPP, cap 30", dpp.DppPolicy(), fig6),
     ]
-    print(f"best of {args.repeats} runs of {args.slots} slots, 2 users, cap 10")
+    print(f"best of {args.repeats} runs of {args.slots} slots, 2 users, cap 10 "
+          f"unless named, blocks of {_block(SystemConfig(**fig9))} slots")
     for label, policy, config in cases:
         slots_per_s = rate(policy, SystemConfig(**config), args.repeats)
         print(f"{label:20s} {slots_per_s / 1e6:6.2f}M slots/s")
