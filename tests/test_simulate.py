@@ -756,15 +756,16 @@ class RawPlan(Policy):
     lambda n, m: (np.full((n, m), None),) * 2,
 ], ids=["fractional", "float", "ragged", "three-arrays", "wrong-users",
         "code-3", "negative", "objects"])
-@pytest.mark.parametrize("start", [0, simulate._block(make_config())])
+@pytest.mark.parametrize("start", [0, 2048])
 def test_walk_rejects_a_malformed_plan(make, start):
     """A plan that is not two (n, m) arrays of integer codes 0, 1, 2 is
-    refused with the slot of its block, not run."""
-    block = simulate._block(make_config())
-    cfg = make_config(horizon=block + 10)
-    m = block if start == 0 else 10
+    refused with the slot of its block, not run.  Four users make blocks
+    of 2,048 slots."""
+    cfg = make_config(num_users=4, horizon=2048 + 10)
+    assert simulate._block(cfg) == 2048
+    m = 2048 if start == 0 else 10
     with pytest.raises(ValueError, match=re.escape(
-            f"slot {start}: plan must be two (2, {m}) arrays of codes 0, 1, 2")):
+            f"slot {start}: plan must be two (4, {m}) arrays of codes 0, 1, 2")):
         run(RawPlan(make, start), cfg)
 
 
