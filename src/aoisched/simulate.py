@@ -20,9 +20,9 @@ through each user's cache flag declares its actions ahead through
 runs slot by slot, in a loop body rendered for the run's user count with
 each user's state in local variables, the drift-plus-penalty rule scored
 by that body itself from one fused table row per user and slot.  Both
-paths step blocks of 2**13 user-slots (``_block``), check every realized
-action and rebuild each block's virtual queues from the ages (``_queues``).
-Two users at cap 10 walk about 7.1M slots/s and are scored at about 2.7M
+paths step blocks of ``_DRAW_BLOCK`` slots, check every realized action
+and rebuild each block's virtual queues from the ages (``_queues``).
+Two users at cap 10 walk about 6.6M slots/s and are scored at about 2.6M
 (best of 15 runs, ``tools/engine_rates.py``; 2-core x86, numpy 2.4).
 """
 
@@ -43,6 +43,7 @@ from .model import EVENTS, ActionVector, SystemConfig, event_code, transition_ta
 
 log = logging.getLogger(__name__)
 
+_DRAW_BLOCK = 4096
 _TRACE_POINTS = 100
 
 
@@ -157,7 +158,7 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     scheduling rule raises ValueError naming the slot."""
     policy_gen, *channel_gens = _generators(cfg, replica)
     policy.reset(cfg, policy_gen)
-    plan = policy.plan(min(_block(cfg), cfg.horizon))
+    plan = policy.plan(min(_DRAW_BLOCK, cfg.horizon))
     log.debug("%s: virtual queues %s", "slot loop" if plan is None else "walk",
               "as exact prefix sums" if (inexact := _inexact_limit(cfg)) is None
               else f"slot by slot, aoi_limit {inexact!r} is not exact in prefix sums")
@@ -166,11 +167,6 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
     else:
         tally = _walk(policy, plan, cfg, channel_gens, track_states)
     return tally.stats(policy.name, replica)
-
-
-def _block(cfg: SystemConfig) -> int:
-    """Slots per block: 2**13 user-slots (4,096 at two users), at least one."""
-    return max(1, 2**13 // cfg.num_users)
 
 
 def _add_in_order(total, values: np.ndarray):
@@ -475,13 +471,13 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     ``_slot_body`` renders for the run's user count and mode.
 
     A policy whose ``penalties`` gives a pair is scored there with
-    ``dpp._decide_core``'s float deltas, at about 2.7M slots/s for two users
+    ``dpp._decide_core``'s float deltas, at about 2.6M slots/s for two users
     at cap 10: a strict < in ``dpp.feasible_actions`` order, idle and each
     user's single actions as the user steps (those below the row's gate
     skipped, see ``_scored_rows``), then the pairs of negative deltas, the
     only ones that can win.  Any other is asked through ``decide``, and its
-    action checked before it applies.  After each block of ``_block``
-    slots, the scored queues are checked against the rebuilt ones.
+    action checked before it applies.  After each block, the scored queues
+    are checked against the rebuilt ones.
     """
     n = cfg.num_users
     p = cfg.success_prob
@@ -497,8 +493,8 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     at, vq = [0] * n, [0.0] * n     # offsets (0 is the start state), queues
     # scored choice for slot 0: with empty queues each score is sample_penalty
     choice = 0 if sample_penalty < 0 else None, None
-    for b0 in range(0, cfg.horizon, block := _block(cfg)):
-        m = min(block, cfg.horizon - b0)
+    for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, cfg.horizon - b0)
         # flat, slot-major, overwritten by the pairs; per-slot lists wake the GC
         hits = list(np.stack([g.random(m) < pk for g, pk in zip(channel_gens, p)],
                              1).tobytes())
@@ -516,9 +512,9 @@ def _inexact_limit(cfg: SystemConfig, terms: int = 1) -> float | None:
     in prefix sums, or None; with ``terms`` the horizon, the first whose
     queues could round in a sum over the run.  A finite limit is n/d, d a
     power of two, so every such sum is a multiple of 1/d below ``terms`` ·
-    (horizon + ``_block``) · (cap + limit) in size (a queue is at most
+    (horizon + ``_DRAW_BLOCK``) · (cap + limit) in size (a queue is at most
     horizon · cap), and exact while that bound times d is below 2**53."""
-    span = terms * (cfg.horizon + _block(cfg))
+    span = terms * (cfg.horizon + _DRAW_BLOCK)
     for limit in cfg.aoi_limit:
         if not math.isfinite(limit):
             return limit
@@ -531,16 +527,16 @@ def _inexact_limit(cfg: SystemConfig, terms: int = 1) -> float | None:
 def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
           cfg: SystemConfig, channel_gens: list[np.random.Generator],
           track_states: bool) -> _Tally:
-    """Walk each user through the table a ``_block`` of slots at a time from
-    ``plan``, the policy's first block: Python does one table lookup per
-    user and slot, and ``_Tally.add`` checks and records the block."""
+    """Walk each user through the table one ``_DRAW_BLOCK`` at a time from
+    ``plan``, the policy's first block: Python does one table lookup per user
+    and slot, and ``_Tally.add`` checks and records the block."""
     n = cfg.num_users
     tally = _Tally(cfg, track_states)
     successor = tally.table.successor
     # each user's last (state, event) pair; at first one leading to the start
     last = [successor.index(0)] * n
-    for b0 in range(0, cfg.horizon, block := _block(cfg)):
-        m = min(block, cfg.horizon - b0)
+    for b0 in range(0, cfg.horizon, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, cfg.horizon - b0)
         if b0:
             plan = policy.plan(m)
         try:

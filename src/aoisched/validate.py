@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dpp, forp, ofrp
 from .model import SystemConfig, UserState
-from .simulate import _block, run, run_replicas
+from .simulate import _DRAW_BLOCK, run, run_replicas
 
 
 @dataclass
@@ -342,7 +342,11 @@ def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
     asked.penalties = lambda: None          # asked through decide every slot
     for i in range(runs):                   # the first crosses a block seam
         cfg = _random_snapshot(rng)[1]
-        cfg = replace(cfg, horizon=int(rng.integers(100, 1000)) + (i == 0) * _block(cfg))
+        if i % 5 != 4:                      # four in five: limits in halves, so
+            # the queues are rebuilt in prefix sums, as the presets' are
+            cfg = replace(cfg, aoi_limit=tuple(float(x) / 2 for x in rng.integers(
+                3, 2 * cfg.aoi_cap + 1, cfg.num_users)))
+        cfg = replace(cfg, horizon=int(rng.integers(100, 1000)) + (i == 0) * _DRAW_BLOCK)
         run_mismatches += repr(run(dpp.DppPolicy(), cfg)) != repr(run(asked, cfg))
     passed = mismatches == 0 and scale_mismatches == 0 and run_mismatches == 0
     return CheckResult(

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import aoisched
-from aoisched import cli, dpp, ofrp, validate
+from aoisched import cli, dpp, ofrp, simulate, validate
 from aoisched.experiments import (ExperimentSpec, SpecError, apply_axis,
                                   available_presets, config_hash, load_spec,
                                   optimize_experiment, resolve_out_dir,
@@ -509,11 +509,17 @@ def test_decision_oracle_budget_is_injectable():
 
 
 def test_decision_oracle_runs_the_scored_loop_against_decide(monkeypatch):
-    """The check's runs compare whole scored runs with ``decide``'s: a twin
-    that never acts fails it."""
-    result = validate.check_decision_oracle(snapshots=0, runs=4)
-    assert result.passed and result.values["runs"] == 4
-    assert "4 scored runs: 0 differ" in result.detail
+    """The check's runs compare whole scored runs with ``decide``'s, their
+    queues rebuilt in prefix sums and slot by slot: a twin that never acts
+    fails it."""
+    exact = set()
+    queues = simulate._queues
+    monkeypatch.setattr(simulate, "_queues", lambda tally, ages: (
+        exact.add(tally.exact), queues(tally, ages))[1])
+    result = validate.check_decision_oracle(snapshots=0, runs=5)
+    assert result.passed and result.values["runs"] == 5
+    assert "5 scored runs: 0 differ" in result.detail
+    assert exact == {True, False}
     monkeypatch.setattr(dpp.DppPolicy, "decide",
                         lambda self, *state: (None, None))
     result = validate.check_decision_oracle(snapshots=0, runs=4)

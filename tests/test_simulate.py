@@ -192,8 +192,8 @@ def engine_cases(draw, min_cap=3, burn_in=False):
     return cfg, ofrp.OfrpParams(users=tuple(users)), draw(st.integers(0, 3))
 
 
-# Both streams cross block seams: at two users the engine draws the
-# channel's uniforms and the plan's a block of 4,096 slots at a time.
+# Both streams cross block seams: the engine draws the channel's uniforms
+# and the plan's a block of 4,096 slots at a time.
 _LONG_CASE = (
     make_config(num_users=2, success_prob=[0.6, 0.9], aoi_cap=6,
                 aoi_limit=[3.0, 4.5], horizon=2 * 8192 + 17, v_weight=40.0,
@@ -216,9 +216,9 @@ _TIE_CASE = (
 
 def _block_seam_examples(test):
     """Examples whose runs end or start recording at a block seam: horizon
-    2·B and 2·B + 1, burn-in B - 1 and B, with B = ``simulate._block``,
+    2·B and 2·B + 1, burn-in B - 1 and B, with B = ``simulate._DRAW_BLOCK``,
     so that the walk carries each user's state across whole blocks."""
-    b = simulate._block(_LONG_CASE[0])
+    b = simulate._DRAW_BLOCK
     for horizon, burn_in, track_states in ((2 * b, 0, False), (2 * b + 1, 0, True),
                                            (2 * b + 1, b - 1, True), (2 * b, b, True)):
         test = example(case=(replace(_LONG_CASE[0], horizon=horizon, burn_in=burn_in),
@@ -757,15 +757,14 @@ class RawPlan(Policy):
 ], ids=["fractional", "float", "ragged", "three-arrays", "wrong-users",
         "code-3", "negative", "objects"])
 @pytest.mark.parametrize("start", [0, 2048])
-def test_walk_rejects_a_malformed_plan(make, start):
+def test_walk_rejects_a_malformed_plan(make, start, monkeypatch):
     """A plan that is not two (n, m) arrays of integer codes 0, 1, 2 is
-    refused with the slot of its block, not run.  Four users make blocks
-    of 2,048 slots."""
-    cfg = make_config(num_users=4, horizon=2048 + 10)
-    assert simulate._block(cfg) == 2048
+    refused with the slot of its block, not run; here blocks of 2,048."""
+    monkeypatch.setattr(simulate, "_DRAW_BLOCK", 2048)
+    cfg = make_config(horizon=2048 + 10)
     m = 2048 if start == 0 else 10
     with pytest.raises(ValueError, match=re.escape(
-            f"slot {start}: plan must be two (4, {m}) arrays of codes 0, 1, 2")):
+            f"slot {start}: plan must be two (2, {m}) arrays of codes 0, 1, 2")):
         run(RawPlan(make, start), cfg)
 
 
@@ -781,7 +780,7 @@ def test_every_block_is_checked_on_both_paths(monkeypatch):
     for policy in (dpp.DppPolicy(), ofrp.OfrpPolicy(params), SlotBySlot(params)):
         checked.clear()
         run(policy, cfg)
-        assert checked == list(range(0, cfg.horizon, simulate._block(cfg)))
+        assert checked == list(range(0, cfg.horizon, simulate._DRAW_BLOCK))
 
 
 def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
@@ -796,9 +795,9 @@ def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
         return vqs if len(blocks) < 2 else np.nextafter(vqs, np.inf)
 
     monkeypatch.setattr(simulate, "_queues", one_ulp_off)
-    block = simulate._block(make_config())
-    with pytest.raises(RuntimeError, match=f"^block at slot {block}: "):
-        run(dpp.DppPolicy(), make_config(horizon=3 * block))
+    with pytest.raises(RuntimeError,
+                       match=f"^block at slot {simulate._DRAW_BLOCK}: "):
+        run(dpp.DppPolicy(), make_config(horizon=3 * simulate._DRAW_BLOCK))
     assert len(blocks) == 2
 
 
@@ -811,8 +810,8 @@ def test_block_size_never_moves_a_number(policy, monkeypatch):
     ends past a seam of each."""
     cfg = replace(_LONG_CASE[0], horizon=8192 + 2048 + 3, burn_in=8200)
     runs = {}
-    for slots in (1, 7, 2048, simulate._block(cfg)):
-        monkeypatch.setattr(simulate, "_block", lambda cfg, slots=slots: slots)
+    for slots in (1, 7, 2048, simulate._DRAW_BLOCK):
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", slots)
         runs[slots] = repr(run(policy, cfg, 1, track_states=True))
     assert len(set(runs.values())) == 1
 
@@ -988,12 +987,12 @@ def test_prices_one_step_past_their_bound_are_added_in_order():
 
 
 def test_queues_one_step_past_their_bound_are_added_in_order():
-    """horizon · (horizon + _block) · (d·cap + n) < 2**53 keeps the
+    """horizon · (horizon + _DRAW_BLOCK) · (d·cap + n) < 2**53 keeps the
     queue sums order-free, each limit n/d; one more slot, or a limit
     with twice the denominator, adds them in order, while every queue is
     still rebuilt in prefix sums."""
     cap, n, d = 4, 2**30 + 1, 2**30
-    span = simulate._block(make_config())
+    span = simulate._DRAW_BLOCK
     horizon = max(h for h in range(1, 2000)
                   if h * (h + span) * (d * cap + n) < 2**53)
     limit = n / d
@@ -1049,9 +1048,9 @@ def test_order_free_runs_match_in_order_runs_at_the_bound(overrides,
 
 
 def test_visit_counts_allocate_per_visit_not_per_pair(monkeypatch):
-    """Counting a block's visits allocates with its visits (4,096 slots of
-    two users), not the table's 358,218 pairs at cap 200, where one
-    ``bincount`` per user took a 2.8 MB temporary."""
+    """Counting a block's visits allocates with the 4,096 visits, not the
+    table's 358,218 pairs at cap 200, where one ``bincount`` per user took
+    a 2.8 MB temporary."""
     peaks = []
     add = simulate._Tally.add
 
@@ -1064,8 +1063,7 @@ def test_visit_counts_allocate_per_visit_not_per_pair(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(simulate._Tally, "add", traced)
-    cfg = make_config(aoi_cap=200, aoi_limit=50.0)
-    cfg = replace(cfg, horizon=simulate._block(cfg))
+    cfg = make_config(aoi_cap=200, aoi_limit=50.0, horizon=simulate._DRAW_BLOCK)
     run(ofrp.OfrpPolicy(_LONG_CASE[1]), cfg)
     assert len(peaks) == 1
     assert peaks[0] < 0.5 * 2**20

@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aoisched import dpp, ofrp  # noqa: E402
 from aoisched.model import SystemConfig  # noqa: E402
-from aoisched.simulate import _block, run  # noqa: E402
+from aoisched.simulate import _DRAW_BLOCK, run  # noqa: E402
 
 
 class AskedOfrp(ofrp.OfrpPolicy):
@@ -69,7 +69,7 @@ def main(argv=None) -> None:
         ("scored DPP, cap 30", dpp.DppPolicy(), fig6),
     ]
     print(f"best of {args.repeats} runs of {args.slots} slots, 2 users, cap 10 "
-          f"unless named, blocks of {_block(SystemConfig(**fig9))} slots")
+          f"unless named, blocks of {_DRAW_BLOCK} slots")
     for label, policy, config in cases:
         slots_per_s = rate(policy, SystemConfig(**config), args.repeats)
         print(f"{label:20s} {slots_per_s / 1e6:6.2f}M slots/s")
