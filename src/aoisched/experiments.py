@@ -185,6 +185,9 @@ def load_spec(source) -> ExperimentSpec:
                 f"(expected one of {POLICY_TOKENS})")
 
     sweep = _get(doc, "sweep", dict, "")
+    for key in sweep:
+        if key not in ("axis", "values"):
+            raise SpecError(f"sweep.{key}: unknown field")
     axis_raw = _get(sweep, "axis", str, "sweep.")
     axis = _AXIS_ALIASES.get(axis_raw)
     if axis is None:

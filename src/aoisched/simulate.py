@@ -35,6 +35,7 @@ import logging
 import math
 import struct
 import sys
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,6 @@ from .model import EVENTS, ActionVector, SystemConfig, event_code, transition_ta
 log = logging.getLogger(__name__)
 
 _DRAW_BLOCK = 4096
-_TRACE_POINTS = 100
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -109,7 +109,9 @@ class Policy(abc.ABC):
 
 @dataclass
 class SimStats:
-    """Aggregates of one run (slots before ``burn_in`` are excluded)."""
+    """Aggregates of one run (slots before ``burn_in`` are excluded), as the
+    CSV writers, the acceptance checks and ``summarize`` read them;
+    ``final_vqueue_over_t`` is each virtual queue at the horizon over it."""
 
     policy: str
     horizon: int
@@ -123,11 +125,8 @@ class SimStats:
     empty_fraction: tuple[float, ...]       # decision instants with empty cache
     sample_freq: tuple[float, ...]
     retransmit_freq: tuple[float, ...]
-    delivery_attempts: tuple[int, ...]
     deliveries: tuple[int, ...]
     aoi_histogram: tuple[tuple[int, ...], ...]   # counts for age 1..cap, per user
-    vqueue_trace: tuple[tuple[tuple[int, float], ...], ...]  # (slot, X/slot)
-    state_freq: tuple[dict, ...] | None = None
 
 
 # ──────────────────────────────────────────────────────────────────────────
@@ -146,9 +145,8 @@ def _generators(cfg: SystemConfig, replica: int) -> list[np.random.Generator]:
 #  the engine
 # ──────────────────────────────────────────────────────────────────────────
 
-def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
-        track_states: bool = False) -> SimStats:
-    """Simulate ``cfg.horizon`` slots and return aggregate statistics.
+def run(policy: Policy, cfg: SystemConfig, replica: int = 0) -> SimStats:
+    """Simulate ``cfg.horizon`` slots and return their ``SimStats``.
 
     A policy whose ``plan`` returns actions is table-walked (``_walk``);
     every other policy runs slot by slot (``_slot_loop``).  Both paths step
@@ -163,9 +161,9 @@ def run(policy: Policy, cfg: SystemConfig, replica: int = 0, *,
               "as exact prefix sums" if (inexact := _inexact_limit(cfg)) is None
               else f"slot by slot, aoi_limit {inexact!r} is not exact in prefix sums")
     if plan is None:
-        tally = _slot_loop(policy, cfg, channel_gens, track_states)
+        tally = _slot_loop(policy, cfg, channel_gens)
     else:
-        tally = _walk(policy, plan, cfg, channel_gens, track_states)
+        tally = _walk(policy, plan, cfg, channel_gens)
     return tally.stats(policy.name, replica)
 
 
@@ -251,11 +249,12 @@ def _tally_rows(cap: int, n: int, single: bool) -> tuple[np.ndarray, ...]:
 class _Tally:
     """What both paths accumulate, fed a block of slots at a time: per-user
     visit counts of the recorded slots' (state, event) pairs, which give the
-    integer statistics, and float sums that add the recorded slots in slot
-    order, the cost a sample's price before a resend's; a sum whose every
-    partial sum is exact (``order_free``) may add in any order."""
+    integer statistics, the queues at the block's end, and float sums that
+    add the recorded slots in slot order, the cost a sample's price before a
+    resend's; a sum whose every partial sum is exact (``order_free``) may
+    add in any order."""
 
-    def __init__(self, cfg: SystemConfig, track_states: bool):
+    def __init__(self, cfg: SystemConfig):
         n = cfg.num_users
         self.cfg = cfg
         self.table = table = transition_table(cfg.aoi_cap)
@@ -269,8 +268,6 @@ class _Tally:
         # (cost, queues): whether every partial sum of each is exact
         self.order_free = (_exact_prices(cfg),
                            _inexact_limit(cfg, cfg.horizon) is None)
-        self.trace: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.freq = [dict() for _ in range(n)] if track_states else None
         self.prices = np.where(acting, [  # per slot sum, in order
             cfg.sample_cost + cfg.transmit_cost, cfg.transmit_cost], 0.0)
 
@@ -279,30 +276,14 @@ class _Tally:
         (state, event) pairs, an (n, m) array, and their ``_queues``."""
         acts = _check_block(b0, pairs, self)
         vqs = _queues(self, self.reached[pairs])
-        m = pairs.shape[1]
-        horizon = self.cfg.horizon
-        every = max(1, horizon // _TRACE_POINTS)
-        rec = slice(max(0, self.cfg.burn_in - b0), m)
+        rec = slice(max(0, self.cfg.burn_in - b0), pairs.shape[1])
         for visits, row in zip(self.visits, pairs[:, rec]):
             np.add.at(visits, row, 1)   # costs per visit, not per pair
-        marks = range(b0 // every * every + every, b0 + m + 1, every)
-        if b0 + m == horizon and horizon % every:
-            marks = [*marks, horizon]
-        at_marks = vqs[:, [t1 - 1 - b0 for t1 in marks]].tolist()
-        for trace, v in zip(self.trace, at_marks):
-            trace += [(t1, x / t1) for t1, x in zip(marks, v)]
         self.vq = vqs[:, -1].copy()
         free_cost, free_vq = self.order_free
         self.cost_sum = _add(self.cost_sum,
                              self.prices.take(acts[rec], axis=0).ravel(), free_cost)
         self.vq_sum = _add(self.vq_sum, vqs[:, rec], free_vq)
-        for k, freq in enumerate(self.freq or ()):
-            seen, first, count = np.unique(
-                self.table.next_state[pairs[k, rec]],
-                return_index=True, return_counts=True)
-            for i in np.argsort(first):
-                key = self.table.states[seen[i]]
-                freq[key] = freq.get(key, 0) + int(count[i])
 
     def stats(self, name: str, replica: int) -> SimStats:
         cfg = self.cfg
@@ -328,11 +309,8 @@ class _Tally:
             empty_fraction=tuple(c / recorded for c in empty),
             sample_freq=tuple(c / recorded for c in samples),
             retransmit_freq=tuple(c / recorded for c in resends),
-            delivery_attempts=tuple(s + r for s, r in zip(samples, resends)),
             deliveries=tuple(delivered),
             aoi_histogram=tuple(tuple(h) for h in hist),
-            vqueue_trace=tuple(tuple(tr) for tr in self.trace),
-            state_freq=tuple(self.freq) if self.freq is not None else None,
         )
 
 
@@ -426,8 +404,8 @@ S                if d < best: best, sampler, resender = d, None, {k}
 @functools.lru_cache(maxsize=8)
 def _slot_body(n: int, single: bool, scored: bool):
     """``_SLOTS`` rendered for ``n`` users in one mode and compiled (eight
-    kept), its source in ``linecache`` under a name that says so, for
-    tracebacks, profiles and ``inspect.getsource``."""
+    kept), its source in ``linecache`` under a name that says so while the
+    body lives, for tracebacks, profiles and ``inspect.getsource``."""
     tags = " " + ("S" + "P" * (not single) if scored else "A")
 
     def keep(template):
@@ -443,15 +421,17 @@ def _slot_body(n: int, single: bool, scored: bool):
         single=" or sampler is not None" if single else "")
     name = (f"<aoisched slot loop, {n} users, {'one' if single else 'two'} "
             f"transmitter{'' if single else 's'}, {'scored' if scored else 'asked'}>")
-    # newest last: the eight cached bodies are the last eight rendered
-    linecache.cache.pop(name, None)
-    linecache.cache[name] = len(text), None, text.splitlines(True), name
-    ours = [f for f in linecache.cache if f.startswith("<aoisched slot loop")]
-    for stale in ours[:-8]:
-        del linecache.cache[stale]
+    linecache.cache[name] = entry = len(text), None, text.splitlines(True), name
     scope = {}
     exec(compile(text, name, "exec"), globals(), scope)
+    weakref.finalize(scope["slots"], _forget, name, entry)
     return scope["slots"]
+
+
+def _forget(name: str, entry: tuple) -> None:
+    """Drop ``name`` from ``linecache`` unless a newer body's entry holds it."""
+    if linecache.cache.get(name) is entry:
+        del linecache.cache[name]
 
 
 def _user_index(t: int, role: str, k, n: int) -> int:
@@ -465,8 +445,7 @@ def _user_index(t: int, role: str, k, n: int) -> int:
 
 
 def _slot_loop(policy: Policy, cfg: SystemConfig,
-               channel_gens: list[np.random.Generator],
-               track_states: bool) -> _Tally:
+               channel_gens: list[np.random.Generator]) -> _Tally:
     """Step each user through the table one slot at a time, in the body
     ``_slot_body`` renders for the run's user count and mode.
 
@@ -486,7 +465,7 @@ def _slot_loop(policy: Policy, cfg: SystemConfig,
     sample_penalty, resend_penalty = penalties or (math.inf, math.inf)
     # rendered first: its compiler's transient peak sits on no run arrays
     body = _slot_body(n, cfg.single_transmitter_mode, penalties is not None)
-    tally = _Tally(cfg, track_states)
+    tally = _Tally(cfg)
     tables = (_scored_rows(cfg.aoi_cap, sample_penalty, resend_penalty),
               cfg.aoi_limit, p, sample_penalty, resend_penalty, policy.decide,
               tally.table.states, cfg)
@@ -525,13 +504,12 @@ def _inexact_limit(cfg: SystemConfig, terms: int = 1) -> float | None:
 
 
 def _walk(policy: Policy, plan: tuple[np.ndarray, np.ndarray],
-          cfg: SystemConfig, channel_gens: list[np.random.Generator],
-          track_states: bool) -> _Tally:
+          cfg: SystemConfig, channel_gens: list[np.random.Generator]) -> _Tally:
     """Walk each user through the table one ``_DRAW_BLOCK`` at a time from
     ``plan``, the policy's first block: Python does one table lookup per user
     and slot, and ``_Tally.add`` checks and records the block."""
     n = cfg.num_users
-    tally = _Tally(cfg, track_states)
+    tally = _Tally(cfg)
     successor = tally.table.successor
     # each user's last (state, event) pair; at first one leading to the start
     last = [successor.index(0)] * n

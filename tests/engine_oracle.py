@@ -9,6 +9,8 @@ These helpers do not:
 - ``channel_uniforms`` and ``policy_rng`` hand out the randomness a run
   consumes, from ``simulate._generators``, the package's one seeding
   recipe, so a test can replay a run through ``step_users``;
+- ``traced_run`` runs ``simulate.run`` and also returns what each user
+  stepped through in every slot, for comparing runs slot by slot;
 - ``IdlePolicy`` and ``AlwaysSamplePolicy`` are fixed policies with known
   outcomes, both planned, for the engine's degenerate-channel checks;
 - ``probability_grid`` lists the search grid's values, the twin of the
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from aoisched import simulate
 from aoisched.model import (ActionVector, SystemConfig, UserState, aoi_step,
@@ -82,6 +85,28 @@ def channel_uniforms(cfg: SystemConfig, replica: int = 0,
 def policy_rng(cfg: SystemConfig, replica: int = 0) -> np.random.Generator:
     """The private generator ``run`` hands the policy."""
     return simulate._generators(cfg, replica)[0]
+
+
+def traced_run(policy: simulate.Policy, cfg: SystemConfig, replica: int = 0,
+               ) -> tuple[simulate.SimStats, np.ndarray, np.ndarray]:
+    """``simulate.run``'s statistics, each user's (state, event) pair in
+    every slot and its virtual queue at the end of it, burn-in included:
+    ``(stats, pairs, queues)``, the last two (num_users, horizon) arrays
+    captured as ``_Tally.add`` takes each block."""
+    pairs, queues = [], []
+    add, rebuild = simulate._Tally.add, simulate._queues
+
+    def queued(tally, ages):
+        vqs = rebuild(tally, ages)
+        queues.append(vqs.copy())   # the tally's in-order sums overwrite vqs
+        return vqs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate._Tally, "add", lambda tally, b0, block:
+                      pairs.append(block) or add(tally, b0, block))
+        patch.setattr(simulate, "_queues", queued)
+        stats = simulate.run(policy, cfg, replica)
+    return stats, np.concatenate(pairs, 1), np.concatenate(queues, 1)
 
 
 class IdlePolicy(simulate.Policy):

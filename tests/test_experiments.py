@@ -78,6 +78,7 @@ def test_axis_aliases():
     (lambda d: d.pop("policies"), "policies"),
     (lambda d: d["config"].pop("num_users"), "config.num_users"),
     (lambda d: d["config"].update(bogus=1), "config.bogus"),
+    (lambda d: d["sweep"].update(bogus=1), "sweep.bogus"),
     (lambda d: d.update(bogus=1), "bogus"),
     (lambda d: d.update(policies=["nope"]), "policies[0]"),
     (lambda d: d.update(policies=[]), "policies"),

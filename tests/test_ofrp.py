@@ -25,7 +25,7 @@ from chain_oracle import (DIRECT_SOLVE_MAX_STATES, assemble, build_chain,
                           direct_stationary, exact_cost, exact_metrics,
                           finalize, grid_points, layout, select,
                           solve_stationary)
-from engine_oracle import step_users
+from engine_oracle import step_users, traced_run
 
 
 def make_config(**overrides):
@@ -238,13 +238,12 @@ def test_simulation_tracks_chain_metrics():
 def test_state_frequencies_track_stationary_distribution():
     cfg = make_config(success_prob=0.6, horizon=150_000, seed=62)
     user = ofrp.OfrpUserParams(1.0, 0.4, 0.2, 0.6)
-    stats = run(ofrp.OfrpPolicy(ofrp.OfrpParams((user,))), cfg,
-                track_states=True)
+    _, pairs, _ = traced_run(ofrp.OfrpPolicy(ofrp.OfrpParams((user,))), cfg)
     pi = ofrp.stationary(user, 0.6, 10)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
-    sim = {s: count / cfg.horizon for s, count in stats.state_freq[0].items()}
-    tv = 0.5 * sum(abs(sim.get(s, 0.0) - prob)
-                   for s, prob in zip(transition_table(10).states, pi))
+    table = transition_table(10)
+    sim = np.bincount(table.next_state[pairs[0]], minlength=len(pi)) / cfg.horizon
+    tv = 0.5 * np.abs(sim - pi).sum()
     assert tv < 0.02
 
 

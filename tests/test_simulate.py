@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoisched import dpp, ofrp, simulate
-from aoisched.model import ActionVector, SystemConfig
+from aoisched.model import ActionVector, SystemConfig, transition_table
 from aoisched.simulate import Policy, run, run_replicas, summarize
 from engine_oracle import (AlwaysSamplePolicy, IdlePolicy, channel_uniforms,
-                           initial_states, policy_rng, step_users)
+                           initial_states, policy_rng, step_users, traced_run)
 
 
 def make_config(**overrides):
@@ -51,7 +51,7 @@ def test_always_sample_on_perfect_channel():
     assert stats.avg_aoi == (1.0,)
     assert stats.avg_cost == 6.0
     assert stats.deliveries == (500,)
-    assert stats.delivery_attempts == (500,)
+    assert (stats.sample_freq, stats.retransmit_freq) == ((1.0,), (0.0,))
     assert stats.empty_fraction == (1.0,)
     assert stats.aoi_histogram[0] == (500,) + (0,) * 9
 
@@ -105,13 +105,13 @@ def test_channel_uniforms_match_across_calls():
 
 def _replay(policy, cfg, replica=0):
     """Drive the reference stepper with the exact randomness run() uses,
-    recording the slots from ``cfg.burn_in`` on as run() does."""
+    recording the slots from ``cfg.burn_in`` on as run() does, and every
+    slot's post-update state and queue per user as ``_path`` lists them."""
     uniforms = channel_uniforms(cfg, replica)
     policy.reset(cfg, policy_rng(cfg, replica))
     states = initial_states(cfg)
     n = cfg.num_users
     recorded = cfg.horizon - cfg.burn_in
-    every = max(1, cfg.horizon // 100)
     cost = 0.0
     aoi_sum = [0] * n
     vq_sum = [0.0] * n
@@ -120,8 +120,7 @@ def _replay(policy, cfg, replica=0):
     samples = [0] * n
     resends = [0] * n
     delivered = [0] * n
-    trace = [[] for _ in range(n)]
-    freq = [{} for _ in range(n)]
+    path = [[] for _ in range(n)]
     for t in range(cfg.horizon):
         rec = t >= cfg.burn_in
         for k in range(n):
@@ -134,8 +133,7 @@ def _replay(policy, cfg, replica=0):
         states, outcome = step_users(
             states, action, uniforms[:, t].tolist(), cfg)
         for k, st in enumerate(states):
-            if (t + 1) % every == 0 or t + 1 == cfg.horizon:
-                trace[k].append((t + 1, st.vqueue / (t + 1)))
+            path[k].append(((st.cache_occupied, st.waiting_time, st.aoi), st.vqueue))
         if not rec:
             continue
         cost += outcome.cost
@@ -146,8 +144,6 @@ def _replay(policy, cfg, replica=0):
             samples[k] += action.sample[k]
             resends[k] += action.retransmit[k]
             delivered[k] += outcome.delivered[k]
-            key = (st.cache_occupied, st.waiting_time, st.aoi)
-            freq[k][key] = freq[k].get(key, 0) + 1
     return {
         "avg_cost": cost / recorded,
         "avg_aoi": tuple(s / recorded for s in aoi_sum),
@@ -156,12 +152,31 @@ def _replay(policy, cfg, replica=0):
         "hist": tuple(tuple(h) for h in hist),
         "sample_freq": tuple(s / recorded for s in samples),
         "retransmit_freq": tuple(r / recorded for r in resends),
-        "attempts": tuple(s + r for s, r in zip(samples, resends)),
         "deliveries": tuple(delivered),
         "final_vqueue": tuple(s.vqueue for s in states),
-        "trace": tuple(tuple(tr) for tr in trace),
-        "freq": tuple(freq),
+        "path": path,
     }
+
+
+def _path(cfg, pairs, queues):
+    """Per user, each slot's post-update (occupied, waiting time, age) state
+    and virtual queue, from ``traced_run``'s pairs and queues."""
+    table = transition_table(cfg.aoi_cap)
+    return [[(table.states[i], q) for i, q in zip(row, qs)]
+            for row, qs in zip(table.next_state[pairs].tolist(), queues.tolist())]
+
+
+def _fingerprint(policy, cfg, replica=0):
+    """A run's ``repr(SimStats)`` with, per user and slot, the state its
+    ``traced_run`` pair reaches, the pair's kind (from an empty cache,
+    sampled, resent, delivered) and the queue, as bytes: equal for two runs
+    that stepped the same way, bit for bit.  The pairs themselves may
+    differ: a walked pair's event also holds the plan's action for the
+    cache state the user is not in."""
+    stats, pairs, queues = traced_run(policy, cfg, replica)
+    table = transition_table(cfg.aoi_cap)
+    return (repr(stats), table.next_state[pairs].tobytes(),
+            table.kind[:, pairs].tobytes(), queues.tobytes())
 
 
 @st.composite
@@ -219,10 +234,9 @@ def _block_seam_examples(test):
     2·B and 2·B + 1, burn-in B - 1 and B, with B = ``simulate._DRAW_BLOCK``,
     so that the walk carries each user's state across whole blocks."""
     b = simulate._DRAW_BLOCK
-    for horizon, burn_in, track_states in ((2 * b, 0, False), (2 * b + 1, 0, True),
-                                           (2 * b + 1, b - 1, True), (2 * b, b, True)):
+    for horizon, burn_in in ((2 * b, 0), (2 * b + 1, 0), (2 * b + 1, b - 1), (2 * b, b)):
         test = example(case=(replace(_LONG_CASE[0], horizon=horizon, burn_in=burn_in),
-                             *_LONG_CASE[1:]), track_states=track_states)(test)
+                             *_LONG_CASE[1:]))(test)
     return test
 
 
@@ -231,27 +245,26 @@ def _block_seam_examples(test):
     pytest.param(ofrp.OfrpPolicy, id="OfrpPolicy"),
 ])
 @settings(max_examples=30, deadline=None)
-@example(case=_LONG_CASE, track_states=False)
-@example(case=_TIE_CASE, track_states=True)
+@example(case=_LONG_CASE)
+@example(case=_TIE_CASE)
 @example(case=(replace(_TIE_CASE[0], single_transmitter_mode=True),
-               *_TIE_CASE[1:]), track_states=False)
-@example(case=(replace(_LONG_CASE[0], burn_in=8191), *_LONG_CASE[1:]),
-         track_states=True)
+               *_TIE_CASE[1:]))
+@example(case=(replace(_LONG_CASE[0], burn_in=8191), *_LONG_CASE[1:]))
 @example(case=(replace(_LONG_CASE[0], aoi_limit=(math.inf, 2.0)),
-               *_LONG_CASE[1:]), track_states=False)
+               *_LONG_CASE[1:]))
 # At cap 2 no packet stays cached, so every resend coefficient is 0.
 @example(case=(replace(_LONG_CASE[0], aoi_cap=2, aoi_limit=(1.5, 2.0)),
-               *_LONG_CASE[1:]), track_states=True)
+               *_LONG_CASE[1:]))
 @_block_seam_examples
-@given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
-def test_engine_matches_reference_stepper(policy_factory, case, track_states):
+@given(case=engine_cases(min_cap=2, burn_in=True))
+def test_engine_matches_reference_stepper(policy_factory, case):
     """The engine and the literal composition of update laws must produce
-    identical sample paths, statistics, trace and state frequencies
-    included."""
+    identical sample paths, every slot's state and queue, burn-in included,
+    and the statistics."""
     cfg, params, replica = case
-    stats = run(policy_factory(params), cfg, replica=replica,
-                track_states=track_states)
+    stats, pairs, queues = traced_run(policy_factory(params), cfg, replica)
     ref = _replay(policy_factory(params), cfg, replica=replica)
+    assert _path(cfg, pairs, queues) == ref["path"]
     # the engine adds a slot's sample and resend costs one at a time, the
     # stepper adds their sum, so float prices may round differently
     assert stats.avg_cost == pytest.approx(ref["avg_cost"], rel=1e-12, abs=0)
@@ -261,16 +274,9 @@ def test_engine_matches_reference_stepper(policy_factory, case, track_states):
     assert stats.aoi_histogram == ref["hist"]
     assert stats.sample_freq == ref["sample_freq"]
     assert stats.retransmit_freq == ref["retransmit_freq"]
-    assert stats.delivery_attempts == ref["attempts"]
     assert stats.deliveries == ref["deliveries"]
-    assert stats.vqueue_trace == ref["trace"]
-    for k in range(cfg.num_users):
-        assert stats.final_vqueue_over_t[k] * cfg.horizon == pytest.approx(
-            ref["final_vqueue"][k], abs=1e-9)
-    if track_states:
-        assert repr(stats.state_freq) == repr(ref["freq"])   # order too
-    else:
-        assert stats.state_freq is None
+    assert stats.final_vqueue_over_t == tuple(
+        v / cfg.horizon for v in ref["final_vqueue"])
 
 
 class NeverDecided(dpp.DppPolicy):
@@ -279,46 +285,46 @@ class NeverDecided(dpp.DppPolicy):
 
 
 # sha256 of repr(SimStats) for DppPolicy runs at replica 1, recorded when
-# the engine still asked DppPolicy.decide every slot.  Any change in the
-# order of float operations (delta scores, virtual queues, their sums or the
-# cost sum) changes a digest.  All horizons cross a 4,096-slot block.
+# the engine still asked DppPolicy.decide every slot, and re-hashed from the
+# same reprs once SimStats lost its queue trace, delivery attempts and state
+# frequencies.  Any change in the order of float operations (delta scores,
+# virtual queues, their sums or the cost sum) changes a digest.  All
+# horizons cross a 4,096-slot block.
 _DPP_DIGESTS = {
     "fig9-prices": (
-        dict(success_prob=0.7, horizon=20_000, seed=746004), False,
-        "50234743f019ec1c025d9c035993729334f48404cb0da8e33856f6c8a856fa52"),
+        dict(success_prob=0.7, horizon=20_000, seed=746004),
+        "1adee9ef3513e05ca8b76b27979284475bf69df85157ab237410fee3c181fa54"),
     "pairs-k3": (
         dict(num_users=3, success_prob=[0.5, 0.8, 0.95], sample_cost=0.3,
              transmit_cost=2.0, aoi_cap=12, aoi_limit=[4.5, 6.0, 3.5],
              horizon=8193, seed=11, v_weight=40.0,
-             single_transmitter_mode=False), False,
-        "8c9e7ee8f444ae7790945b16ca775655952a6c1a94201648cba3a782adfcabef"),
+             single_transmitter_mode=False),
+        "085945c7af7a25682b6996cf7ccd7b572ab5c6ad46f98201fcbf391920845741"),
     "burn-in-states": (
         dict(success_prob=[0.6, 0.9], aoi_limit=[4.0, 5.5],
-             horizon=3 * 8192 + 5, seed=5, burn_in=9000), True,
-        "56c0b9ef32cac37baea4b604c0801d5af0063558f078899cade630bf55ab0eda"),
+             horizon=3 * 8192 + 5, seed=5, burn_in=9000),
+        "847a494b2935d615ede154ed0e3d2a08861f81640cd3e2074df4d465b90116d6"),
     # Recorded later, still before the slot loop stopped recording queues.
     # 4.3 is not n/2**k and inf is not finite, so queues are rebuilt slot
     # by slot; both users sample and resend.
     "inexact-limits": (
         dict(success_prob=[0.9, 0.6], aoi_limit=[4.3, math.inf],
              horizon=8192 + 300, seed=43, v_weight=5.0,
-             single_transmitter_mode=False), False,
-        "a403d5ed30e56dbe21c328849682f28167faca0d227b991a3912d62e38715d52"),
+             single_transmitter_mode=False),
+        "4e9ebb4391d93492bb097ea163e18d0178fa97060dd5007b2863934894557e50"),
 }
 
 
 @pytest.mark.parametrize("case", _DPP_DIGESTS)
 def test_dpp_runs_keep_their_recorded_digests(case):
-    overrides, track_states, digest = _DPP_DIGESTS[case]
-    stats = run(dpp.DppPolicy(), make_config(**overrides), 1,
-                track_states=track_states)
+    overrides, digest = _DPP_DIGESTS[case]
+    stats = run(dpp.DppPolicy(), make_config(**overrides), 1)
     assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
 
 
 def test_run_scores_dpp_without_calling_decide():
-    for overrides, track_states, digest in _DPP_DIGESTS.values():
-        stats = run(NeverDecided(), make_config(**overrides), 1,
-                    track_states=track_states)
+    for overrides, digest in _DPP_DIGESTS.values():
+        stats = run(NeverDecided(), make_config(**overrides), 1)
         assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
 
 
@@ -344,9 +350,9 @@ def test_decide_cannot_change_the_engines_state():
     """``decide`` gets copies: a policy that mutates them runs as its
     non-mutating twin does."""
     cfg = make_config(success_prob=0.7, aoi_limit=3.0, horizon=2000, seed=1)
-    stats = run(MutatingDppBySlot(), cfg, track_states=True)
-    assert repr(stats) == repr(run(DppBySlot(), cfg, track_states=True))
-    assert repr(stats) == repr(run(dpp.DppPolicy(), cfg, track_states=True))
+    mutated = _fingerprint(MutatingDppBySlot(), cfg)
+    assert mutated == _fingerprint(DppBySlot(), cfg)
+    assert mutated == _fingerprint(dpp.DppPolicy(), cfg)
 
 
 @pytest.mark.parametrize("first_limit", [None, 4.3, math.inf],
@@ -404,13 +410,13 @@ def test_scored_penalties_follow_decide_through_ties(prices, single):
     included."""
     cfg = replace(_TIE_CASE[0], success_prob=0.0,
                   single_transmitter_mode=single)
-    stats = run(FixedPrices(prices), cfg, track_states=True)
+    stats, pairs, queues = traced_run(FixedPrices(prices), cfg)
     ref = _replay(FixedPrices(prices), cfg)
     assert (stats.sample_freq, stats.retransmit_freq, stats.aoi_histogram,
-            stats.avg_vqueue, stats.vqueue_trace) == \
+            stats.avg_vqueue) == \
         (ref["sample_freq"], ref["retransmit_freq"], ref["hist"],
-         ref["avg_vqueue"], ref["trace"])
-    assert repr(stats.state_freq) == repr(ref["freq"])
+         ref["avg_vqueue"])
+    assert _path(cfg, pairs, queues) == ref["path"]
 
 
 _PRICES = st.one_of(
@@ -495,29 +501,24 @@ class SlotBySlot(ofrp.OfrpPolicy):
 @settings(max_examples=40, deadline=None)
 # The walk's prefix sums carry each queue across two block boundaries, and
 # stay exact with a 30-bit fraction in the limit.
-@example(case=(replace(_LONG_CASE[0], burn_in=5000), *_LONG_CASE[1:]),
-         track_states=True)
+@example(case=(replace(_LONG_CASE[0], burn_in=5000), *_LONG_CASE[1:]))
 @example(case=(replace(_LONG_CASE[0], aoi_limit=(1 + 2**-30, 4.5)),
-               *_LONG_CASE[1:]), track_states=False)
+               *_LONG_CASE[1:]))
 # Limits the prefix sums cannot carry exactly: past the bound, non-dyadic
 # and infinite.  The walk keeps the slot loop's recursion for them.
-@example(case=(replace(_LONG_CASE[0], aoi_limit=(1e300, 4.5)), *_LONG_CASE[1:]),
-         track_states=False)
-@example(case=(replace(_LONG_CASE[0], aoi_limit=(4.3, 3.0)), *_LONG_CASE[1:]),
-         track_states=False)
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(1e300, 4.5)), *_LONG_CASE[1:]))
+@example(case=(replace(_LONG_CASE[0], aoi_limit=(4.3, 3.0)), *_LONG_CASE[1:]))
 @example(case=(replace(_LONG_CASE[0], aoi_limit=(math.inf, 2.0)),
-               *_LONG_CASE[1:]), track_states=False)
+               *_LONG_CASE[1:]))
 @_block_seam_examples
-@given(case=engine_cases(min_cap=2, burn_in=True), track_states=st.booleans())
-def test_table_walk_matches_slot_loop(case, track_states):
-    """The table walk and the slot loop give the same statistics, floats,
-    trace and state frequencies included, bit for bit."""
+@given(case=engine_cases(min_cap=2, burn_in=True))
+def test_table_walk_matches_slot_loop(case):
+    """The table walk and the slot loop step every user through the same
+    (state, event) pairs and queues and give the same statistics, floats
+    included, bit for bit."""
     cfg, params, replica = case
-    walked = run(ofrp.OfrpPolicy(params), cfg, replica,
-                 track_states=track_states)
-    looped = run(SlotBySlot(params), cfg, replica, track_states=track_states)
-    assert walked == looped
-    assert repr(walked) == repr(looped)     # state_freq insertion order too
+    assert _fingerprint(ofrp.OfrpPolicy(params), cfg, replica) == \
+        _fingerprint(SlotBySlot(params), cfg, replica)
 
 
 @settings(max_examples=30, deadline=None)
@@ -541,10 +542,8 @@ def test_two_actor_plans_match_slot_loop(case, script_seed):
             row[resender] = 2
         if sampler >= 0:
             row[sampler] = 1
-    assert run(CodeScript(script, cached_only=True), cfg,
-               track_states=True) == \
-        run(CodeScript(script, planned=False, cached_only=True), cfg,
-            track_states=True)
+    assert _fingerprint(CodeScript(script, cached_only=True), cfg) == \
+        _fingerprint(CodeScript(script, planned=False, cached_only=True), cfg)
 
 
 @pytest.mark.parametrize("limits, inexact", [
@@ -587,17 +586,16 @@ _CAP80_CASE = (
 
 def test_cap_80_engine_matches_stepper_and_slot_loop():
     cfg, params, replica = _CAP80_CASE
-    stats = run(dpp.DppPolicy(), cfg, replica, track_states=True)
+    stats, pairs, queues = traced_run(dpp.DppPolicy(), cfg, replica)
     ref = _replay(dpp.DppPolicy(), cfg, replica)
-    assert max(age for _, _, age in stats.state_freq[0]) > 64
-    assert (stats.aoi_histogram, stats.avg_vqueue, stats.vqueue_trace) == \
-        (ref["hist"], ref["avg_vqueue"], ref["trace"])
+    assert max(age for (_, _, age), _ in ref["path"][0]) > 64
+    assert (stats.aoi_histogram, stats.avg_vqueue) == (ref["hist"], ref["avg_vqueue"])
     assert stats.avg_cost == pytest.approx(ref["avg_cost"], rel=1e-12, abs=0)
-    assert repr(stats.state_freq) == repr(ref["freq"])
-    walked = run(ofrp.OfrpPolicy(params), cfg, replica, track_states=True)
-    assert max(age for _, _, age in walked.state_freq[0]) > 64
-    assert repr(walked) == repr(
-        run(SlotBySlot(params), cfg, replica, track_states=True))
+    assert _path(cfg, pairs, queues) == ref["path"]
+    walked = traced_run(ofrp.OfrpPolicy(params), cfg, replica)
+    assert max(age for (_, _, age), _ in _path(cfg, *walked[1:])[0]) > 64
+    assert _fingerprint(ofrp.OfrpPolicy(params), cfg, replica) == \
+        _fingerprint(SlotBySlot(params), cfg, replica)
 
 
 class IdleBySlot(IdlePolicy):
@@ -617,14 +615,14 @@ class AlwaysSampleBySlot(AlwaysSamplePolicy):
 def test_planned_fixed_policies_match_slot_loop(planned, by_slot):
     for cfg in (make_config(horizon=20_000, burn_in=333, success_prob=0.3),
                 make_config(num_users=3, aoi_cap=2, horizon=50)):
-        assert repr(run(planned, cfg, track_states=True)) == \
-            repr(run(by_slot, cfg, track_states=True))
+        assert _fingerprint(planned, cfg) == _fingerprint(by_slot, cfg)
 
 
 def test_delivery_rate_tracks_channel_quality():
     cfg = make_config(num_users=1, success_prob=0.7, horizon=20000)
     stats = run(AlwaysSamplePolicy(0), cfg)
-    rate = stats.deliveries[0] / stats.delivery_attempts[0]
+    assert stats.sample_freq == (1.0,)      # an attempt every slot
+    rate = stats.deliveries[0] / cfg.horizon
     margin = 4 * np.sqrt(0.7 * 0.3 / 20000)
     assert abs(rate - 0.7) < margin
 
@@ -654,8 +652,8 @@ def test_accepts_numpy_integer_indices():
     script = [(None, None), (None, None), (1, None), (None, 1), (0, None)]
     as_numpy = [tuple(None if k is None else np.int64(k) for k in pair)
                 for pair in script]
-    assert repr(run(ScriptedPolicy(as_numpy), cfg, track_states=True)) == \
-        repr(run(ScriptedPolicy(script), cfg, track_states=True))
+    assert _fingerprint(ScriptedPolicy(as_numpy), cfg) == \
+        _fingerprint(ScriptedPolicy(script), cfg)
 
 
 def test_rejects_retransmit_without_cache():
@@ -805,14 +803,14 @@ def test_slot_loop_checks_its_queues_against_the_rebuild(monkeypatch):
     dpp.DppPolicy(), ofrp.OfrpPolicy(_LONG_CASE[1]), DppBySlot(),
 ], ids=["scored", "walked", "asked"])
 def test_block_size_never_moves_a_number(policy, monkeypatch):
-    """Blocks of 1, 7 and 2,048 slots give the default block's run, states
-    included: the horizon is a multiple of none of them, and the burn-in
-    ends past a seam of each."""
+    """Blocks of 1, 7 and 2,048 slots give the default block's run, every
+    slot's pairs and queues included: the horizon is a multiple of none of
+    them, and the burn-in ends past a seam of each."""
     cfg = replace(_LONG_CASE[0], horizon=8192 + 2048 + 3, burn_in=8200)
     runs = {}
     for slots in (1, 7, 2048, simulate._DRAW_BLOCK):
         monkeypatch.setattr(simulate, "_DRAW_BLOCK", slots)
-        runs[slots] = repr(run(policy, cfg, 1, track_states=True))
+        runs[slots] = _fingerprint(policy, cfg, 1)
     assert len(set(runs.values())) == 1
 
 
@@ -849,6 +847,21 @@ def test_rendered_slot_loop_shows_its_source():
         assert line in text
 
 
+def test_cached_bodies_and_only_they_keep_their_source():
+    """``_slot_body`` keeps the eight bodies used last, each with its lines
+    in ``linecache``; an evicted body's lines leave with it.  The 2-user
+    body, used after every other, is the first rendered and stays."""
+    simulate._slot_body.cache_clear()
+    name = simulate._slot_body(2, True, True).__code__.co_filename
+    for n in range(3, 11):
+        simulate._slot_body(n, True, True)
+        body = simulate._slot_body(2, True, True)
+    assert simulate._slot_body.cache_info().currsize == 8
+    assert linecache.getlines(name)
+    assert inspect.getsource(body).startswith("def slots(")
+    assert not linecache.getlines(name.replace("2 users", "3 users"))
+
+
 class FailingDecide(DppBySlot):
     def decide(self, t, aoi, waiting, occupied, vqueue):
         raise LookupError("no decision")
@@ -877,25 +890,6 @@ def test_burn_in_excludes_warmup():
                                  burn_in=6))
     assert cost_stats.avg_cost == 6.0
     assert cost_stats.empty_fraction == (0.0,)
-
-
-def test_vqueue_trace_ends_at_final_ratio():
-    cfg = make_config(num_users=1, horizon=5000)
-    stats = run(IdlePolicy(), cfg)
-    trace = stats.vqueue_trace[0]
-    assert 90 <= len(trace) <= 101
-    assert trace[-1][0] == 5000
-    assert trace[-1][1] == stats.final_vqueue_over_t[0]
-
-
-def test_track_states_collects_reachable_frequencies():
-    cfg = make_config(num_users=1, success_prob=0.5, aoi_cap=6, horizon=800)
-    stats = run(AlwaysSamplePolicy(0), cfg, track_states=True)
-    freq = stats.state_freq[0]
-    assert sum(freq.values()) == 800
-    from aoisched.model import UserState
-    for (occ, wait, aoi) in freq:
-        UserState(aoi=aoi, waiting_time=wait, cache_occupied=occ).validate(6)
 
 
 def test_run_replicas_single_equals_run():
@@ -966,7 +960,7 @@ def test_order_free_sums_equal_in_order_sums(seed, users, sizes, log_den,
 
 
 def _order_free(**overrides):
-    return simulate._Tally(make_config(**overrides), False).order_free
+    return simulate._Tally(make_config(**overrides)).order_free
 
 
 def test_prices_one_step_past_their_bound_are_added_in_order():
@@ -1000,7 +994,7 @@ def test_queues_one_step_past_their_bound_are_added_in_order():
                          (horizon, 1 + 0.5 / d, False)):
         cfg = make_config(aoi_cap=cap, aoi_limit=[lim, 3.0], horizon=h)
         assert simulate._inexact_limit(cfg) is None
-        assert simulate._Tally(cfg, False).order_free == (True, free)
+        assert simulate._Tally(cfg).order_free == (True, free)
 
 
 @pytest.mark.parametrize("case, order_free", [
@@ -1014,14 +1008,13 @@ def test_recorded_digests_cover_both_ways_to_sum(case, order_free,
     """The recorded ``_DPP_DIGESTS`` runs pin both summations: a sum that
     is not order-free goes through ``_add_in_order``, the cost as one flat
     block, the queues as a row per user."""
-    overrides, track_states, digest = _DPP_DIGESTS[case]
+    overrides, digest = _DPP_DIGESTS[case]
     assert _order_free(**overrides) == order_free
     in_order = simulate._add_in_order
     ndims = set()
     monkeypatch.setattr(simulate, "_add_in_order", lambda total, values:
                         ndims.add(values.ndim) or in_order(total, values))
-    stats = run(dpp.DppPolicy(), make_config(**overrides), 1,
-                track_states=track_states)
+    stats = run(dpp.DppPolicy(), make_config(**overrides), 1)
     assert hashlib.sha256(repr(stats).encode()).hexdigest() == digest
     assert ndims == {ndim for ndim, free in zip((1, 2), order_free)
                      if not free}
