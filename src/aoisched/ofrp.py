@@ -339,6 +339,8 @@ def _expanded_stationary(coeff: tuple, cap: int) -> np.ndarray:
     "uncoupling" that goes with the stochastic complement (Meyer 1989):
     empty(a) holds x_a, (w, a) below the cap r**(w-1) y_(a-w+1), and (w, cap)
     collects the walks that reach it, r**(w-1) sum_(j >= cap-w+1) y_j.
+    Each chain is normalized by the sum of its own contiguous row, so its
+    vector has the same bits in any block, alone included.
     """
     if cap == 2:
         pi = np.stack((coeff[0], coeff[1] + coeff[2]))
@@ -350,7 +352,7 @@ def _expanded_stationary(coeff: tuple, cap: int) -> np.ndarray:
         rows = np.concatenate((y, np.cumsum(y[::-1], axis=0)[::-1]))
         at = np.where(age < cap, age - wait - 2, 2 * cap - wait - 4)
         pi = np.concatenate((x, powers[wait - 1] * rows[at]))
-    return (pi / pi.sum(axis=0)).T
+    return (pi / np.ascontiguousarray(pi.T).sum(axis=1)).T
 
 
 @lru_cache(maxsize=2)

@@ -3,13 +3,13 @@
 Each check pins one externally meaningful property of the package — analytic
 identities, Monte-Carlo agreement at stated tolerances, feasibility of the
 drift-based scheduler, and the expected cost ordering between policies — and
-returns a CheckResult with a one-line human-readable verdict.  Tolerances and
-budgets default to the contract values but are injectable so unit tests can
-exercise the failure paths cheaply.
+returns a CheckResult with a one-line human-readable verdict.  Every check
+takes only ``threads``; its tolerances and budgets are the named contract
+constants beside it, which tests patch to exercise the failure paths.
 
 The heavy checks simulate 10^6-slot horizons over several replicas; the
 acceptance tier, which runs the whole registry with four simulation threads
-for the Monte-Carlo checks, takes about 15 s on two cores.
+for the Monte-Carlo checks, takes about 20 s on two cores.
 """
 
 from __future__ import annotations
@@ -22,7 +22,13 @@ import numpy as np
 
 from . import dpp, forp, ofrp
 from .model import SystemConfig, UserState
-from .simulate import _DRAW_BLOCK, run, run_replicas
+from .simulate import _DRAW_BLOCK, _mean, _stdev, run, run_replicas
+
+# The Monte-Carlo checks' slots per run and replicas per configuration, and
+# the grid step of every optimized policy.
+HORIZON = 10 ** 6
+REPLICAS = 4
+GRID_STEP = 0.01
 
 
 @dataclass
@@ -38,57 +44,63 @@ def _se_diff(se_a: float, se_b: float) -> float:
     return math.sqrt(se_a * se_a + se_b * se_b)
 
 
-def _two_user_config(*, p: float = 0.8, cs: float = 1.0, limit: float = 5.0,
-                     cap: int = 10, v: float = 800.0, horizon: int = 10 ** 6,
-                     seed: int = 1864) -> SystemConfig:
-    """The two-user reference instance most checks build on."""
+def _config(*, seed: int, users: int = 2, p: float = 0.8, cs: float = 1.0,
+            v: float = 800.0) -> SystemConfig:
+    """The reference instance every check builds on, two users by default."""
     return SystemConfig(
-        num_users=2, success_prob=p, sample_cost=cs, transmit_cost=5.0,
-        aoi_cap=cap, aoi_limit=limit, horizon=horizon, seed=seed, v_weight=v)
+        num_users=users, success_prob=p, sample_cost=cs, transmit_cost=5.0,
+        aoi_cap=10, aoi_limit=5.0, horizon=HORIZON, seed=seed, v_weight=v)
+
+
+def _optimized_runs(cfg: SystemConfig, threads: int):
+    """Replica summaries of the optimized fresh-or-old and fresh-only
+    policies on ``cfg``, in that order."""
+    return [run_replicas(ofrp.OfrpPolicy(search(cfg, GRID_STEP)), cfg,
+                         REPLICAS, threads)[1]
+            for search in (ofrp.optimize, forp.optimize)]
 
 
 # ──────────────────────────────────────────────────────────────────────────
 #  analytic identities
 # ──────────────────────────────────────────────────────────────────────────
 
-def check_fresh_only_identity(threads: int = 1,
-                              tolerance: float = 1e-10) -> CheckResult:
+IDENTITY_TOLERANCE = 1e-10
+
+
+def check_fresh_only_identity(threads: int = 1) -> CheckResult:
     """Closed-form age distribution of the memoryless sampling policy versus
     its solved fresh-or-cached chain over a grid of rates and caps; it
     samples every slot, so the success probability is the delivery rate."""
     user = ofrp.OfrpUserParams(1.0, 1.0, 0.0, 1.0)
+    pairs = [(i / 20.0, cap) for i in range(1, 21)
+             for cap in (2, 5, 10, 20, 30)]
     worst = 0.0
-    count = 0
-    for i in range(1, 21):
-        delta = i / 20.0
-        for cap in (2, 5, 10, 20, 30):
-            closed_pi = np.array(forp.stationary_closed_form(delta, cap))
-            pi = ofrp.aoi_marginal(ofrp.stationary(user, delta, cap), cap)
-            ages = np.arange(1, cap + 1)
-            worst = max(worst,
-                        float(np.max(np.abs(closed_pi - pi))),
-                        abs(float(pi @ ages)
-                            - forp.avg_aoi_closed_form(delta, cap)))
-            count += 1
-    passed = worst < tolerance
+    for delta, cap in pairs:
+        closed_pi = np.array(forp.stationary_closed_form(delta, cap))
+        pi = ofrp.aoi_marginal(ofrp.stationary(user, delta, cap), cap)
+        ages = np.arange(1, cap + 1)
+        worst = max(worst,
+                    float(np.max(np.abs(closed_pi - pi))),
+                    abs(float(pi @ ages)
+                        - forp.avg_aoi_closed_form(delta, cap)))
+    passed = worst < IDENTITY_TOLERANCE
     return CheckResult(
         "fresh-only-identity", passed,
-        f"max |closed form - chain solve| = {worst:.3e} over {count} "
-        f"(rate, cap) pairs (tol {tolerance:g})",
+        f"max |closed form - chain solve| = {worst:.3e} over {len(pairs)} "
+        f"(rate, cap) pairs (tol {IDENTITY_TOLERANCE:g})",
         {"worst": worst})
 
 
-def check_error_free_equivalence(threads: int = 1,
-                                 grid_step: float = 0.01) -> CheckResult:
+def check_error_free_equivalence(threads: int = 1) -> CheckResult:
     """With a perfect channel the cache never fills, so the optimized
     fresh-or-old policy must collapse to the fresh-only one: equal minimum
     cost up to one grid step per user."""
-    cfg = _two_user_config(p=1.0, horizon=1000)
+    cfg = _config(p=1.0, seed=1864)
     # Moving every user's sampling probability by one grid step moves the
     # total cost by (c_s + c_tr) * step * sum(alpha) = (c_s + c_tr) * step.
-    cost_step = (cfg.sample_cost + cfg.transmit_cost) * grid_step
-    c_of = ofrp.total_cost(ofrp.optimize(cfg, grid_step), cfg)
-    c_f = forp.total_cost(forp.optimize(cfg, grid_step), cfg)
+    cost_step = (cfg.sample_cost + cfg.transmit_cost) * GRID_STEP
+    c_of = ofrp.total_cost(ofrp.optimize(cfg, GRID_STEP), cfg)
+    c_f = forp.total_cost(forp.optimize(cfg, GRID_STEP), cfg)
     gap = abs(c_of - c_f)
     passed = gap <= cost_step + 1e-9
     return CheckResult(
@@ -103,17 +115,19 @@ def check_error_free_equivalence(threads: int = 1,
 #  Monte-Carlo agreement
 # ──────────────────────────────────────────────────────────────────────────
 
-def check_fresh_only_montecarlo(threads: int = 1, tolerance: float = 0.01,
-                                horizon: int = 10 ** 6) -> CheckResult:
+# Largest relative error of a simulated figure against its prediction.
+FRESH_ONLY_TOLERANCE = 0.01
+FRESH_OR_OLD_TOLERANCE = 0.02
+
+
+def check_fresh_only_montecarlo(threads: int = 1) -> CheckResult:
     """Simulated age and cost of the fresh-only policy versus its closed
     forms, at three delivery rates."""
     p = 0.8
     worst = 0.0
     for delta in (0.2, 0.5, 0.8):
         phi = delta / p
-        cfg = SystemConfig(
-            num_users=1, success_prob=p, sample_cost=1.0, transmit_cost=5.0,
-            aoi_cap=10, aoi_limit=5.0, horizon=horizon, seed=9102)
+        cfg = _config(users=1, p=p, seed=9102)
         params = ofrp.OfrpParams((ofrp.OfrpUserParams(1.0, phi, 0.0, phi),))
         stats = run(ofrp.OfrpPolicy(params), cfg)
         aoi_ref = forp.avg_aoi_closed_form(delta, cfg.aoi_cap)
@@ -121,33 +135,26 @@ def check_fresh_only_montecarlo(threads: int = 1, tolerance: float = 0.01,
         worst = max(worst,
                     abs(stats.avg_aoi[0] - aoi_ref) / aoi_ref,
                     abs(stats.avg_cost - cost_ref) / cost_ref)
-    passed = worst < tolerance
+    passed = worst < FRESH_ONLY_TOLERANCE
     return CheckResult(
         "fresh-only-montecarlo", passed,
         f"max relative error (age, cost) = {worst:.4%} over delivery rates "
-        f"0.2/0.5/0.8 at {horizon} slots (tol {tolerance:.0%})",
+        f"0.2/0.5/0.8 at {HORIZON} slots (tol {FRESH_ONLY_TOLERANCE:.0%})",
         {"worst": worst})
 
 
-def check_fresh_or_old_montecarlo(threads: int = 1, tolerance: float = 0.02,
-                                  horizon: int = 10 ** 6,
-                                  grid_step: float = 0.01) -> CheckResult:
+def check_fresh_or_old_montecarlo(threads: int = 1) -> CheckResult:
     """Chain-predicted age, empty-cache probability, and cost of the
     fresh-or-old policy versus simulation: two literal parameter points and
     the grid-search optimum of the single-user reference instance."""
     literal = ofrp.OfrpUserParams(
         alpha=1.0, sample_occupied=0.4, retransmit_old=0.2, sample_empty=0.6)
-    opt_cfg = SystemConfig(
-        num_users=1, success_prob=0.8, sample_cost=1.0, transmit_cost=5.0,
-        aoi_cap=10, aoi_limit=5.0, horizon=horizon, seed=4501)
-    instances = [(0.5, literal), (0.8, literal),
-                 (0.8, ofrp.optimize(opt_cfg, grid_step).users[0])]
+    optimum = ofrp.optimize(_config(users=1, seed=4501), GRID_STEP).users[0]
+    instances = [(0.5, literal), (0.8, literal), (0.8, optimum)]
 
     worst = 0.0
     for p, user in instances:
-        cfg = SystemConfig(
-            num_users=1, success_prob=p, sample_cost=1.0, transmit_cost=5.0,
-            aoi_cap=10, aoi_limit=5.0, horizon=horizon, seed=4501)
+        cfg = _config(users=1, p=p, seed=4501)
         pred = ofrp.metrics(user, p, cfg.aoi_cap, cfg.sample_cost,
                             cfg.transmit_cost)
         stats = run(ofrp.OfrpPolicy(ofrp.OfrpParams(users=(user,))), cfg)
@@ -156,11 +163,12 @@ def check_fresh_or_old_montecarlo(threads: int = 1, tolerance: float = 0.02,
                     abs(stats.empty_fraction[0] - pred.empty_fraction)
                     / pred.empty_fraction,
                     abs(stats.avg_cost - pred.avg_cost) / pred.avg_cost)
-    passed = worst < tolerance
+    passed = worst < FRESH_OR_OLD_TOLERANCE
     return CheckResult(
         "fresh-or-old-montecarlo", passed,
         f"max relative error (age, empty fraction, cost) = {worst:.4%} over "
-        f"{len(instances)} instances at {horizon} slots (tol {tolerance:.0%})",
+        f"{len(instances)} instances at {HORIZON} slots "
+        f"(tol {FRESH_OR_OLD_TOLERANCE:.0%})",
         {"worst": worst})
 
 
@@ -168,44 +176,44 @@ def check_fresh_or_old_montecarlo(threads: int = 1, tolerance: float = 0.02,
 #  drift-based scheduler behaviour
 # ──────────────────────────────────────────────────────────────────────────
 
-def check_dpp_feasibility(threads: int = 1, ratio_tol: float = 1.02,
-                          drift_tol: float = 0.01, horizon: int = 10 ** 6,
-                          replicas: int = 4) -> CheckResult:
+# Largest average age over its limit and final queue X_T over T * limit; the
+# cost checks' margins, in standard errors of a difference of means.
+RATIO_TOL = 1.02
+DRIFT_TOL = 0.01
+ORDERING_SLACK = 2.0
+V_WEIGHT_SLACK = 1.0
+OLD_PACKET_MARGIN = 2.0
+
+
+def check_dpp_feasibility(threads: int = 1) -> CheckResult:
     """Every user's long-run average age must land within 2% of its limit and
     the virtual queues must grow sublinearly (X_T / T small)."""
-    cfg = _two_user_config(horizon=horizon, seed=6401)
-    stats, _ = run_replicas(dpp.DppPolicy(), cfg, replicas, threads)
+    cfg = _config(seed=6401)
+    stats, _ = run_replicas(dpp.DppPolicy(), cfg, REPLICAS, threads)
     worst_ratio = max(s.avg_aoi[k] / cfg.aoi_limit[k]
                       for s in stats for k in range(cfg.num_users))
     worst_drift = max(s.final_vqueue_over_t[k] / cfg.aoi_limit[k]
                       for s in stats for k in range(cfg.num_users))
-    passed = worst_ratio <= ratio_tol and worst_drift < drift_tol
+    passed = worst_ratio <= RATIO_TOL and worst_drift < DRIFT_TOL
     return CheckResult(
         "dpp-feasibility", passed,
-        f"worst avg-age/limit = {worst_ratio:.4f} (tol {ratio_tol}), worst "
-        f"X_T/(T*limit) = {worst_drift:.2e} (tol {drift_tol}) over "
-        f"{replicas} replicas",
+        f"worst avg-age/limit = {worst_ratio:.4f} (tol {RATIO_TOL}), worst "
+        f"X_T/(T*limit) = {worst_drift:.2e} (tol {DRIFT_TOL}) over "
+        f"{REPLICAS} replicas",
         {"worst_ratio": worst_ratio, "worst_drift": worst_drift})
 
 
-def check_policy_cost_ordering(threads: int = 1, slack: float = 2.0,
-                               horizon: int = 10 ** 6, replicas: int = 4,
-                               grid_step: float = 0.01) -> CheckResult:
+def check_policy_cost_ordering(threads: int = 1) -> CheckResult:
     """Mean cost must order drift-based <= fresh-or-old <= fresh-only (each
-    up to ``slack`` standard errors of the difference) across a small grid of
-    channel qualities and sampling costs."""
+    up to ``ORDERING_SLACK`` standard errors of the difference) across a
+    small grid of channel qualities and sampling costs."""
     worst_sigma = -math.inf
     worst_at = ""
     for p in (0.5, 0.7, 0.9):
         for cs in (1.0, 10.0):
-            cfg = _two_user_config(p=p, cs=cs, horizon=horizon, seed=5301)
-            _, s_dpp = run_replicas(dpp.DppPolicy(), cfg, replicas, threads)
-            _, s_of = run_replicas(
-                ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step)),
-                cfg, replicas, threads)
-            _, s_f = run_replicas(
-                ofrp.OfrpPolicy(forp.optimize(cfg, grid_step)),
-                cfg, replicas, threads)
+            cfg = _config(p=p, cs=cs, seed=5301)
+            _, s_dpp = run_replicas(dpp.DppPolicy(), cfg, REPLICAS, threads)
+            s_of, s_f = _optimized_runs(cfg, threads)
             pairs = ((s_dpp, s_of, "dpp vs fresh-or-old"),
                      (s_of, s_f, "fresh-or-old vs fresh-only"))
             for lo, hi, label in pairs:
@@ -215,44 +223,37 @@ def check_policy_cost_ordering(threads: int = 1, slack: float = 2.0,
                 if sigma > worst_sigma:
                     worst_sigma = sigma
                     worst_at = f"{label} at p={p}, c_s={cs:g}"
-    passed = worst_sigma <= slack
+    passed = worst_sigma <= ORDERING_SLACK
     return CheckResult(
         "policy-cost-ordering", passed,
         f"worst ordering margin = {worst_sigma:+.2f} standard errors "
-        f"({worst_at}); allowed {slack:+.1f}",
+        f"({worst_at}); allowed {ORDERING_SLACK:+.1f}",
         {"worst_sigma": worst_sigma})
 
 
-def check_v_weight_tradeoff(threads: int = 1, slack: float = 1.0,
-                            horizon: int = 10 ** 6,
-                            replicas: int = 4) -> CheckResult:
+def check_v_weight_tradeoff(threads: int = 1) -> CheckResult:
     """Raising the cost weight V must trade cost down against virtual-queue
-    backlog up, monotonically within ``slack`` standard errors per step."""
+    backlog up, monotonically within ``V_WEIGHT_SLACK`` standard errors per
+    step."""
     weights = (50.0, 100.0, 200.0, 400.0, 800.0)
     cost_mean, cost_se, vq_mean, vq_se = [], [], [], []
     for v in weights:
-        cfg = _two_user_config(v=v, horizon=horizon, seed=8801)
-        stats, summary = run_replicas(dpp.DppPolicy(), cfg, replicas, threads)
+        cfg = _config(v=v, seed=8801)
+        stats, summary = run_replicas(dpp.DppPolicy(), cfg, REPLICAS, threads)
         cost_mean.append(summary.mean_cost)
         cost_se.append(summary.stderr_cost)
         per_rep = [sum(s.avg_vqueue) / cfg.num_users for s in stats]
-        m = sum(per_rep) / len(per_rep)
-        sd = math.sqrt(sum((x - m) ** 2 for x in per_rep)
-                       / max(1, len(per_rep) - 1))
-        vq_mean.append(m)
-        vq_se.append(sd / math.sqrt(len(per_rep)))
-    ok = True
+        vq_mean.append(_mean(per_rep))
+        vq_se.append(_stdev(per_rep) / math.sqrt(REPLICAS))
     breaches = []
     for i in range(1, len(weights)):
-        cost_ok = cost_mean[i] <= cost_mean[i - 1] + slack * _se_diff(
-            cost_se[i], cost_se[i - 1])
-        vq_ok = vq_mean[i] >= vq_mean[i - 1] - slack * _se_diff(
-            vq_se[i], vq_se[i - 1])
-        if not cost_ok:
+        if not cost_mean[i] <= cost_mean[i - 1] + V_WEIGHT_SLACK * _se_diff(
+                cost_se[i], cost_se[i - 1]):
             breaches.append(f"cost rose at V={weights[i]:g}")
-        if not vq_ok:
+        if not vq_mean[i] >= vq_mean[i - 1] - V_WEIGHT_SLACK * _se_diff(
+                vq_se[i], vq_se[i - 1]):
             breaches.append(f"backlog fell at V={weights[i]:g}")
-        ok = ok and cost_ok and vq_ok
+    ok = not breaches
     spread = (f"cost {cost_mean[0]:.3f}->{cost_mean[-1]:.3f}, "
               f"mean backlog {vq_mean[0]:.1f}->{vq_mean[-1]:.1f} "
               f"over V {weights[0]:g}..{weights[-1]:g}")
@@ -262,26 +263,19 @@ def check_v_weight_tradeoff(threads: int = 1, slack: float = 1.0,
         {"cost": cost_mean, "vqueue": vq_mean})
 
 
-def check_old_packet_advantage(threads: int = 1, slack: float = 2.0,
-                               horizon: int = 10 ** 6, replicas: int = 4,
-                               grid_step: float = 0.01) -> CheckResult:
+def check_old_packet_advantage(threads: int = 1) -> CheckResult:
     """Where retransmissions are cheap relative to sampling and the channel is
     poor, keeping old packets must beat always-fresh sampling by a clear
     statistical margin."""
-    cfg = _two_user_config(p=0.5, cs=10.0, horizon=horizon, seed=7701)
-    _, s_of = run_replicas(
-        ofrp.OfrpPolicy(ofrp.optimize(cfg, grid_step)), cfg, replicas, threads)
-    _, s_f = run_replicas(
-        ofrp.OfrpPolicy(forp.optimize(cfg, grid_step)),
-        cfg, replicas, threads)
+    s_of, s_f = _optimized_runs(_config(p=0.5, cs=10.0, seed=7701), threads)
     se = _se_diff(s_of.stderr_cost, s_f.stderr_cost)
     sigma = (s_f.mean_cost - s_of.mean_cost) / se if se > 0 else math.inf
-    passed = sigma > slack
+    passed = sigma > OLD_PACKET_MARGIN
     return CheckResult(
         "old-packet-advantage", passed,
         f"fresh-or-old cost {s_of.mean_cost:.3f} vs fresh-only "
         f"{s_f.mean_cost:.3f}: advantage = {sigma:.1f} standard errors "
-        f"(need > {slack:g}) at p=0.5, c_s=10",
+        f"(need > {OLD_PACKET_MARGIN:g}) at p=0.5, c_s=10",
         {"sigma": sigma, "ofrp_cost": s_of.mean_cost,
          "forp_cost": s_f.mean_cost})
 
@@ -318,16 +312,21 @@ def _random_snapshot(rng: np.random.Generator, cap_range=(3, 12),
     return states, cfg
 
 
-def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
-                          runs: int = 30, seed: int = 3301) -> CheckResult:
+# Random snapshots decided, scored runs compared, and their generator's seed.
+ORACLE_SNAPSHOTS = 1000
+ORACLE_RUNS = 30
+ORACLE_SEED = 3301
+
+
+def check_decision_oracle(threads: int = 1) -> CheckResult:
     """The decision rule (O(K) in single-transmitter mode, O(K²) otherwise)
     must reproduce exhaustive minimization of the slot objective on random
     snapshots, and be invariant to jointly scaling all virtual queues and V
     by a power of two; scored runs, which write the CSVs, equal asked ones."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORACLE_SEED)
     mismatches = 0
     scale_mismatches = 0
-    for _ in range(snapshots):
+    for _ in range(ORACLE_SNAPSHOTS):
         states, cfg = _random_snapshot(rng)
         got = dpp.decide(states, cfg)
         if got != dpp.brute_force(states, cfg):
@@ -340,7 +339,7 @@ def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
                 scale_mismatches += 1
     asked, run_mismatches = dpp.DppPolicy(), 0
     asked.penalties = lambda: None          # asked through decide every slot
-    for i in range(runs):                   # the first crosses a block seam
+    for i in range(ORACLE_RUNS):            # the first crosses a block seam
         cfg = _random_snapshot(rng)[1]
         if i % 5 != 4:                      # four in five: limits in halves, so
             # the queues are rebuilt in prefix sums, as the presets' are
@@ -351,11 +350,11 @@ def check_decision_oracle(threads: int = 1, snapshots: int = 1000,
     passed = mismatches == 0 and scale_mismatches == 0 and run_mismatches == 0
     return CheckResult(
         "decision-oracle", passed,
-        f"{snapshots} random snapshots: {mismatches} disagreements with "
-        f"exhaustive search, {scale_mismatches} scale-invariance breaks; "
-        f"{runs} scored runs: {run_mismatches} differ from asked ones",
+        f"{ORACLE_SNAPSHOTS} random snapshots: {mismatches} disagreements "
+        f"with exhaustive search, {scale_mismatches} scale-invariance breaks; "
+        f"{ORACLE_RUNS} scored runs: {run_mismatches} differ from asked ones",
         {"mismatches": mismatches, "scale_mismatches": scale_mismatches,
-         "runs": runs, "run_mismatches": run_mismatches})
+         "runs": ORACLE_RUNS, "run_mismatches": run_mismatches})
 
 
 # ──────────────────────────────────────────────────────────────────────────

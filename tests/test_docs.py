@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import aoisched
-from aoisched import cli
+from aoisched import cli, validate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,6 +30,15 @@ def test_readme_cli_examples_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert cli._build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_check_tolerances_are_the_checks():
+    """The check table's "to N %" tolerances are the ones the checks apply."""
+    rows = re.findall(r"^\| `([a-z-]+)` *\|.* to (\d+) %", README.read_text(),
+                      re.M)
+    assert {name: int(pct) / 100 for name, pct in rows} == {
+        "fresh-only-montecarlo": validate.FRESH_ONLY_TOLERANCE,
+        "fresh-or-old-montecarlo": validate.FRESH_OR_OLD_TOLERANCE}
 
 
 RUNTIME_IMPORTS = """

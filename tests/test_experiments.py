@@ -1,6 +1,7 @@
 """Tests for scenario loading, sweep execution, CSV output, and the CLI."""
 
 import csv
+import inspect
 import json
 import os
 import re
@@ -495,16 +496,28 @@ def test_run_checks_times_and_reports():
     assert line.startswith("PASS") and "decision-oracle" in line
 
 
-def test_zero_tolerance_makes_identity_check_fail():
+def test_every_check_takes_only_threads():
+    """Each check's tolerances and budgets are module constants: the one
+    argument a caller sets is the thread count."""
+    for check in validate.CHECKS.values():
+        params = inspect.signature(check).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            ("threads", inspect.Parameter.POSITIONAL_OR_KEYWORD, 1)]
+
+
+def test_zero_tolerance_makes_identity_check_fail(monkeypatch):
     """The checks must actually compare numbers: squeezing the tolerance to
     zero has to flip the verdict."""
-    result = validate.check_fresh_only_identity(tolerance=0.0)
+    monkeypatch.setattr(validate, "IDENTITY_TOLERANCE", 0.0)
+    result = validate.check_fresh_only_identity()
     assert not result.passed
     assert "FAIL" in validate.format_result(result)
 
 
-def test_decision_oracle_budget_is_injectable():
-    result = validate.check_decision_oracle(snapshots=5)
+def test_decision_oracle_budget_is_injectable(monkeypatch):
+    """The oracle's budget is read from its constants when it runs."""
+    monkeypatch.setattr(validate, "ORACLE_SNAPSHOTS", 5)
+    result = validate.check_decision_oracle()
     assert result.passed
     assert "5 random snapshots" in result.detail
 
@@ -517,11 +530,14 @@ def test_decision_oracle_runs_the_scored_loop_against_decide(monkeypatch):
     queues = simulate._queues
     monkeypatch.setattr(simulate, "_queues", lambda tally, ages: (
         exact.add(tally.exact), queues(tally, ages))[1])
-    result = validate.check_decision_oracle(snapshots=0, runs=5)
+    monkeypatch.setattr(validate, "ORACLE_SNAPSHOTS", 0)
+    monkeypatch.setattr(validate, "ORACLE_RUNS", 5)
+    result = validate.check_decision_oracle()
     assert result.passed and result.values["runs"] == 5
     assert "5 scored runs: 0 differ" in result.detail
     assert exact == {True, False}
     monkeypatch.setattr(dpp.DppPolicy, "decide",
                         lambda self, *state: (None, None))
-    result = validate.check_decision_oracle(snapshots=0, runs=4)
+    monkeypatch.setattr(validate, "ORACLE_RUNS", 4)
+    result = validate.check_decision_oracle()
     assert not result.passed and result.values["run_mismatches"] > 0

@@ -786,6 +786,18 @@ def test_expanded_stationary_balances_the_sparse_chain(cap, p):
     assert np.max(np.abs(pi.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("cap", [10, 30, 64])
+def test_a_chain_has_the_same_vector_in_a_block_as_alone(cap):
+    """Each row of a 2-chain block has the bits of that chain solved alone,
+    which is what ``stationary`` and so ``metrics`` solve."""
+    coeff = ofrp._coefficients(np.array([0.7, 1.0]), np.array([0.3, 0.05]),
+                               np.array([0.5, 0.9]), np.array([0.9, 0.2]), 0.8)
+    block = ofrp._expanded_stationary(coeff, cap)
+    for i, row in enumerate(block):
+        alone = ofrp._expanded_stationary(tuple(c[i:i + 1] for c in coeff), cap)
+        assert row.tobytes() == alone[0].tobytes()
+
+
 def test_metrics_agree_across_the_dense_limit():
     """``metrics``, read off the expansion at every cap, against the dense
     oracle's stationary vector."""

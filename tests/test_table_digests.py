@@ -58,45 +58,45 @@ _DIGESTS = {
     (3, 1.0, 0.1): "e2eea607c6cba3ef9d5245db38af1c4cbaa657232996833a544ee025fa0f0362",
     (3, 1.0, 0.05): "110746ae907038c0a500408d5a97d41889e1d6e201e13eada3667ba7527c2f7a",
     (10, 0.0, 0.5): "c909340189f4e3a4053a4228f412305e6a28f3a9e6d447d087e38b22b6eaf2c7",
-    (10, 0.0, 0.1): "463c4d4daa23d23c766be73c7b5a5a4de0104bdda26f3d92d97e4b717c20b0ea",
-    (10, 0.0, 0.05): "3be7395f09acf593aaedabcec94f01e28a85390e93fa79a5d2041b62b07bc05a",
-    (10, 1e-12, 0.5): "074dcea4fe62ab7395683662cb7843a0e72d0a148e2c97d9197dc29f044303e1",
-    (10, 1e-12, 0.1): "266089f582d16e00bd4d799bfdbd2e1d29c22b3f13953828fd00836da740cef9",
-    (10, 1e-12, 0.05): "b153fd2915830ff86e3ce3f830b35abc1c003a06c6f2b1ab8ead7d4dd5fcb3c2",
-    (10, 0.37, 0.5): "caade716305eb882ce1b6f334aadfe5a942680d5bc1daf671ca340479c368ebd",
-    (10, 0.37, 0.1): "770c5c80bb353f407ac05def2b47139c5017fdcbf615412823e78c742b514311",
-    (10, 0.37, 0.05): "157e2d8ad00241224538fa6719172915325421fa02c1a40ee670da0051a4957e",
+    (10, 0.0, 0.1): "163057974618725d3cf77019ff1dcefebc756fbdef57bac74f9b06ee849ccb34",
+    (10, 0.0, 0.05): "0e4ca01712a0bef00c5a131d2b9d4010ea2183643b8cf0fa4e5fffefb3ece066",
+    (10, 1e-12, 0.5): "ee715b40462a55e94288bdf5b572c53e4344e60dbb203f3c2468ff6d00ddc391",
+    (10, 1e-12, 0.1): "caefafdd01ba37ad2a2dfc20b97fd9a99378167bf86e0ccda00ddc9414c3d2c1",
+    (10, 1e-12, 0.05): "f87db7e13467c3216fde6ad36d0c3d28d6fb36c8cfb285e5ac61e293919c5df5",
+    (10, 0.37, 0.5): "fb7c3a8967ffcb27acc43796edcee26321a525e6e10b3bafa25af0db4f241f6a",
+    (10, 0.37, 0.1): "e493ea65d6f5d4d98f78e442eb278c29ce59af586e94ec0159757b311ff072be",
+    (10, 0.37, 0.05): "76aa634954a90eb73f0c3dc99fd50b2b89310a6d31887b0843a7594c3bd16f1a",
     (10, 1.0, 0.5): "39a81e2719e357b68c1d519d7f2936ee0862a045fb155deee5448bd7a241da3f",
-    (10, 1.0, 0.1): "427af9a52a1c8156269fb12e38f6d3195b2a73c12a9937add3da169adc0c396e",
-    (10, 1.0, 0.05): "9e8cb60ea910766cbf686470970d230eebb9dc2a208dd0985336d212bd25aa6a",
-    (30, 0.0, 0.5): "f6c064fe967cba2b579c830ec6e2436f43ba2c1582c742a528afb2139993d658",
-    (30, 0.0, 0.1): "7f206970afd1053c2b4b5c2b94152e5a4c87d8619b6beba45cc05a376b3d4bd0",
-    (30, 0.0, 0.05): "d79ca02ec2918643bf1115d019030352dc00ddb1b91befbf423963bc00f9ac16",
-    (30, 1e-12, 0.5): "9a3c71ffb4e50625fe15ab35748edf5cd345d3c5d2cd053d0facee804d6f7dd9",
-    (30, 1e-12, 0.1): "264201900b801ae75bb89c2cdc60d4f2a737818db7d0d7b36a07cdd782047d0a",
-    (30, 1e-12, 0.05): "381115090a031c664a260e479ae5498f10629821191e67412ca937a434873cbb",
-    (30, 0.37, 0.5): "44b00045f60e350bb9e29e444cd552dec4e0b1721097fdc383462b45d4747e2c",
-    (30, 0.37, 0.1): "57bd8e6ea41e88ad975ae3d105af8f43f281793e6ff097c7fda6bfc74ac322a4",
-    (30, 0.37, 0.05): "8c8bdc1e40963f940d0510792bbfc57b5a82c748274443973793d7f1cc6a4fa2",
+    (10, 1.0, 0.1): "cfdc56b937e52a39b715e0c3329d03e7143c3a9ee2343ecd13dc1cd67ba50537",
+    (10, 1.0, 0.05): "6d810e78cdb689ab2e88dbdcbe2f43219e2806b41bcb08e885366f47bd630f31",
+    (30, 0.0, 0.5): "d7a68f79fdca09576063e5c8b51f78b61a43ed33cdfbae44a1b1600b7713c0cb",
+    (30, 0.0, 0.1): "5294823e76e8cbe2a46b82b2ad2b070d0b3d5ef88cbc0c2140ca2b191d0eeff8",
+    (30, 0.0, 0.05): "7d151b9515b4ef61819f54f59b02bdfd4c35a60409440b622988b9d464aa47ab",
+    (30, 1e-12, 0.5): "3ec93cfebb894c5d4da1f0bde9a8682940c9782c6f200150cec0a55bc7e05537",
+    (30, 1e-12, 0.1): "19379db620c5b7cee5b030b8dddfd891b0a9c430076715f9a6e1475133c8f145",
+    (30, 1e-12, 0.05): "a19bfa80b9e456b9097bd4bcb3726327e469b4a4bce7439d5797353dbfd1c1fc",
+    (30, 0.37, 0.5): "7a8b5f1636d55ea500d5dddbb5f3008de987b91c8d149cb1954161e3d0b035c7",
+    (30, 0.37, 0.1): "31b1081557b9cecee59d3f978577673245213e091686018b324e1722a77e4ca2",
+    (30, 0.37, 0.05): "1dff9edb7a61d56b99e3b40518503b73deda517e6f7fb06d1082ecb1db26c9b4",
     (30, 1.0, 0.5): "025851f70d89cd30df4cde6dd68a5e4429c0251058e681d52e8ac016d7921db6",
-    (30, 1.0, 0.1): "871a2e9ad0829170379b095ba023a907669ca9d678bd987625cd746d8044855a",
-    (30, 1.0, 0.05): "defcbbaf43a0c20994368498bc1bce26229d8d66579a7557ad687d4c75c18d09",
-    (64, 0.0, 0.5): "f8e68007e61cd72ddd65204dbbf329dbed0a8777fe9dceb62b2768330db92866",
-    (64, 0.0, 0.1): "d1ca418f82a43aa6e9a42654a2e7930628329e9862b3e1d2707aa0423909e748",
-    (64, 0.0, 0.05): "9495759ca9669d76c67d582e0bee790901c905aebc866a51c1f4e670e43df0f3",
-    (64, 1e-12, 0.5): "87db3e09ec68d95d4774c5363adc22598bb72c2e01ea46b9d3cc4359a291e55f",
-    (64, 1e-12, 0.1): "d45d54830846d7cd75954545ed2bf8b779827627c4d8247fe50bfedc3a36e266",
-    (64, 1e-12, 0.05): "5a361c3bd9617bd6f41c019ed753b1534515990091b7db9cd91747469bea5592",
-    (64, 0.37, 0.5): "e7ea1548e9a49e5e4c623a63bcf65cbf86b38a7a838be90738d4923d1e8aa0a0",
-    (64, 0.37, 0.1): "23b77f126b68a425cfd9599261b79549a89d8fdfc46ac015875f8ccd1f703fb5",
-    (64, 0.37, 0.05): "93953e9069f9404eba461fbc63418ceb4317d97584d90b3408a1e3052713d30e",
-    (64, 1.0, 0.5): "5ed381618a42cd98acdcd59da8beae5d8c9e57995bd2c7eb6a40e8c52d422806",
-    (64, 1.0, 0.1): "253054acac2c6bec0c81f5b150ba47dffe220bee41d38bf48d289264159a7b28",
-    (64, 1.0, 0.05): "cf3aa4f713fbb0bf84fb361709afbb68b0610b3554def6e5317ee9cf636ba276",
-    (10, 0.0, 0.01): "be4b5a96adb4f7fffdf566de08952657c1980db706bd69d1802482bb02ab8721",
-    (10, 1e-12, 0.01): "fcdabf1386c1b562b12e6172b83f4fab36dd98388d13d38db5757c6b6a72ba5e",
-    (10, 0.37, 0.01): "15164acf058516af3aaa160ef321ef08cd4ddfb6827ff54d8d0abb6433b7ec57",
-    (10, 1.0, 0.01): "009c267aa15fb84e9e7e70b13d2fd7b41a76575604101630cccd69f9f14d25f2",
+    (30, 1.0, 0.1): "b1a34e3b617d94f18351aba535ab5e536f12b104eac63b765a70722d79635b47",
+    (30, 1.0, 0.05): "3adc80e48b8c149ad28cc70ba44dc57d8f2060df0fd6bfbbe39aea1790c95fbf",
+    (64, 0.0, 0.5): "358ad9b399cd87f7730c714da0888cd2b941428a02c13829f7e4a78e9dfde431",
+    (64, 0.0, 0.1): "5c67b52e51358bb74762bdccc3076920104847a73ea4fa0d9698a625cd54e2ad",
+    (64, 0.0, 0.05): "aa74fd87666973314ab221685cecd308d41755acc6d5cf967748b82a660a69be",
+    (64, 1e-12, 0.5): "5d68c764363ea16a47e2ea40dfe5bebce0818d1a759a16eb6282f44375238d33",
+    (64, 1e-12, 0.1): "978fe620141ab6733b8a434f35fd65e2f7923b0570fdd0988050081077e21597",
+    (64, 1e-12, 0.05): "065cb561c2d5aac48be0645e350937f37fb15bb7fa68c241bc7f84f2a22d89ec",
+    (64, 0.37, 0.5): "0ec0bc7b6fffd0ccaf2c50f64460cdf1f3d87759fdcc91c5ddb253e2375e265a",
+    (64, 0.37, 0.1): "f9a164212b78b2d69dd6d17043327bf2df69801f79656579cd9aefa9101132a4",
+    (64, 0.37, 0.05): "f972925ae750216c1991abab581544719f9a667ae21e4c784fc0a488b20478c6",
+    (64, 1.0, 0.5): "62999aac628fe83b2ca79c8566b95d294ed002a0c61531dd3eb1260771f1914d",
+    (64, 1.0, 0.1): "1f3aa2ea25af5adc2da16da202fda690a54aee7a683dbdd0453c97aed36561cd",
+    (64, 1.0, 0.05): "2a9bbe5e8dcbfd902ecd2ab8e49a13dbd9bdb7a85b3e021f4112b0e7041b6a98",
+    (10, 0.0, 0.01): "0c16782884b72d82418bfd7b79f684ca3db7f1ef69f0c5acf14fa22861f0ee71",
+    (10, 1e-12, 0.01): "e2221b6c68778086e8287debf8b3e86e350490f1df98b47b873ab1d2d5751460",
+    (10, 0.37, 0.01): "08e47457293183dbc3246137579e950329f72dd8c45ee77cc8e3d5aef8d61e9d",
+    (10, 1.0, 0.01): "65471958215d2b4b3d8d8de4365d300790eb257f7acc037fa488834f90ccfa8c",
 }
 
 
